@@ -3,8 +3,8 @@
 Library layout:
 
 * :mod:`irisfuse.templates` — domain types and bit packing
-* :mod:`irisfuse.bitmatch` — packed matching kernels (Hamming, weighted
-  similarity, white/black match rates, mask rates)
+* :mod:`irisfuse.bitmatch` — the batched packed count kernel (Hamming,
+  weighted similarity) and white/black match rates, mask rates
 * :mod:`irisfuse.reference` — naive per-pixel mirrors of the kernels
 * :mod:`irisfuse.mlp`, :mod:`irisfuse.losses`, :mod:`irisfuse.gradcheck`
   — the fusion network, standalone losses, finite-difference checks
@@ -18,11 +18,13 @@ from .bitmatch import (
     DEFAULT_ALPHA,
     EmptyJointMaskError,
     IrisMatchResult,
+    PairScores,
     ShiftPolicy,
     black_match_rate,
     mask_rate,
     masked_hamming,
     match_pair,
+    match_pairs,
     weighted_similarity,
     white_match_rate,
 )
@@ -82,11 +84,13 @@ __all__ = [
     "DEFAULT_ALPHA",
     "EmptyJointMaskError",
     "IrisMatchResult",
+    "PairScores",
     "ShiftPolicy",
     "black_match_rate",
     "mask_rate",
     "masked_hamming",
     "match_pair",
+    "match_pairs",
     "weighted_similarity",
     "white_match_rate",
     "LEFT_RIGHT_DISJOINT",

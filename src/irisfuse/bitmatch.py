@@ -19,14 +19,30 @@ Scoring rules:
 * white / black matching rates and mask rates are diagnostic statistics
   computed at shift 0 only.
 
-Everything here operates on the packed byte planes via XOR/AND plus
-popcount and never touches individual pixels; :mod:`irisfuse.reference`
-holds deliberately naive per-pixel implementations used to cross-check
-these kernels bit for bit.  All functions are pure and thread-safe.
+One batched count kernel does all shift-searched scoring.
+:func:`match_pairs` takes a template list and two index arrays and
+scores every pair ``(templates[ia[k]], templates[ib[k]])``.  It rotates
+the probe (the ``ia`` side) instead of the gallery: comparing ``a``
+rotated by ``-s`` with an unrotated ``b`` pairs pixel ``(i, j)`` of
+``a`` with pixel ``(i, (j + s) mod W)`` of ``b``, exactly the pixels
+that shift ``s`` pairs, so the ``(ones, disagree, valid)`` counts are
+identical.  Only one probe's ``n_shifts`` rotated planes exist at a
+time; gallery templates stay unrotated.  Planes are read as ``uint64``
+words, zero-padded to a multiple of 8 bytes (padding bits are zero on
+both sides and change no count), and each block of gallery templates is
+reduced straight to per-pair values.  :func:`masked_hamming`,
+:func:`weighted_similarity` and :func:`match_pair` are one-pair
+wrappers over the same kernel.
+
+Everything here operates on the packed planes via XOR/AND plus popcount
+and never touches individual pixels; :mod:`irisfuse.reference` holds
+deliberately naive per-pixel implementations used to cross-check these
+kernels bit for bit.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,85 +117,185 @@ def _check_same_dims(a: IrisTemplate, b: IrisTemplate) -> None:
         )
 
 
-def _popcount_rows(packed: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie strictly inside (0, 2), got {alpha}")
 
 
 def _popcount(packed: np.ndarray) -> int:
     return int(np.bitwise_count(packed).sum(dtype=np.int64))
 
 
-def rotated_planes(
-    template: IrisTemplate, policy: ShiftPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Packed bit and mask planes of ``template`` at every candidate shift.
+# Byte size each kernel temporary is kept near: a gallery block holds as
+# many templates as fit one (n_shifts, block, words) uint64 array in it.
+BLOCK_BYTES = 1 << 20
 
-    Returns two ``(n_shifts, plane_bytes)`` arrays in ``policy.shifts()``
-    order.  Row ``k`` holds the template rotated so that column
-    ``(j + s_k) mod W`` lands on column ``j``.  Precompute these once per
-    template when scoring many pairs against it.
+
+@dataclass(frozen=True)
+class PairScores:
+    """Per-pair outputs of :func:`match_pairs`, one array entry per pair.
+
+    ``hamming``, ``best_shift`` and ``joint_valid`` refer to the
+    Hamming-minimising shift, ``ws`` and ``ws_shift`` to the
+    WS-maximising one.  Where ``usable`` is False (no jointly valid pixel
+    at any shift) the other entries are placeholders: an infinite
+    Hamming distance, a WS of minus infinity, zero valid pixels.
     """
-    bits2d = template.unpack_bits()
-    mask2d = template.unpack_mask()
-    shifts = policy.shifts()
-    nbytes = template.packed_bits.shape[0]
-    rot_bits = np.empty((len(shifts), nbytes), dtype=np.uint8)
-    rot_masks = np.empty((len(shifts), nbytes), dtype=np.uint8)
+
+    usable: np.ndarray
+    hamming: np.ndarray
+    best_shift: np.ndarray
+    joint_valid: np.ndarray
+    ws: np.ndarray
+    ws_shift: np.ndarray
+
+
+def _as_words(planes: np.ndarray) -> np.ndarray:
+    """``(k, nbytes)`` packed planes as ``(k, words)`` uint64, zero-padded."""
+    k, nbytes = planes.shape
+    padded = np.zeros((k, -(-nbytes // 8) * 8), dtype=np.uint8)
+    padded[:, :nbytes] = planes
+    return padded.view(np.uint64)
+
+
+def _gallery_planes(
+    templates: Sequence[IrisTemplate], unmasked: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unrotated ``(bits & mask, mask)`` word planes, one row per template."""
+    bits = _as_words(np.stack([t.packed_bits for t in templates]))
+    if unmasked:
+        full = np.packbits(np.ones((1, templates[0].n_pixels), dtype=np.uint8), axis=1)
+        mask = np.broadcast_to(_as_words(full), bits.shape)
+    else:
+        mask = _as_words(np.stack([t.packed_mask for t in templates]))
+    return bits & mask, mask
+
+
+def _probe_planes(
+    template: IrisTemplate, shifts: tuple[int, ...], unmasked: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(bits & mask, mask)`` word planes of the probe rotated by ``-s``.
+
+    Row ``k`` holds the template rolled so that column ``j`` lands on
+    column ``(j + s_k) mod W``; both arrays are ``(n_shifts, words)``.
+    """
+    h, w = template.height, template.width
+    planes = np.stack([template.unpack_bits(), template.unpack_mask()])
+    if unmasked:
+        planes[1] = 1
+    doubled = np.concatenate([planes, planes], axis=2)
+    rolled = np.empty((2, len(shifts), h, w), dtype=np.uint8)
     for k, s in enumerate(shifts):
-        rot_bits[k] = np.packbits(np.roll(bits2d, -s, axis=1))
-        rot_masks[k] = np.packbits(np.roll(mask2d, -s, axis=1))
-    return rot_bits, rot_masks
+        start = -s % w
+        rolled[:, k] = doubled[:, :, start:start + w]
+    packed = np.packbits(rolled.reshape(2, len(shifts), h * w), axis=2)
+    bits, mask = _as_words(packed[0]), _as_words(packed[1])
+    return bits & mask, mask
 
 
-def _shift_counts(
-    a: IrisTemplate, rot_bits: np.ndarray, rot_masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-shift (ones_agree, disagree, joint_valid) counts against ``a``."""
-    joint = a.packed_mask[None, :] & rot_masks
-    valid = _popcount_rows(joint)
-    disagree = _popcount_rows((a.packed_bits[None, :] ^ rot_bits) & joint)
-    ones = _popcount_rows(a.packed_bits[None, :] & rot_bits & joint)
-    return ones, disagree, valid
+def _score_block(probe, gallery, shifts: np.ndarray, alpha: float, count_dtype):
+    """One probe's rotations against a gallery block, reduced per pair.
 
-
-def _best_hamming(
-    shifts: tuple[int, ...], disagree: np.ndarray, valid: np.ndarray
-) -> tuple[float, int, int]:
-    usable = valid > 0
-    if not usable.any():
-        raise EmptyJointMaskError(
-            "no jointly valid pixels at any candidate shift"
-        )
-    hd = np.where(usable, disagree / np.maximum(valid, 1), np.inf)
-    k = int(np.argmin(hd))  # shifts are (|s|, s)-ordered: first minimum wins ties
-    return float(hd[k]), shifts[k], int(valid[k])
-
-
-def _best_ws(
-    shifts: tuple[int, ...],
-    ones: np.ndarray,
-    disagree: np.ndarray,
-    valid: np.ndarray,
-    alpha: float,
-) -> tuple[float, int]:
-    usable = valid > 0
-    if not usable.any():
-        raise EmptyJointMaskError(
-            "no jointly valid pixels at any candidate shift"
-        )
-    zeros = valid - ones - disagree
-    score = np.where(
-        usable,
-        ((2.0 - alpha) * ones + alpha * zeros) / np.maximum(valid, 1),
-        -np.inf,
+    The ``(n_shifts, block)`` counts live only inside this call.
+    """
+    probe_bits, probe_mask = probe[0][:, None], probe[1][:, None]
+    gallery_bits, gallery_mask = gallery[0][None], gallery[1][None]
+    joint = probe_mask & gallery_mask
+    ones = probe_bits & gallery_bits
+    disagree = probe_bits ^ gallery_bits
+    disagree &= joint
+    valid, ones, disagree = (
+        np.bitwise_count(x).sum(axis=-1, dtype=count_dtype).astype(np.int64)
+        for x in (joint, ones, disagree)
     )
-    k = int(np.argmax(score))
-    return float(score[k]), shifts[k]
+    usable = valid > 0
+    safe = np.maximum(valid, 1)
+    hd = np.where(usable, disagree / safe, np.inf)
+    zeros = valid - ones - disagree
+    ws = np.where(usable, ((2.0 - alpha) * ones + alpha * zeros) / safe, -np.inf)
+    # shifts are (|s|, s)-ordered: the first extremum wins ties
+    k_hd = hd.argmin(axis=0)
+    k_ws = ws.argmax(axis=0)
+    cols = np.arange(valid.shape[1])
+    return (
+        usable.any(axis=0),
+        hd[k_hd, cols],
+        shifts[k_hd],
+        valid[k_hd, cols],
+        ws[k_ws, cols],
+        shifts[k_ws],
+    )
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 2), got {alpha}")
+def match_pairs(
+    templates: Sequence[IrisTemplate],
+    ia,
+    ib,
+    alpha: float = DEFAULT_ALPHA,
+    policy: ShiftPolicy = DEFAULT_POLICY,
+    unmasked: bool = False,
+) -> PairScores:
+    """Score the pairs ``(templates[ia[k]], templates[ib[k]])`` in one pass.
+
+    Pairs are processed probe-major: each distinct ``ia`` template is
+    rotated once and compared against its gallery templates in blocks
+    of about :data:`BLOCK_BYTES` per temporary.  ``unmasked=True``
+    scores with all-valid masks, so WS is the all-pixel form and every
+    pair is usable.  Alpha and template dimensions are checked once, up
+    front, for every template in ``templates``.
+    """
+    _check_alpha(alpha)
+    for template in templates[1:]:
+        _check_same_dims(templates[0], template)
+    ia = np.asarray(ia, dtype=np.intp)
+    ib = np.asarray(ib, dtype=np.intp)
+    if ia.ndim != 1 or ia.shape != ib.shape:
+        raise ValueError("ia and ib must be 1-D index arrays of equal length")
+    n = ia.size
+    columns = (
+        np.zeros(n, dtype=bool),
+        np.empty(n),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int64),
+        np.empty(n),
+        np.empty(n, dtype=np.int64),
+    )
+    if n == 0:
+        return PairScores(*columns)
+    order = np.argsort(ia, kind="stable")  # probe-major pair positions
+    probes = ia[order]
+    shifts = policy.shifts()
+    shift_array = np.array(shifts, dtype=np.int64)
+    gallery_bits, gallery_mask = _gallery_planes(templates, unmasked)
+    words = gallery_bits.shape[1]
+    block = max(1, BLOCK_BYTES // (len(shifts) * words * 8))
+    count_dtype = np.uint16 if words * 64 <= np.iinfo(np.uint16).max else np.int64
+    cuts = [0, *(np.flatnonzero(np.diff(probes)) + 1).tolist(), n]
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):  # one run per probe
+        probe = _probe_planes(templates[probes[r0]], shifts, unmasked)
+        for b0 in range(r0, r1, block):
+            rows = order[b0:min(b0 + block, r1)]
+            g = ib[rows]
+            values = _score_block(
+                probe, (gallery_bits[g], gallery_mask[g]), shift_array,
+                alpha, count_dtype,
+            )
+            for column, value in zip(columns, values):
+                column[rows] = value
+    return PairScores(*columns)
+
+
+def _match_one(
+    a: IrisTemplate,
+    b: IrisTemplate,
+    alpha: float,
+    policy: ShiftPolicy,
+    unmasked: bool = False,
+) -> PairScores:
+    scores = match_pairs((a, b), [0], [1], alpha, policy, unmasked)
+    if not scores.usable[0]:
+        raise EmptyJointMaskError("no jointly valid pixels at any candidate shift")
+    return scores
 
 
 def masked_hamming(
@@ -192,10 +308,12 @@ def masked_hamming(
     an empty joint mask are skipped; raises :class:`EmptyJointMaskError`
     when every shift is empty.
     """
-    _check_same_dims(a, b)
-    rot_bits, rot_masks = rotated_planes(b, policy)
-    _, disagree, valid = _shift_counts(a, rot_bits, rot_masks)
-    return _best_hamming(policy.shifts(), disagree, valid)
+    scores = _match_one(a, b, DEFAULT_ALPHA, policy)
+    return (
+        float(scores.hamming[0]),
+        int(scores.best_shift[0]),
+        int(scores.joint_valid[0]),
+    )
 
 
 def weighted_similarity(
@@ -211,19 +329,8 @@ def weighted_similarity(
     divided by the full pixel count instead of the jointly valid count
     (the literal all-pixel form, kept for comparison).
     """
-    _check_alpha(alpha)
-    _check_same_dims(a, b)
-    rot_bits, rot_masks = rotated_planes(b, policy)
-    if unmasked:
-        ones = _popcount_rows(a.packed_bits[None, :] & rot_bits)
-        disagree = _popcount_rows(a.packed_bits[None, :] ^ rot_bits)
-        n = a.n_pixels  # plane padding bits are zero on both sides
-        zeros = n - ones - disagree
-        score = ((2.0 - alpha) * ones + alpha * zeros) / n
-        k = int(np.argmax(score))
-        return float(score[k]), policy.shifts()[k]
-    ones, disagree, valid = _shift_counts(a, rot_bits, rot_masks)
-    return _best_ws(policy.shifts(), ones, disagree, valid, alpha)
+    scores = _match_one(a, b, alpha, policy, unmasked)
+    return float(scores.ws[0]), int(scores.ws_shift[0])
 
 
 def white_match_rate(a: IrisTemplate, b: IrisTemplate) -> float:
@@ -263,36 +370,6 @@ def mask_rate(a: IrisTemplate, b: IrisTemplate) -> tuple[float, float, float]:
     return joint, a.valid_count() / n, b.valid_count() / n
 
 
-def match_with_rotations(
-    a: IrisTemplate,
-    b: IrisTemplate,
-    rot_bits: np.ndarray,
-    rot_masks: np.ndarray,
-    shifts: tuple[int, ...],
-    alpha: float = DEFAULT_ALPHA,
-) -> IrisMatchResult:
-    """One-pass comparison against precomputed rotations of ``b``.
-
-    The rotation planes must come from :func:`rotated_planes` applied to
-    ``b`` with a policy whose ``shifts()`` equals ``shifts``; this is the
-    fast path for all-pairs scoring where each template's rotations are
-    computed once and reused.
-    """
-    _check_alpha(alpha)
-    _check_same_dims(a, b)
-    ones, disagree, valid = _shift_counts(a, rot_bits, rot_masks)
-    hamming, best_shift, joint_valid = _best_hamming(shifts, disagree, valid)
-    ws_score, _ = _best_ws(shifts, ones, disagree, valid, alpha)
-    return IrisMatchResult(
-        hamming=hamming,
-        ws_score=ws_score,
-        best_shift=best_shift,
-        joint_valid=joint_valid,
-        mask_rate_a=a.valid_count() / a.n_pixels,
-        mask_rate_b=b.valid_count() / b.n_pixels,
-    )
-
-
 def match_pair(
     a: IrisTemplate,
     b: IrisTemplate,
@@ -300,5 +377,12 @@ def match_pair(
     policy: ShiftPolicy = DEFAULT_POLICY,
 ) -> IrisMatchResult:
     """Compare two templates: masked Hamming, weighted similarity, mask rates."""
-    rot_bits, rot_masks = rotated_planes(b, policy)
-    return match_with_rotations(a, b, rot_bits, rot_masks, policy.shifts(), alpha)
+    scores = _match_one(a, b, alpha, policy)
+    return IrisMatchResult(
+        hamming=float(scores.hamming[0]),
+        ws_score=float(scores.ws[0]),
+        best_shift=int(scores.best_shift[0]),
+        joint_valid=int(scores.joint_valid[0]),
+        mask_rate_a=a.valid_count() / a.n_pixels,
+        mask_rate_b=b.valid_count() / b.n_pixels,
+    )

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ from . import bitmatch, fileio, fusion, gradcheck, mlp, reference, synth, templa
 from .evaluation import (
     PROTOCOLS,
     WITHIN_SIDE,
-    PairGroup,
     ScoreSet,
     eer,
     generate_pairs,
@@ -91,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="score weighted similarity over all pixels, ignoring masks",
     )
-    p.add_argument("--threads", type=int, default=1, help="pair-scoring worker threads")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("fuse-train", help="train the fusion network from a match CSV")
@@ -215,69 +212,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _score_group(
-    group: PairGroup,
-    templates,
-    rotations,
-    periocular,
-    shifts,
-    alpha: float,
-    policy: bitmatch.ShiftPolicy,
-    unmasked_ws: bool,
-) -> list[fileio.MatchRow]:
-    rows = []
-    for member in group.members:
-        t_a = templates[member.a.template_ref]
-        t_b = templates[member.b.template_ref]
-        p_a = periocular[member.a.periocular_ref]
-        p_b = periocular[member.b.periocular_ref]
-        rot_bits, rot_masks = rotations[member.b.template_ref]
-        try:
-            result = bitmatch.match_with_rotations(
-                t_a, t_b, rot_bits, rot_masks, shifts, alpha
-            )
-            if unmasked_ws:
-                ws_value = bitmatch.weighted_similarity(
-                    t_a, t_b, alpha, policy, unmasked=True
-                )[0]
-            else:
-                ws_value = result.ws_score
-            iris = dict(
-                iris_valid=True,
-                hamming=result.hamming,
-                ws=ws_value,
-                best_shift=result.best_shift,
-                joint_valid=result.joint_valid,
-                mask_rate_a=result.mask_rate_a,
-                mask_rate_b=result.mask_rate_b,
-            )
-        except bitmatch.EmptyJointMaskError:
-            iris = dict(
-                iris_valid=False,
-                hamming=None,
-                ws=None,
-                best_shift=None,
-                joint_valid=None,
-                mask_rate_a=t_a.valid_count() / t_a.n_pixels,
-                mask_rate_b=t_b.valid_count() / t_b.n_pixels,
-            )
-        rows.append(
-            fileio.MatchRow(
-                a_id=group.a_id,
-                b_id=group.b_id,
-                side=member.a.eye_side,
-                label=group.label.name.lower(),
-                perioc_dist=fusion.perioc_distance(p_a, p_b),
-                eye_sum=p_a.eye_area + p_b.eye_area,
-                eye_diff=p_a.eye_area - p_b.eye_area,
-                brow_sum=p_a.brow_area + p_b.brow_area,
-                brow_diff=p_a.brow_area - p_b.brow_area,
-                **iris,
-            )
-        )
-    return rows
-
-
 def cmd_match(args) -> int:
     manifest = fileio.read_manifest(args.manifest)
     periocular = fileio.read_feature_csv(args.features)
@@ -285,31 +219,57 @@ def cmd_match(args) -> int:
     pairs = generate_pairs(manifest, args.protocol)
 
     templates_dir = Path(args.templates_dir)
-    templates = {}
-    rotations = {}
+    index: dict[str, int] = {}
+    templates = []
     for entry in manifest.entries:
-        if entry.template_ref not in templates:
-            template = fileio.read_template(templates_dir / f"{entry.template_ref}.irt")
-            templates[entry.template_ref] = template
-            rotations[entry.template_ref] = bitmatch.rotated_planes(template, policy)
+        if entry.template_ref not in index:
+            index[entry.template_ref] = len(templates)
+            templates.append(
+                fileio.read_template(templates_dir / f"{entry.template_ref}.irt")
+            )
         if entry.periocular_ref not in periocular:
             raise ValueError(f"feature table misses id {entry.periocular_ref!r}")
 
-    groups = list(pairs.genuine) + list(pairs.impostor)
-    shifts = policy.shifts()
+    rows_of = [
+        (group, member)
+        for group in (*pairs.genuine, *pairs.impostor)
+        for member in group.members
+    ]
+    ia = [index[member.a.template_ref] for _, member in rows_of]
+    ib = [index[member.b.template_ref] for _, member in rows_of]
+    scores = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy)
+    ws = scores.ws
+    if args.unmasked_ws:
+        ws = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy, unmasked=True).ws
+    mask_rates = [t.valid_count() / t.n_pixels for t in templates]
 
-    def worker(group: PairGroup) -> list[fileio.MatchRow]:
-        return _score_group(
-            group, templates, rotations, periocular, shifts, args.alpha,
-            policy, args.unmasked_ws,
+    rows = []
+    for (group, member), a, b, usable, hamming, ws_value, shift, joint in zip(
+        rows_of, ia, ib, scores.usable.tolist(), scores.hamming.tolist(),
+        ws.tolist(), scores.best_shift.tolist(), scores.joint_valid.tolist(),
+    ):
+        p_a = periocular[member.a.periocular_ref]
+        p_b = periocular[member.b.periocular_ref]
+        rows.append(
+            fileio.MatchRow(
+                a_id=group.a_id,
+                b_id=group.b_id,
+                side=member.a.eye_side,
+                label=group.label.name.lower(),
+                iris_valid=usable,
+                hamming=hamming if usable else None,
+                ws=ws_value if usable else None,
+                best_shift=shift if usable else None,
+                joint_valid=joint if usable else None,
+                mask_rate_a=mask_rates[a],
+                mask_rate_b=mask_rates[b],
+                perioc_dist=fusion.perioc_distance(p_a, p_b),
+                eye_sum=p_a.eye_area + p_b.eye_area,
+                eye_diff=p_a.eye_area - p_b.eye_area,
+                brow_sum=p_a.brow_area + p_b.brow_area,
+                brow_diff=p_a.brow_area - p_b.brow_area,
+            )
         )
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            per_group = list(pool.map(worker, groups, chunksize=256))
-    else:
-        per_group = [worker(g) for g in groups]
-    rows = [row for group_rows in per_group for row in group_rows]
     fileio.write_match_csv(args.out, rows)
     n_gen, n_imp = pairs.counts
     print(f"wrote {len(rows)} comparisons ({n_gen} genuine / {n_imp} impostor groups)")

@@ -15,6 +15,8 @@ genuine) evaluate identically to similarity scores.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,15 +197,31 @@ def generate_pairs(manifest: Manifest, protocol: str = WITHIN_SIDE) -> PairSet:
     return PairSet(genuine=tuple(genuine), impostor=tuple(impostor))
 
 
+def _closed_form_counts(subject_of_unit: list[str]) -> tuple[int, int]:
+    """(genuine, impostor) pair counts over one list of comparable units."""
+    per_subject = Counter(subject_of_unit)
+    genuine = sum(math.comb(n, 2) for n in per_subject.values())
+    return genuine, math.comb(len(subject_of_unit), 2) - genuine
+
+
 def count_pairs(manifest: Manifest, protocol: str = WITHIN_SIDE) -> tuple[int, int]:
-    """(genuine, impostor) group counts without materialising the groups."""
-    n_genuine = n_impostor = 0
-    for group in iter_pair_groups(manifest, protocol):
-        if group.label is MatchLabel.GENUINE:
-            n_genuine += 1
-        else:
-            n_impostor += 1
-    return n_genuine, n_impostor
+    """(genuine, impostor) group counts from closed forms, without pairing.
+
+    Per side (or over (subject, sample) units for the left/right
+    protocol) genuine is the sum of ``C(n_s, 2)`` over subjects and
+    impostor is ``C(N, 2)`` minus that.  Raises the same errors as
+    :func:`iter_pair_groups`.
+    """
+    iter_pair_groups(manifest, protocol)  # validates; the iterator is never run
+    if protocol == WITHIN_SIDE:
+        unit_lists = [
+            [e.subject_id for e in manifest.filter_side(side)]
+            for side in manifest.sides()
+        ]
+    else:
+        unit_lists = [[subject for subject, *_ in _left_right_units(manifest)]]
+    genuine, impostor = zip(*(_closed_form_counts(units) for units in unit_lists))
+    return sum(genuine), sum(impostor)
 
 
 def sum_rule_combine(left_scores, right_scores) -> np.ndarray:

@@ -92,10 +92,11 @@ def static_fuse(iris_score: float, perioc_score: float, weight: float) -> float:
 def static_inputs(ws_score: float, alpha: float, norm_dist: float) -> tuple[float, float]:
     """Rescale matcher outputs onto common higher-is-better [0, 1] scales.
 
-    The weighted-similarity score is divided by its maximum ``2 - alpha``
-    (for ``alpha < 1``); the normalised periocular distance is flipped.
+    The weighted-similarity score is divided by its maximum
+    ``max(2 - alpha, alpha)`` (all 1-1 agreements, or all 0-0 agreements
+    when ``alpha > 1``); the normalised periocular distance is flipped.
     """
-    return ws_score / (2.0 - alpha), 1.0 - norm_dist
+    return ws_score / max(2.0 - alpha, alpha), 1.0 - norm_dist
 
 
 def dynamic_fuse(params: MlpParams, cues: CueVector) -> float:

@@ -288,7 +288,7 @@ def test_pipeline_determinism(tmp_path):
         common = ["--templates-dir", out_dir / "templates",
                   "--features", out_dir / "features.csv", "--max-shift", 4]
         _run_cli("match", "--manifest", out_dir / "manifest-train.jsonl",
-                 "--out", out_dir / "match-train.csv", "--threads", 2, *common)
+                 "--out", out_dir / "match-train.csv", *common)
         _run_cli("fuse-train", "--match-csv", out_dir / "match-train.csv",
                  "--out", out_dir / "checkpoint.json", "--seed", 12,
                  "--epochs", 50)

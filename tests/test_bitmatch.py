@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irisfuse import reference
+from irisfuse import bitmatch, reference
 from irisfuse.bitmatch import (
     EmptyJointMaskError,
     IrisMatchResult,
@@ -12,6 +12,7 @@ from irisfuse.bitmatch import (
     mask_rate,
     masked_hamming,
     match_pair,
+    match_pairs,
     weighted_similarity,
     white_match_rate,
 )
@@ -369,3 +370,101 @@ class TestOracleEquivalence:
         distance, shift, _ = masked_hamming(a, b, ShiftPolicy(2, 1))
         assert (distance, shift) == (0.0, -1)
         assert reference.naive_masked_hamming(a, b, ShiftPolicy(2, 1))[:2] == (0.0, -1)
+
+
+def batch_templates(rng, h, w):
+    """Random templates plus edge cases: disjoint, empty and constant ones."""
+    top = np.zeros((h, w), np.uint8)
+    top[0] = 1
+    stripes = np.tile(np.arange(w) % 2, (h, 1)).astype(np.uint8)
+    ones = np.ones((h, w), np.uint8)
+    return [
+        reference._random_template(rng, h, w, 0.9),
+        reference._random_template(rng, h, w, 0.5),
+        reference._random_template(rng, h, w, 0.15),
+        pack_template(rng.random((h, w)) < 0.5, top, h, w),  # row 0 only
+        pack_template(rng.random((h, w)) < 0.5, 1 - top, h, w),  # never row 0
+        pack_template(ones, np.zeros((h, w)), h, w),  # no valid pixel
+        pack_template(ones, ones, h, w),  # every shift ties
+        pack_template(stripes, ones, h, w),  # ties between -1 and +1
+        pack_template(1 - stripes, ones, h, w),
+    ]
+
+
+def naive_or_none(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except EmptyJointMaskError:
+        return None
+
+
+class TestBatchedKernel:
+    """match_pairs against the per-pixel oracle, row by row, exactly."""
+
+    @pytest.mark.parametrize("h, w, max_shift, step", [
+        (3, 7, 3, 1),  # 21-bit planes: 3 bytes, padded to one word
+        (5, 13, 4, 2),  # 65-bit planes: 9 bytes, padded to two words
+        (8, 16, 6, 3),
+    ])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("block_bytes", [1, bitmatch.BLOCK_BYTES])
+    def test_rows_equal_reference(
+        self, monkeypatch, h, w, max_shift, step, alpha, block_bytes
+    ):
+        monkeypatch.setattr(bitmatch, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(h * w + max_shift)
+        templates = batch_templates(rng, h, w)
+        n = len(templates)
+        ia, ib = np.divmod(rng.permutation(n * n), n)  # shuffled, not probe-major
+        policy = ShiftPolicy(max_shift, step)
+        masked = match_pairs(templates, ia, ib, alpha, policy)
+        unmasked = match_pairs(templates, ia, ib, alpha, policy, unmasked=True)
+        assert unmasked.usable.all()
+        assert not masked.usable.all() and masked.usable.any()
+        for k, (i, j) in enumerate(zip(ia, ib)):
+            a, b = templates[i], templates[j]
+            hd = naive_or_none(reference.naive_masked_hamming, a, b, policy)
+            ws = naive_or_none(reference.naive_weighted_similarity, a, b, alpha, policy)
+            assert masked.usable[k] == (hd is not None)
+            if hd is not None:
+                assert (
+                    masked.hamming[k], masked.best_shift[k], masked.joint_valid[k]
+                ) == hd
+                assert (masked.ws[k], masked.ws_shift[k]) == ws
+            assert (unmasked.ws[k], unmasked.ws_shift[k]) == (
+                reference.naive_weighted_similarity(a, b, alpha, policy, unmasked=True)
+            )
+
+    def test_counts_beyond_uint16(self):
+        # 1 x 70000 pixels: more valid pixels than a uint16 count can hold
+        rng = np.random.default_rng(13)
+        a, b = random_pair(rng, 1, 70_000, density=0.99)
+        policy = ShiftPolicy(1, 1)
+        scores = match_pairs([a, b], [0], [1], 0.3, policy)
+        hd = reference.naive_masked_hamming(a, b, policy)
+        assert hd[2] > np.iinfo(np.uint16).max
+        assert (scores.hamming[0], scores.best_shift[0], scores.joint_valid[0]) == hd
+        assert (scores.ws[0], scores.ws_shift[0]) == (
+            reference.naive_weighted_similarity(a, b, 0.3, policy)
+        )
+
+    def test_ties_resolve_to_smallest_then_negative_shift(self):
+        templates = batch_templates(np.random.default_rng(12), 2, 8)
+        scores = match_pairs(templates, [6, 7], [6, 8], 0.3, ShiftPolicy(2, 1))
+        assert scores.best_shift.tolist() == [0, -1]
+        assert scores.ws_shift.tolist() == [0, -1]
+
+    def test_validates_once_up_front(self):
+        a = full_mask_template(np.zeros((2, 4), np.uint8))
+        b = full_mask_template(np.zeros((2, 8), np.uint8))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            match_pairs([a, a, b], [0], [1])  # b is in no pair
+        with pytest.raises(ValueError, match="alpha"):
+            match_pairs([a, a], [0], [1], alpha=2.0)
+        with pytest.raises(ValueError, match="equal length"):
+            match_pairs([a, a], [0, 1], [1])
+
+    def test_no_pairs(self):
+        a = full_mask_template(np.zeros((2, 4), np.uint8))
+        scores = match_pairs([a], [], [])
+        assert scores.usable.shape == (0,)

@@ -84,19 +84,6 @@ class TestMatchCommand:
         for row in rows:
             assert row.ws + row.hamming == pytest.approx(1.0, abs=1e-12)
 
-    def test_threads_do_not_change_output(self, population_dir, tmp_path):
-        outputs = []
-        for threads in (1, 4):
-            out = tmp_path / f"match-{threads}.csv"
-            assert run_cli(
-                "match", "--manifest", population_dir / "manifest.jsonl",
-                "--templates-dir", population_dir / "templates",
-                "--features", population_dir / "features.csv",
-                "--out", out, "--max-shift", 4, "--threads", threads,
-            ) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_unmasked_ws_mode_scores_over_full_area(self, population_dir, tmp_path):
         from irisfuse import bitmatch, fileio as fio
 
@@ -122,6 +109,39 @@ class TestMatchCommand:
             )
             assert row.ws == expected
 
+    def match_args(self, population_dir, out, *extra):
+        return (
+            "match", "--manifest", population_dir / "manifest.jsonl",
+            "--templates-dir", population_dir / "templates",
+            "--features", population_dir / "features.csv",
+            "--out", out, "--max-shift", 4, *extra,
+        )
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.5])
+    def test_invalid_alpha_fails_before_writing(
+        self, population_dir, tmp_path, capsys, alpha
+    ):
+        out = tmp_path / "match.csv"
+        assert run_cli(*self.match_args(population_dir, out, "--alpha", alpha)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "alpha" in err["message"]
+        assert not out.exists()
+
+    def test_template_with_other_dims_fails_before_writing(
+        self, population_dir, tmp_path, capsys
+    ):
+        from irisfuse.templates import pack_template
+
+        odd = pack_template(np.zeros((8, 64)), np.ones((8, 64)), 8, 64)
+        fileio.write_template(population_dir / "templates" / "S0003_L01.irt", odd)
+        out = tmp_path / "match.csv"
+        assert run_cli(*self.match_args(population_dir, out)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "dimension mismatch" in err["message"]
+        assert not out.exists()
+
     def test_missing_template_file_fails(self, population_dir, tmp_path, capsys):
         (population_dir / "templates" / "S0000_L00.irt").unlink()
         code = run_cli(
@@ -135,7 +155,7 @@ class TestMatchCommand:
 
 
 class TestPipeline:
-    def run_pipeline(self, population_dir, tmp_path, tag="run", threads=1):
+    def run_pipeline(self, population_dir, tmp_path, tag="run"):
         match_train = tmp_path / f"{tag}-match-train.csv"
         match_test = tmp_path / f"{tag}-match-test.csv"
         checkpoint = tmp_path / f"{tag}-ckpt.json"
@@ -147,11 +167,11 @@ class TestPipeline:
             "--max-shift", 4,
         ]
         assert run_cli("match", "--manifest", population_dir / "manifest-train.jsonl",
-                       "--out", match_train, "--threads", threads, *common) == 0
+                       "--out", match_train, *common) == 0
         assert run_cli("fuse-train", "--match-csv", match_train,
                        "--out", checkpoint, "--seed", 7, "--epochs", 40) == 0
         assert run_cli("match", "--manifest", population_dir / "manifest-test.jsonl",
-                       "--out", match_test, "--threads", threads, *common) == 0
+                       "--out", match_test, *common) == 0
         assert run_cli("score", "--match-csv", match_test,
                        "--checkpoint", checkpoint, "--out", scores) == 0
         assert run_cli("eval", "--scores", scores, "--column", "dynamic",

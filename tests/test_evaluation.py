@@ -102,6 +102,31 @@ class TestGeneratePairs:
         pairs = generate_pairs(Manifest(entries), WITHIN_SIDE)
         assert pairs.counts == (3, 3)
 
+    def test_count_pairs_agrees_with_enumeration(self):
+        # ragged subjects, both sides, a side-only sample on one subject
+        entries = [
+            ManifestEntry(s, side, i, f"{s}{side}{i}", f"{s}{side}{i}")
+            for s, n in (("A", 3), ("B", 1), ("C", 2))
+            for side in "LR"
+            for i in range(n)
+        ]
+        entries.append(ManifestEntry("C", "L", 7, "cl7", "cl7"))
+        ragged = Manifest(tuple(entries))
+        assert count_pairs(ragged, WITHIN_SIDE) == generate_pairs(ragged).counts
+        paired = Manifest(tuple(entries[:-1]))
+        assert count_pairs(paired, LEFT_RIGHT_DISJOINT) == (
+            generate_pairs(paired, LEFT_RIGHT_DISJOINT).counts
+        )
+
+    def test_count_pairs_raises_the_enumeration_errors(self):
+        entries = make_manifest(2, 2, sides="LR").entries
+        with pytest.raises(ValueError, match="both eye sides"):
+            count_pairs(Manifest(entries[:-1]), LEFT_RIGHT_DISJOINT)
+        with pytest.raises(ValueError, match="two subjects"):
+            count_pairs(make_manifest(1, 5), WITHIN_SIDE)
+        with pytest.raises(ValueError, match="unknown protocol"):
+            count_pairs(make_manifest(2, 2), "everything-vs-everything")
+
 
 class TestSumRule:
     def test_single_pair(self):

@@ -162,6 +162,16 @@ class TestStaticFuse:
         assert iris01 == pytest.approx(1.0)
         assert perioc01 == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
+    def test_static_iris_input_stays_in_unit_interval(self, alpha):
+        # identical all-zero templates reach the WS maximum for alpha > 1
+        t = pack_template(np.zeros((4, 8)), np.ones((4, 8)), 4, 8)
+        ws = match_pair(t, t, alpha=alpha, policy=ShiftPolicy(2, 1)).ws_score
+        assert ws == pytest.approx(alpha)
+        iris01, _ = static_inputs(ws, alpha, 0.0)
+        assert 0.0 <= iris01 <= 1.0
+        assert iris01 == pytest.approx(alpha / max(2.0 - alpha, alpha))
+
 
 class TestDynamicFuse:
     def test_zero_params_give_half(self):
