@@ -47,7 +47,7 @@ from .evaluation import (
 )
 from .fusion import (
     NormalizationParams,
-    assemble_cues,
+    cue_matrix,
     dynamic_fuse,
     perioc_distance,
     static_fuse,
@@ -109,7 +109,7 @@ __all__ = [
     "sum_rule_combine",
     "tar_at_far",
     "NormalizationParams",
-    "assemble_cues",
+    "cue_matrix",
     "dynamic_fuse",
     "perioc_distance",
     "static_fuse",

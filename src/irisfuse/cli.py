@@ -24,7 +24,6 @@ from .evaluation import (
     sum_rule_combine,
     tar_at_far,
 )
-from .templates import CueVector
 
 
 def _add_matcher_flags(parser: argparse.ArgumentParser) -> None:
@@ -235,64 +234,59 @@ def cmd_match(args) -> int:
         for group in (*pairs.genuine, *pairs.impostor)
         for member in group.members
     ]
-    ia = [index[member.a.template_ref] for _, member in rows_of]
-    ib = [index[member.b.template_ref] for _, member in rows_of]
+    ia = np.array([index[member.a.template_ref] for _, member in rows_of], dtype=np.intp)
+    ib = np.array([index[member.b.template_ref] for _, member in rows_of], dtype=np.intp)
     scores = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy)
     ws = scores.ws
     if args.unmasked_ws:
         ws = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy, unmasked=True).ws
-    mask_rates = [t.valid_count() / t.n_pixels for t in templates]
-
-    rows = []
-    for (group, member), a, b, usable, hamming, ws_value, shift, joint in zip(
-        rows_of, ia, ib, scores.usable.tolist(), scores.hamming.tolist(),
-        ws.tolist(), scores.best_shift.tolist(), scores.joint_valid.tolist(),
-    ):
-        p_a = periocular[member.a.periocular_ref]
-        p_b = periocular[member.b.periocular_ref]
-        rows.append(
-            fileio.MatchRow(
-                a_id=group.a_id,
-                b_id=group.b_id,
-                side=member.a.eye_side,
-                label=group.label.name.lower(),
-                iris_valid=usable,
-                hamming=hamming if usable else None,
-                ws=ws_value if usable else None,
-                best_shift=shift if usable else None,
-                joint_valid=joint if usable else None,
-                mask_rate_a=mask_rates[a],
-                mask_rate_b=mask_rates[b],
-                perioc_dist=fusion.perioc_distance(p_a, p_b),
-                eye_sum=p_a.eye_area + p_b.eye_area,
-                eye_diff=p_a.eye_area - p_b.eye_area,
-                brow_sum=p_a.brow_area + p_b.brow_area,
-                brow_diff=p_a.brow_area - p_b.brow_area,
-            )
-        )
-    fileio.write_match_csv(args.out, rows)
+    mask_rates = np.array([t.valid_count() / t.n_pixels for t in templates])
+    perioc_index = {ref: k for k, ref in enumerate(periocular)}
+    areas = np.array([(r.eye_area, r.brow_area) for r in periocular.values()])
+    pa, pb = (
+        np.array([perioc_index[getattr(m, s).periocular_ref] for _, m in rows_of], dtype=np.intp)
+        for s in ("a", "b")
+    )
+    (eye_a, brow_a), (eye_b, brow_b) = areas[pa].T, areas[pb].T
+    usable = scores.usable
+    fileio.write_match_csv(args.out, {
+        "a_id": [group.a_id for group, _ in rows_of],
+        "b_id": [group.b_id for group, _ in rows_of],
+        "side": [member.a.eye_side for _, member in rows_of],
+        "label": [group.label.name.lower() for group, _ in rows_of],
+        "iris_valid": usable,
+        "hamming": np.where(usable, scores.hamming, np.nan),
+        "ws": np.where(usable, ws, np.nan),
+        "best_shift": np.where(usable, scores.best_shift, np.nan),
+        "joint_valid": np.where(usable, scores.joint_valid, np.nan),
+        "mask_rate_a": mask_rates[ia],
+        "mask_rate_b": mask_rates[ib],
+        "perioc_dist": [
+            fusion.perioc_distance(periocular[m.a.periocular_ref], periocular[m.b.periocular_ref])
+            for _, m in rows_of
+        ],
+        "eye_sum": eye_a + eye_b,
+        "eye_diff": eye_a - eye_b,
+        "brow_sum": brow_a + brow_b,
+        "brow_diff": brow_a - brow_b,
+    })
     n_gen, n_imp = pairs.counts
-    print(f"wrote {len(rows)} comparisons ({n_gen} genuine / {n_imp} impostor groups)")
+    print(f"wrote {len(rows_of)} comparisons ({n_gen} genuine / {n_imp} impostor groups)")
     return 0
 
 
-def _usable(rows: list[fileio.MatchRow]) -> list[fileio.MatchRow]:
-    return [r for r in rows if r.iris_valid]
-
-
 def cmd_fuse_train(args) -> int:
-    rows = fileio.read_match_csv(args.match_csv)
-    usable = _usable(rows)
-    skipped = len(rows) - len(usable)
-    if skipped:
-        print(f"excluded {skipped} unusable iris pairs from training", file=sys.stderr)
-    if len(usable) < 2:
+    matches = fileio.read_match_csv(args.match_csv)
+    use = matches["iris_valid"]
+    n_usable = int(np.count_nonzero(use))
+    if use.size > n_usable:
+        print(f"excluded {use.size - n_usable} unusable iris pairs from training",
+              file=sys.stderr)
+    if n_usable < 2:
         raise ValueError("need at least two usable comparisons to train")
-    norm = fusion.NormalizationParams.from_distances(
-        [r.perioc_dist for r in usable]
-    )
-    features = np.array([_row_cues(r, norm).as_array() for r in usable])
-    labels = np.array([0 if r.label == "genuine" else 1 for r in usable])
+    norm = fusion.NormalizationParams.from_distances(matches["perioc_dist"][use])
+    features = fusion.cue_matrix(matches, norm)
+    labels = (matches["label"][use] != "genuine").astype(np.int64)
     ratio = None if tuple(args.ratio) == (0, 0) else tuple(args.ratio)
     config = mlp.TrainConfig(
         learning_rate=args.learning_rate,
@@ -304,122 +298,77 @@ def cmd_fuse_train(args) -> int:
     )
     params = mlp.train_mlp(features, labels, config)
     fileio.write_checkpoint(args.out, params, norm, config)
-    print(f"trained on {len(usable)} comparisons, checkpoint at {args.out}")
+    print(f"trained on {n_usable} comparisons, checkpoint at {args.out}")
     return 0
-
-
-def _row_cues(row: fileio.MatchRow, norm: fusion.NormalizationParams) -> CueVector:
-    return CueVector(
-        iris_score=row.ws,
-        perioc_dist=fusion.normalized_distance(row.perioc_dist, norm),
-        mask_rate_a=row.mask_rate_a,
-        mask_rate_b=row.mask_rate_b,
-        eye_sum=row.eye_sum,
-        eye_diff=row.eye_diff,
-        brow_sum=row.brow_sum,
-        brow_diff=row.brow_diff,
-    )
 
 
 def cmd_score(args) -> int:
-    rows = fileio.read_match_csv(args.match_csv)
+    matches = fileio.read_match_csv(args.match_csv)
     params, norm, _ = fileio.read_checkpoint(args.checkpoint)
-    out_rows = []
-    for row in rows:
-        if row.iris_valid:
-            cues = _row_cues(row, norm)
-            iris01, perioc01 = fusion.static_inputs(
-                row.ws, args.alpha, cues.perioc_dist
-            )
-            static = fusion.static_fuse(iris01, perioc01, args.static_weight)
-            dynamic = fusion.dynamic_fuse(params, cues)
-            cue_fields = dict(
-                iris_score=cues.iris_score,
-                perioc_norm=cues.perioc_dist,
-                static=static,
-                dynamic=dynamic,
-            )
-        else:
-            cue_fields = dict(
-                iris_score=None, perioc_norm=None, static=None, dynamic=None
-            )
-        out_rows.append(
-            fileio.ScoreRow(
-                a_id=row.a_id,
-                b_id=row.b_id,
-                side=row.side,
-                label=row.label,
-                mask_rate_a=row.mask_rate_a,
-                mask_rate_b=row.mask_rate_b,
-                eye_sum=row.eye_sum,
-                eye_diff=row.eye_diff,
-                brow_sum=row.brow_sum,
-                brow_diff=row.brow_diff,
-                hamming=row.hamming,
-                ws=row.ws,
-                **cue_fields,
-            )
-        )
-    fileio.write_score_csv(args.out, out_rows)
-    print(f"wrote {len(out_rows)} scored comparisons to {args.out}")
+    use = matches["iris_valid"]
+    cues = fusion.cue_matrix(matches, norm)
+    # validates --alpha and --static-weight even when no row is usable
+    iris01, perioc01 = fusion.static_inputs(cues[:, 0], args.alpha, cues[:, 1])
+    static = fusion.static_fuse(iris01, perioc01, args.static_weight)
+    scores = {name: matches[name] for name, _ in fileio.SCORE_SCHEMA if name in matches}
+    for name, values in (
+        ("iris_score", cues[:, 0]),
+        ("perioc_norm", cues[:, 1]),
+        ("static", static),
+        ("dynamic", fusion.dynamic_fuse(params, cues)),
+    ):
+        scores[name] = np.full(use.size, np.nan)
+        scores[name][use] = values
+    fileio.write_score_csv(args.out, scores)
+    print(f"wrote {use.size} scored comparisons to {args.out}")
     return 0
 
 
-_COLUMN_GETTERS = {
-    "dynamic": (lambda r: r.dynamic, True),
-    "static": (lambda r: r.static, True),
-    "ws": (lambda r: r.ws, True),
-    "hamming": (lambda r: r.hamming, False),
-    "perioc": (lambda r: r.perioc_norm, False),
+# eval --column -> (score-table column, whether higher scores mean genuine)
+_EVAL_COLUMNS = {
+    "dynamic": ("dynamic", True),
+    "static": ("static", True),
+    "ws": ("ws", True),
+    "hamming": ("hamming", False),
+    "perioc": ("perioc_norm", False),
 }
 
 
 def _collect_scores(
-    rows: list[fileio.ScoreRow], column: str, combine_sides: bool
+    table: dict[str, np.ndarray], column: str, combine_sides: bool
 ) -> tuple[ScoreSet, int]:
-    getter, higher_is_genuine = _COLUMN_GETTERS[column]
-    genuine, impostor, skipped = [], [], 0
+    name, higher_is_genuine = _EVAL_COLUMNS[column]
+    values, genuine = table[name], table["label"] == "genuine"
     if combine_sides:
-        grouped: dict[tuple[str, str], list[fileio.ScoreRow]] = {}
-        for row in rows:
-            grouped.setdefault((row.a_id, row.b_id), []).append(row)
+        grouped: dict[tuple[str, str], list[int]] = {}
+        for k, key in enumerate(zip(table["a_id"].tolist(), table["b_id"].tolist())):
+            grouped.setdefault(key, []).append(k)
         for (a_id, b_id), members in grouped.items():
-            labels = {m.label for m in members}
-            if len(labels) != 1:
+            if len(set(genuine[members].tolist())) != 1:
                 raise ValueError(f"inconsistent labels for pair ({a_id}, {b_id})")
-            values = [getter(m) for m in members]
-            if any(v is None for v in values):
-                skipped += 1
-                continue
-            if len(values) != 2:
+            if len(members) != 2:
                 raise ValueError(
                     f"sum rule expects two aligned comparisons per pair, "
-                    f"({a_id}, {b_id}) has {len(values)}"
+                    f"({a_id}, {b_id}) has {len(members)}"
                 )
-            combined = float(
-                sum_rule_combine([values[0]], [values[1]])[0]
-            )
-            (genuine if labels.pop() == "genuine" else impostor).append(combined)
-    else:
-        for row in rows:
-            value = getter(row)
-            if value is None:
-                skipped += 1
-                continue
-            (genuine if row.label == "genuine" else impostor).append(value)
+        first, second = np.array(list(grouped.values()), dtype=np.intp).reshape(-1, 2).T
+        values = sum_rule_combine(values[first], values[second])
+        genuine = genuine[first]
+    scored = ~np.isnan(values)  # a pair is unusable if either side is
     return (
         ScoreSet(
-            genuine=np.array(genuine),
-            impostor=np.array(impostor),
+            genuine=values[scored & genuine],
+            impostor=values[scored & ~genuine],
             higher_is_genuine=higher_is_genuine,
         ),
-        skipped,
+        int(np.count_nonzero(~scored)),
     )
 
 
 def cmd_eval(args) -> int:
-    rows = fileio.read_score_csv(args.scores)
-    scores, skipped = _collect_scores(rows, args.column, args.sum_rule)
+    scores, skipped = _collect_scores(
+        fileio.read_score_csv(args.scores), args.column, args.sum_rule
+    )
     if skipped:
         print(f"skipped {skipped} comparisons without a {args.column} score",
               file=sys.stderr)

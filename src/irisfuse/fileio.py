@@ -6,6 +6,23 @@ every reader parses strictly: wrong magic, truncated payloads, ragged
 rows or non-finite numbers raise :class:`ParseError` carrying the file
 and position.
 
+The match, score and ROC CSVs share one columnar codec.  A table is a
+dict of equal-length numpy arrays, one per column, and a schema lists
+each column's name and kind in file order:
+
+    str      text, as written                   array of str
+    label    ``genuine`` or ``impostor``        array of str
+    flag     ``1`` or ``0``                     bool array
+    float    finite number, ``repr`` text       float64 array
+    float?   empty, or a finite number          float64, NaN if empty
+    int?     empty, or an integer below 2**53   float64, NaN if empty
+
+Readers and writers stream :data:`BLOCK_ROWS` rows at a time.  A
+parse error names the first bad field in file order.  The match CSV
+(:data:`MATCH_SCHEMA`) leaves the iris fields empty for unusable
+pairs; the score CSV (:data:`SCORE_SCHEMA`) leaves the cue and fused
+fields empty there.
+
 Template container layout (little-endian):
 
     offset 0  magic     4 bytes  b"IRT1"
@@ -19,12 +36,12 @@ Template container layout (little-endian):
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -113,12 +130,6 @@ def _parse_float(text: str, source: str, line: int, column: str) -> float:
     if not math.isfinite(value):
         raise ParseError(f"{source}:{line}: column {column!r}: non-finite value")
     return value
-
-
-def _parse_optional_float(text: str, source: str, line: int, column: str):
-    if text == "":
-        return None
-    return _parse_float(text, source, line, column)
 
 
 def _open_reader(path):
@@ -245,219 +256,169 @@ def read_manifest(path) -> Manifest:
 
 
 # ---------------------------------------------------------------------------
-# Match CSV: raw matcher outputs per compared template pair
+# Match, score and ROC CSVs: one columnar codec driven by a column schema
+# (column kinds and table layout in the module docstring)
 
-
-@dataclass(frozen=True)
-class MatchRow:
-    """One template comparison; iris fields are None for unusable pairs."""
-
-    a_id: str
-    b_id: str
-    side: str
-    label: str  # "genuine" | "impostor"
-    iris_valid: bool
-    hamming: float | None
-    ws: float | None
-    best_shift: int | None
-    joint_valid: int | None
-    mask_rate_a: float
-    mask_rate_b: float
-    perioc_dist: float
-    eye_sum: float
-    eye_diff: float
-    brow_sum: float
-    brow_diff: float
-
-
-_MATCH_COLUMNS = [f.name for f in fields(MatchRow)]
-
-
-def write_match_csv(path, rows: Iterable[MatchRow]) -> None:
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_MATCH_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.a_id,
-                    row.b_id,
-                    row.side,
-                    row.label,
-                    "1" if row.iris_valid else "0",
-                    _fmt(row.hamming),
-                    _fmt(row.ws),
-                    "" if row.best_shift is None else str(row.best_shift),
-                    "" if row.joint_valid is None else str(row.joint_valid),
-                    _fmt(row.mask_rate_a),
-                    _fmt(row.mask_rate_b),
-                    _fmt(row.perioc_dist),
-                    _fmt(row.eye_sum),
-                    _fmt(row.eye_diff),
-                    _fmt(row.brow_sum),
-                    _fmt(row.brow_diff),
-                ]
-            )
-
-
-def _parse_optional_int(text: str, source: str, line: int, column: str):
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(
-            f"{source}:{line}: column {column!r}: not an integer: {text!r}"
-        ) from None
-
-
-def read_match_csv(path) -> list[MatchRow]:
-    source = str(path)
-    rows: list[MatchRow] = []
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _MATCH_COLUMNS:
-            raise ParseError(f"{source}:1: bad match-table header")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(_MATCH_COLUMNS):
-                raise ParseError(
-                    f"{source}:{line}: expected {len(_MATCH_COLUMNS)} fields, got {len(row)}"
-                )
-            if row[3] not in ("genuine", "impostor"):
-                raise ParseError(f"{source}:{line}: bad label {row[3]!r}")
-            if row[4] not in ("0", "1"):
-                raise ParseError(f"{source}:{line}: bad iris_valid flag {row[4]!r}")
-            iris_valid = row[4] == "1"
-            rows.append(
-                MatchRow(
-                    a_id=row[0],
-                    b_id=row[1],
-                    side=row[2],
-                    label=row[3],
-                    iris_valid=iris_valid,
-                    hamming=_parse_optional_float(row[5], source, line, "hamming"),
-                    ws=_parse_optional_float(row[6], source, line, "ws"),
-                    best_shift=_parse_optional_int(row[7], source, line, "best_shift"),
-                    joint_valid=_parse_optional_int(row[8], source, line, "joint_valid"),
-                    mask_rate_a=_parse_float(row[9], source, line, "mask_rate_a"),
-                    mask_rate_b=_parse_float(row[10], source, line, "mask_rate_b"),
-                    perioc_dist=_parse_float(row[11], source, line, "perioc_dist"),
-                    eye_sum=_parse_float(row[12], source, line, "eye_sum"),
-                    eye_diff=_parse_float(row[13], source, line, "eye_diff"),
-                    brow_sum=_parse_float(row[14], source, line, "brow_sum"),
-                    brow_diff=_parse_float(row[15], source, line, "brow_diff"),
-                )
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Score CSV: pair ids, label, the eight cues, raw scores, fused scores
-
-
-@dataclass(frozen=True)
-class ScoreRow:
-    """Fused scores for one comparison; cue/fused fields are None when the
-    iris pair was unusable (flagged, never imputed)."""
-
-    a_id: str
-    b_id: str
-    side: str
-    label: str
-    iris_score: float | None
-    perioc_norm: float | None
-    mask_rate_a: float
-    mask_rate_b: float
-    eye_sum: float
-    eye_diff: float
-    brow_sum: float
-    brow_diff: float
-    hamming: float | None
-    ws: float | None
-    static: float | None
-    dynamic: float | None
-
-
-_SCORE_COLUMNS = [f.name for f in fields(ScoreRow)]
-_SCORE_OPTIONAL = {
-    "iris_score",
-    "perioc_norm",
-    "hamming",
-    "ws",
-    "static",
-    "dynamic",
+STR, LABEL, FLAG, FLOAT, OPT_FLOAT, OPT_INT = (
+    "str", "label", "flag", "float", "float?", "int?"
+)
+LABELS = ("genuine", "impostor")
+_DTYPES = {
+    STR: str, LABEL: str, FLAG: bool,
+    FLOAT: np.float64, OPT_FLOAT: np.float64, OPT_INT: np.float64,
 }
+_INT_LIMIT = 2**53  # optional ints live in float64 columns, exact below this
+BLOCK_ROWS = 1024  # rows parsed or formatted at a time
+
+_AREA_CUES = (
+    ("eye_sum", FLOAT), ("eye_diff", FLOAT), ("brow_sum", FLOAT), ("brow_diff", FLOAT),
+)
+MATCH_SCHEMA = (
+    ("a_id", STR), ("b_id", STR), ("side", STR), ("label", LABEL),
+    ("iris_valid", FLAG), ("hamming", OPT_FLOAT), ("ws", OPT_FLOAT),
+    ("best_shift", OPT_INT), ("joint_valid", OPT_INT),
+    ("mask_rate_a", FLOAT), ("mask_rate_b", FLOAT), ("perioc_dist", FLOAT),
+    *_AREA_CUES,
+)
+SCORE_SCHEMA = (
+    ("a_id", STR), ("b_id", STR), ("side", STR), ("label", LABEL),
+    ("iris_score", OPT_FLOAT), ("perioc_norm", OPT_FLOAT),
+    ("mask_rate_a", FLOAT), ("mask_rate_b", FLOAT), *_AREA_CUES,
+    ("hamming", OPT_FLOAT), ("ws", OPT_FLOAT),
+    ("static", OPT_FLOAT), ("dynamic", OPT_FLOAT),
+)
+ROC_SCHEMA = (("threshold", FLOAT), ("far", FLOAT), ("tar", FLOAT))
 
 
-def write_score_csv(path, rows: Iterable[ScoreRow]) -> None:
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SCORE_COLUMNS)
-        for row in rows:
-            record = []
-            for name in _SCORE_COLUMNS:
-                value = getattr(row, name)
-                record.append(value if isinstance(value, str) else _fmt(value))
-            writer.writerow(record)
+def _column(kind: str, texts: tuple[str, ...]):
+    """One column's fields as an array, or None if any field is invalid."""
+    if kind == STR:
+        return np.array(texts, dtype=str)
+    if kind in (LABEL, FLAG):
+        allowed = LABELS if kind == LABEL else ("0", "1")
+        if not set(texts) <= set(allowed):
+            return None
+        values = np.array(texts, dtype=str)
+        return values if kind == LABEL else values == "1"
+    parse = int if kind == OPT_INT else float
+    try:
+        values = np.fromiter(
+            (parse(t) if t or kind == FLOAT else math.nan for t in texts),
+            dtype=np.float64, count=len(texts),
+        )
+    except (ValueError, OverflowError):
+        return None
+    ok = np.abs(values) < _INT_LIMIT if kind == OPT_INT else np.isfinite(values)
+    return values if np.count_nonzero(ok) == len(texts) - texts.count("") else None
 
 
-def read_score_csv(path) -> list[ScoreRow]:
+def _field_error(kind: str, text: str) -> str | None:
+    """Why one field is invalid, or None; mirrors :func:`_column`."""
+    if kind == STR or (text == "" and kind in (OPT_FLOAT, OPT_INT)):
+        return None
+    if kind in (LABEL, FLAG):
+        return None if _column(kind, (text,)) is not None else f"bad {kind} {text!r}"
+    if kind == OPT_INT:
+        try:
+            value = int(text)
+        except ValueError:
+            return f"not an integer: {text!r}"
+        return None if abs(value) < _INT_LIMIT else f"integer out of range: {text!r}"
+    try:
+        value = float(text)
+    except ValueError:
+        return f"not a number: {text!r}"
+    return None if math.isfinite(value) else "non-finite value"
+
+
+def _parse_block(rows: list[list[str]], schema, source: str, first_line: int):
+    """Column arrays of a block of data rows; the first bad field in file
+    order raises a :class:`ParseError` naming its line and column."""
+    width = len(schema)
+    if all(len(row) == width for row in rows):
+        texts = list(zip(*rows)) or [()] * width
+        columns = [_column(kind, t) for (_, kind), t in zip(schema, texts)]
+        if all(c is not None for c in columns):
+            return columns
+    for line, row in enumerate(rows, start=first_line):
+        if len(row) != width:
+            raise ParseError(f"{source}:{line}: expected {width} fields, got {len(row)}")
+        for (name, kind), text in zip(schema, row):
+            error = _field_error(kind, text)
+            if error:
+                raise ParseError(f"{source}:{line}: column {name!r}: {error}")
+    raise AssertionError("_column and _field_error disagree")
+
+
+def _read_table(path, schema, what: str) -> dict[str, np.ndarray]:
     source = str(path)
-    rows: list[ScoreRow] = []
+    blocks = []
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SCORE_COLUMNS:
-            raise ParseError(f"{source}:1: bad score-table header")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(_SCORE_COLUMNS):
-                raise ParseError(
-                    f"{source}:{line}: expected {len(_SCORE_COLUMNS)} fields, got {len(row)}"
-                )
-            values: dict[str, object] = {}
-            for name, text in zip(_SCORE_COLUMNS, row):
-                if name in ("a_id", "b_id", "side", "label"):
-                    values[name] = text
-                elif name in _SCORE_OPTIONAL:
-                    values[name] = _parse_optional_float(text, source, line, name)
-                else:
-                    values[name] = _parse_float(text, source, line, name)
-            if values["label"] not in ("genuine", "impostor"):
-                raise ParseError(f"{source}:{line}: bad label {values['label']!r}")
-            rows.append(ScoreRow(**values))
-    return rows
+        if next(reader, None) != [name for name, _ in schema]:
+            raise ParseError(f"{source}:1: bad {what} header")
+        line = 2
+        while rows := list(itertools.islice(reader, BLOCK_ROWS)):
+            blocks.append(_parse_block(rows, schema, source, line))
+            line += len(rows)
+    blocks = blocks or [_parse_block([], schema, source, line)]
+    return {
+        name: np.concatenate([block[k] for block in blocks])
+        for k, (name, _) in enumerate(schema)
+    }
 
 
-# ---------------------------------------------------------------------------
-# ROC CSV
+def _format(kind: str, values: np.ndarray) -> list[str]:
+    items = values.tolist()
+    if kind in (STR, LABEL):
+        return items
+    if kind == FLAG:
+        return ["1" if v else "0" for v in items]
+    if kind == FLOAT:
+        return list(map(repr, items))
+    text = repr if kind == OPT_FLOAT else lambda v: str(int(v))
+    return ["" if v != v else text(v) for v in items]
+
+
+def _write_table(path, schema, table: Mapping[str, np.ndarray]) -> None:
+    columns = [(kind, np.asarray(table[name], dtype=_DTYPES[kind])) for name, kind in schema]
+    n = len(columns[0][1])
+    if any(len(values) != n for _, values in columns):
+        raise ValueError("table columns differ in length")
+    with _open_writer(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([name for name, _ in schema])
+        for start in range(0, n, BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            writer.writerows(zip(*(_format(kind, v[start:stop]) for kind, v in columns)))
+
+
+def write_match_csv(path, table: Mapping[str, np.ndarray]) -> None:
+    _write_table(path, MATCH_SCHEMA, table)
+
+
+def read_match_csv(path) -> dict[str, np.ndarray]:
+    return _read_table(path, MATCH_SCHEMA, "match-table")
+
+
+def write_score_csv(path, table: Mapping[str, np.ndarray]) -> None:
+    _write_table(path, SCORE_SCHEMA, table)
+
+
+def read_score_csv(path) -> dict[str, np.ndarray]:
+    return _read_table(path, SCORE_SCHEMA, "score-table")
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "far", "tar"])
-        for threshold, far, tar in curve:
-            writer.writerow([_fmt(threshold), _fmt(far), _fmt(tar)])
+    _write_table(
+        path, ROC_SCHEMA,
+        {"threshold": curve.thresholds, "far": curve.far, "tar": curve.tar},
+    )
 
 
 def read_roc_csv(path) -> RocCurve:
-    source = str(path)
-    thresholds, far, tar = [], [], []
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["threshold", "far", "tar"]:
-            raise ParseError(f"{source}:1: bad ROC header")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ParseError(f"{source}:{line}: expected 3 fields, got {len(row)}")
-            thresholds.append(_parse_float(row[0], source, line, "threshold"))
-            far.append(_parse_float(row[1], source, line, "far"))
-            tar.append(_parse_float(row[2], source, line, "tar"))
-    return RocCurve(
-        thresholds=np.array(thresholds), far=np.array(far), tar=np.array(tar)
-    )
+    table = _read_table(path, ROC_SCHEMA, "ROC")
+    return RocCurve(thresholds=table["threshold"], far=table["far"], tar=table["tar"])
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatch import IrisMatchResult
-from .mlp import MlpParams, mlp_forward
-from .templates import CueVector, PeriocularRecord
+from .bitmatch import _check_alpha
+from .mlp import MlpParams, mlp_logits, softmax
+from .templates import CUE_NAMES, PeriocularRecord, check_cues
+
+BLOCK_ROWS = 1024  # cue rows per forward pass of the fusion network
 
 
 @dataclass(frozen=True)
@@ -52,34 +54,27 @@ def perioc_distance(a: PeriocularRecord, b: PeriocularRecord) -> float:
     return float(np.sqrt(np.dot(diff, diff)))
 
 
-def normalized_distance(distance: float, norm: NormalizationParams) -> float:
-    """Min-max normalised distance, clamped to [0, 1]."""
+def normalized_distance(distance, norm: NormalizationParams):
+    """Min-max normalised distance(s), clamped to [0, 1]."""
     span = norm.perioc_max - norm.perioc_min
-    return float(np.clip((distance - norm.perioc_min) / span, 0.0, 1.0))
+    return np.clip((np.asarray(distance) - norm.perioc_min) / span, 0.0, 1.0)
 
 
-def assemble_cues(
-    iris: IrisMatchResult,
-    perioc_d: float,
-    norm: NormalizationParams,
-    a: PeriocularRecord,
-    b: PeriocularRecord,
-) -> CueVector:
-    """Build the eight fusion inputs for one compared pair.
+def cue_matrix(matches, norm: NormalizationParams) -> np.ndarray:
+    """The ``(n, 8)`` fusion inputs of a match table's usable rows.
 
-    Swapping the two records negates the signed area differences and
-    leaves every other cue unchanged.
+    ``matches`` maps match-CSV column names to arrays.  All rows are
+    checked at once with the :class:`CueVector` rules, so a bad cue
+    raises a ``ValueError`` naming it.
     """
-    return CueVector(
-        iris_score=iris.ws_score,
-        perioc_dist=normalized_distance(perioc_d, norm),
-        mask_rate_a=iris.mask_rate_a,
-        mask_rate_b=iris.mask_rate_b,
-        eye_sum=a.eye_area + b.eye_area,
-        eye_diff=a.eye_area - b.eye_area,
-        brow_sum=a.brow_area + b.brow_area,
-        brow_diff=a.brow_area - b.brow_area,
-    )
+    use = matches["iris_valid"]
+    cues = np.column_stack([
+        matches["ws"][use],
+        normalized_distance(matches["perioc_dist"][use], norm),
+        *(matches[name][use] for name in CUE_NAMES[2:]),
+    ])
+    check_cues(cues)
+    return cues
 
 
 def static_fuse(iris_score: float, perioc_score: float, weight: float) -> float:
@@ -89,17 +84,30 @@ def static_fuse(iris_score: float, perioc_score: float, weight: float) -> float:
     return weight * iris_score + (1.0 - weight) * perioc_score
 
 
-def static_inputs(ws_score: float, alpha: float, norm_dist: float) -> tuple[float, float]:
+def static_inputs(ws_score, alpha: float, norm_dist):
     """Rescale matcher outputs onto common higher-is-better [0, 1] scales.
 
     The weighted-similarity score is divided by its maximum
     ``max(2 - alpha, alpha)`` (all 1-1 agreements, or all 0-0 agreements
     when ``alpha > 1``); the normalised periocular distance is flipped.
+    ``alpha`` must lie inside (0, 2), as for the matcher.
     """
+    _check_alpha(alpha)
     return ws_score / max(2.0 - alpha, alpha), 1.0 - norm_dist
 
 
-def dynamic_fuse(params: MlpParams, cues: CueVector) -> float:
-    """Consolidated match score: the network's genuine-class probability."""
-    p_genuine, _ = mlp_forward(params, cues)
-    return p_genuine
+def dynamic_fuse(params: MlpParams, cues) -> np.ndarray:
+    """Consolidated match scores: the network's genuine-class probability.
+
+    ``cues`` is an ``(n, 8)`` matrix; the forward pass runs
+    :data:`BLOCK_ROWS` rows at a time, so its activations stay small
+    however many rows are scored.
+    """
+    x = np.asarray(cues, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"cues must be an (n, 8) matrix, got shape {x.shape}")
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        out[block] = softmax(mlp_logits(params, x[block]))[:, 0]
+    return out

@@ -190,6 +190,35 @@ CUE_NAMES = (
 )
 
 
+# Closed range of each bounded cue; the other cues need only be finite.
+CUE_RANGES = {
+    "mask_rate_a": (0.0, 1.0),
+    "mask_rate_b": (0.0, 1.0),
+    "eye_sum": (0.0, 2.0),
+    "brow_sum": (0.0, 2.0),
+    "eye_diff": (-1.0, 1.0),
+    "brow_diff": (-1.0, 1.0),
+}
+
+
+def check_cues(cues: np.ndarray) -> None:
+    """Reject an ``(n, 8)`` cue matrix holding a non-finite or out-of-range cue.
+
+    The error names the cue and its first bad value; finiteness is
+    checked for every cue before any range.
+    """
+    finite = np.isfinite(cues)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite.all(axis=0))[0])
+        value = cues[~finite[:, k], k][0]
+        raise ValueError(f"{CUE_NAMES[k]} must be finite, got {value}")
+    for name, (lo, hi) in CUE_RANGES.items():
+        column = cues[:, CUE_NAMES.index(name)]
+        bad = column[(column < lo) | (column > hi)]
+        if bad.size:
+            raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class CueVector:
     """The eight per-pair inputs consumed by the fusion network.
@@ -210,20 +239,10 @@ class CueVector:
     brow_diff: float
 
     def __post_init__(self) -> None:
-        for name in CUE_NAMES:
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        values = [float(getattr(self, name)) for name in CUE_NAMES]
+        check_cues(np.array([values]))
+        for name, value in zip(CUE_NAMES, values):
             object.__setattr__(self, name, value)
-        for name in ("mask_rate_a", "mask_rate_b"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("eye_sum", "brow_sum"):
-            if not 0.0 <= getattr(self, name) <= 2.0:
-                raise ValueError(f"{name} must lie in [0, 2]")
-        for name in ("eye_diff", "brow_diff"):
-            if not -1.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [-1, 1]")
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in CUE_NAMES])

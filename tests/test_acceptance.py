@@ -226,11 +226,12 @@ def test_end_to_end_fusion_benefit(tmp_path):
     out_dir = tmp_path / "scenario"
     _pipeline(out_dir, SCENARIO_SEED)
 
-    rows = [r for r in read_score_csv(out_dir / "scores.csv") if r.ws is not None]
-    labels = np.array([0 if r.label == "genuine" else 1 for r in rows])
-    ws = np.array([r.ws for r in rows])
-    perioc01 = np.array([1.0 - r.perioc_norm for r in rows])
-    dynamic = np.array([r.dynamic for r in rows])
+    table = read_score_csv(out_dir / "scores.csv")
+    use = ~np.isnan(table["ws"])
+    labels = np.where(table["label"][use] == "genuine", 0, 1)
+    ws = table["ws"][use]
+    perioc01 = 1.0 - table["perioc_norm"][use]
+    dynamic = table["dynamic"][use]
     iris01 = ws / (2.0 - 0.3)
 
     def eer_of(values):

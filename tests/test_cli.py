@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,6 +7,9 @@ import pytest
 
 from irisfuse import fileio
 from irisfuse.cli import main
+from irisfuse.fusion import NormalizationParams, cue_matrix, static_fuse, static_inputs
+from irisfuse.mlp import MlpParams, mlp_forward
+from irisfuse.templates import CUE_NAMES, CueVector
 
 
 def run_cli(*args) -> int:
@@ -23,6 +27,11 @@ def synth_args(out, seed=3, subjects=8, samples=3, **extra):
         if value is not None:
             args.extend(value if isinstance(value, (list, tuple)) else [value])
     return args
+
+
+def columns(rows):
+    """A list of row dicts as a table of columns."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
 
 
 @pytest.fixture
@@ -69,7 +78,7 @@ class TestMatchCommand:
         ) == 0
         rows = fileio.read_match_csv(out)
         # 8 subjects x 3 samples: 8*3 genuine + C(8,2)*9 impostor
-        assert len(rows) == 8 * 3 + math.comb(8, 2) * 9
+        assert all(len(v) == 8 * 3 + math.comb(8, 2) * 9 for v in rows.values())
 
     def test_alpha_one_makes_ws_complement_hamming(self, population_dir, tmp_path):
         out = tmp_path / "match.csv"
@@ -79,10 +88,12 @@ class TestMatchCommand:
             "--features", population_dir / "features.csv",
             "--out", out, "--max-shift", 4, "--alpha", 1.0,
         ) == 0
-        rows = [r for r in fileio.read_match_csv(out) if r.iris_valid]
-        assert rows
-        for row in rows:
-            assert row.ws + row.hamming == pytest.approx(1.0, abs=1e-12)
+        rows = fileio.read_match_csv(out)
+        use = rows["iris_valid"]
+        assert use.any()
+        np.testing.assert_allclose(
+            rows["ws"][use] + rows["hamming"][use], 1.0, rtol=0, atol=1e-12
+        )
 
     def test_unmasked_ws_mode_scores_over_full_area(self, population_dir, tmp_path):
         from irisfuse import bitmatch, fileio as fio
@@ -94,20 +105,20 @@ class TestMatchCommand:
             "--features", population_dir / "features.csv",
             "--out", out, "--max-shift", 2, "--unmasked-ws",
         ) == 0
-        rows = [r for r in fio.read_match_csv(out) if r.iris_valid][:5]
+        rows = fio.read_match_csv(out)
         manifest = fio.read_manifest(population_dir / "manifest.jsonl")
         by_id = {e.entry_id: e for e in manifest.entries}
-        for row in rows:
-            a = fio.read_template(
-                population_dir / "templates" / f"{by_id[row.a_id].template_ref}.irt"
-            )
-            b = fio.read_template(
-                population_dir / "templates" / f"{by_id[row.b_id].template_ref}.irt"
+        for k in np.flatnonzero(rows["iris_valid"])[:5]:
+            a, b = (
+                fio.read_template(
+                    population_dir / "templates" / f"{by_id[rows[c][k]].template_ref}.irt"
+                )
+                for c in ("a_id", "b_id")
             )
             expected, _ = bitmatch.weighted_similarity(
                 a, b, 0.3, bitmatch.ShiftPolicy(2, 1), unmasked=True
             )
-            assert row.ws == expected
+            assert rows["ws"][k] == expected
 
     def match_args(self, population_dir, out, *extra):
         return (
@@ -191,7 +202,9 @@ class TestPipeline:
         roc = fileio.read_roc_csv(f"{prefix}-roc.csv")
         assert (np.diff(roc.far) >= 0).all()
         score_rows = fileio.read_score_csv(scores)
-        assert all(r.dynamic is not None for r in score_rows if r.iris_score is not None)
+        has_cues = ~np.isnan(score_rows["iris_score"])
+        assert has_cues.any()
+        assert not np.isnan(score_rows["dynamic"][has_cues]).any()
 
     def test_pipeline_is_byte_deterministic(self, population_dir, tmp_path):
         first = self.run_pipeline(population_dir, tmp_path, tag="a")
@@ -209,20 +222,20 @@ class TestPipeline:
     def test_eval_on_separated_scores_reports_zero_eer(self, tmp_path, capsys):
         rows = []
         for k in range(10):
-            rows.append(fileio.ScoreRow(
+            rows.append(dict(
                 a_id=f"g{k}", b_id=f"g{k}'", side="L", label="genuine",
                 iris_score=1.0, perioc_norm=0.1, mask_rate_a=0.9, mask_rate_b=0.9,
                 eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
                 hamming=0.1, ws=1.5, static=0.9, dynamic=0.9 + 0.001 * k,
             ))
-            rows.append(fileio.ScoreRow(
+            rows.append(dict(
                 a_id=f"i{k}", b_id=f"i{k}'", side="L", label="impostor",
                 iris_score=0.3, perioc_norm=0.9, mask_rate_a=0.9, mask_rate_b=0.9,
                 eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
                 hamming=0.45, ws=0.6, static=0.2, dynamic=0.1 + 0.001 * k,
             ))
         path = tmp_path / "scores.csv"
-        fileio.write_score_csv(path, rows)
+        fileio.write_score_csv(path, columns(rows))
         assert run_cli("eval", "--scores", path, "--column", "dynamic",
                        "--out-prefix", tmp_path / "sep") == 0
         summary = json.loads((tmp_path / "sep-summary.json").read_text())
@@ -232,24 +245,177 @@ class TestPipeline:
     def test_hamming_column_uses_distance_orientation(self, tmp_path):
         rows = []
         for k in range(8):
-            rows.append(fileio.ScoreRow(
+            rows.append(dict(
                 a_id=f"g{k}", b_id="x", side="L", label="genuine",
                 iris_score=1.0, perioc_norm=0.1, mask_rate_a=1.0, mask_rate_b=1.0,
                 eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
                 hamming=0.10 + 0.001 * k, ws=1.5, static=0.9, dynamic=0.9,
             ))
-            rows.append(fileio.ScoreRow(
+            rows.append(dict(
                 a_id=f"i{k}", b_id="x", side="L", label="impostor",
                 iris_score=0.3, perioc_norm=0.9, mask_rate_a=1.0, mask_rate_b=1.0,
                 eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
                 hamming=0.42 + 0.001 * k, ws=0.6, static=0.2, dynamic=0.1,
             ))
         path = tmp_path / "scores.csv"
-        fileio.write_score_csv(path, rows)
+        fileio.write_score_csv(path, columns(rows))
         assert run_cli("eval", "--scores", path, "--column", "hamming",
                        "--out-prefix", tmp_path / "hd") == 0
         summary = json.loads((tmp_path / "hd-summary.json").read_text())
         assert summary["eer"] == 0.0
+
+
+MATCH_HEADER = (
+    "a_id,b_id,side,label,iris_valid,hamming,ws,best_shift,joint_valid,"
+    "mask_rate_a,mask_rate_b,perioc_dist,eye_sum,eye_diff,brow_sum,brow_diff"
+)
+SCORE_HEADER = (
+    "a_id,b_id,side,label,iris_score,perioc_norm,mask_rate_a,mask_rate_b,"
+    "eye_sum,eye_diff,brow_sum,brow_diff,hamming,ws,static,dynamic"
+)
+
+
+def write_match_text(path, n_unusable=5, n_usable=0):
+    """A small match CSV written as text: unusable rows, then usable ones."""
+    lines = [MATCH_HEADER]
+    lines += [f"S{k}:L:0,S{k + 1}:L:0,L,impostor,0,,,,,0.1,0.2,1.5,0.3,0.1,0.2,-0.1"
+              for k in range(n_unusable)]
+    lines += [f"S{k}:L:0,S{k}:L:1,L,genuine,1,0.2,1.25,3,400,0.9,0.8,0.5,0.4,0.0,0.3,0.05"
+              for k in range(n_usable)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    path = tmp_path / "ckpt.json"
+    fileio.write_checkpoint(path, MlpParams.init_random(5), NormalizationParams(0.5, 3.0))
+    return path
+
+
+def random_match_table(rng, n_usable, n_unusable):
+    """Match-table columns with unusable rows scattered among usable ones."""
+    n = n_usable + n_unusable
+    usable = np.ones(n, dtype=bool)
+    usable[rng.choice(n, n_unusable, replace=False)] = False
+    eye = rng.uniform(0.0, 0.5, (2, n))
+    brow = rng.uniform(0.0, 0.4, (2, n))
+
+    def iris(values):
+        return np.where(usable, values, np.nan)
+
+    return {
+        "a_id": [f"S{k // 7}:L:{k % 7}" for k in range(n)],
+        "b_id": [f"S{k // 5}:R:{k % 5}" for k in range(n)],
+        "side": ["L"] * n,
+        "label": np.where(rng.random(n) < 0.3, "genuine", "impostor"),
+        "iris_valid": usable,
+        "hamming": iris(rng.uniform(0.0, 0.5, n)),
+        "ws": iris(rng.uniform(0.0, 1.7, n)),
+        "best_shift": iris(rng.integers(-8, 9, n)),
+        "joint_valid": iris(rng.integers(1, 4096, n)),
+        "mask_rate_a": rng.uniform(0.0, 1.0, n),
+        "mask_rate_b": rng.uniform(0.0, 1.0, n),
+        "perioc_dist": rng.uniform(0.0, 4.0, n),  # clamps at both ends of (0.5, 3)
+        "eye_sum": eye[0] + eye[1],
+        "eye_diff": eye[0] - eye[1],
+        "brow_sum": brow[0] + brow[1],
+        "brow_diff": brow[0] - brow[1],
+    }
+
+
+def reference_score_rows(match_csv, checkpoint, alpha, weight):
+    """Score-CSV rows computed one comparison at a time from CueVectors."""
+    params, norm, _ = fileio.read_checkpoint(checkpoint)
+    span = norm.perioc_max - norm.perioc_min
+    out = []
+    with open(match_csv, newline="") as fh:
+        for row in csv.DictReader(fh):
+            fused = ["", "", "", ""]
+            if row["iris_valid"] == "1":
+                perioc = float(np.clip((float(row["perioc_dist"]) - norm.perioc_min) / span,
+                                       0.0, 1.0))
+                cues = CueVector(float(row["ws"]), perioc,
+                                 *(float(row[name]) for name in CUE_NAMES[2:]))
+                iris01, perioc01 = static_inputs(cues.iris_score, alpha, cues.perioc_dist)
+                fused = [repr(cues.iris_score), repr(cues.perioc_dist),
+                         repr(static_fuse(iris01, perioc01, weight)),
+                         repr(mlp_forward(params, cues)[0])]
+            out.append(
+                [row[k] for k in ("a_id", "b_id", "side", "label")] + fused[:2]
+                + [row[k] for k in CUE_NAMES[2:]]
+                + [row["hamming"], row["ws"]] + fused[2:]
+            )
+    return out
+
+
+class TestScoreCommand:
+    @pytest.mark.parametrize("n_usable", [0, 2])
+    @pytest.mark.parametrize(
+        "flag, value, word",
+        [("--alpha", 0.0, "alpha"), ("--alpha", 5.0, "alpha"),
+         ("--static-weight", 1.5, "weight"), ("--static-weight", -0.5, "weight")],
+    )
+    def test_invalid_flag_fails_before_writing(
+        self, tmp_path, checkpoint, capsys, n_usable, flag, value, word
+    ):
+        match_csv = tmp_path / "match.csv"
+        write_match_text(match_csv, n_unusable=5, n_usable=n_usable)
+        out = tmp_path / "scores.csv"
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", out, flag, value) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert word in err["message"]
+        assert not out.exists()
+
+    def test_columnar_scores_match_per_row_reference(self, tmp_path, checkpoint):
+        from irisfuse.fusion import BLOCK_ROWS
+
+        rng = np.random.default_rng(17)
+        n_usable = BLOCK_ROWS + 1  # the last forward block holds one row
+        match_csv = tmp_path / "match.csv"
+        fileio.write_match_csv(match_csv, random_match_table(rng, n_usable, 40))
+        out = tmp_path / "scores.csv"
+        alpha, weight = 0.4, 0.3
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", out, "--alpha", alpha, "--static-weight", weight) == 0
+        with open(out, newline="") as fh:
+            got = list(csv.reader(fh))
+        assert ",".join(got[0]) == SCORE_HEADER
+        want = reference_score_rows(match_csv, checkpoint, alpha, weight)
+        assert len(got) - 1 == len(want) == n_usable + 40
+        assert sum(row[4] != "" for row in want) == n_usable
+        for line, (have, ref) in enumerate(zip(got[1:], want), start=2):
+            assert have[:-1] == ref[:-1], f"line {line}"
+            assert (have[-1] == "") == (ref[-1] == ""), f"line {line}"
+        # A 1,024-row product sums in another order than a 1-row one, so
+        # ``dynamic`` may move in its last bits: here by up to 6 ulp, on the
+        # benchmark workloads by up to 2.0e-15 (95 ulp).
+        have = np.array([float(row[-1]) for row in got[1:] if row[-1]])
+        ref = np.array([float(row[-1]) for row in want if row[-1]])
+        np.testing.assert_allclose(have, ref, rtol=0, atol=1e-14)
+
+
+class TestFuseTrainCues:
+    def test_cue_matrix_equals_per_row_cue_vectors(self, population_dir, tmp_path):
+        match_csv = tmp_path / "match.csv"
+        assert run_cli(
+            "match", "--manifest", population_dir / "manifest.jsonl",
+            "--templates-dir", population_dir / "templates",
+            "--features", population_dir / "features.csv",
+            "--out", match_csv, "--max-shift", 4,
+        ) == 0
+        matches = fileio.read_match_csv(match_csv)
+        use = matches["iris_valid"]
+        norm = NormalizationParams.from_distances(matches["perioc_dist"][use])
+        span = norm.perioc_max - norm.perioc_min
+        rows = []
+        for k in np.flatnonzero(use):
+            perioc = float(np.clip((matches["perioc_dist"][k] - norm.perioc_min) / span,
+                                   0.0, 1.0))
+            rows.append(CueVector(matches["ws"][k], perioc,
+                                  *(matches[name][k] for name in CUE_NAMES[2:])).as_array())
+        assert cue_matrix(matches, norm).tobytes() == np.array(rows).tobytes()
 
 
 class TestSumRulePipeline:
@@ -267,8 +433,8 @@ class TestSumRulePipeline:
         ) == 0
         rows = fileio.read_match_csv(match_csv)
         # 6 subjects x 2 samples as (subject, sample) units, two rows per group
-        assert len(rows) == 2 * (6 * 1 + math.comb(6, 2) * 4)
-        assert {r.side for r in rows} == {"L", "R"}
+        assert len(rows["side"]) == 2 * (6 * 1 + math.comb(6, 2) * 4)
+        assert set(rows["side"]) == {"L", "R"}
         checkpoint = tmp_path / "ckpt.json"
         assert run_cli("fuse-train", "--match-csv", match_csv,
                        "--out", checkpoint, "--epochs", 30) == 0
@@ -280,6 +446,26 @@ class TestSumRulePipeline:
         summary = json.loads((tmp_path / "sr-summary.json").read_text())
         assert summary["n_genuine"] == 6 * 1
         assert summary["n_impostor"] == math.comb(6, 2) * 4
+
+
+    @pytest.mark.parametrize("third_usable", [True, False])
+    def test_pair_with_three_comparisons_is_rejected(self, tmp_path, capsys, third_usable):
+        def row(a, side, label, dynamic):
+            return (f"{a},{a}',{side},{label},1.0,0.1,0.9,0.9,0.4,0.0,0.2,0.0,"
+                    f"0.1,1.0,0.9,{dynamic}")
+
+        lines = [SCORE_HEADER, row("g", "L", "genuine", 0.9), row("g", "R", "genuine", 0.8),
+                 row("i", "L", "impostor", 0.2), row("i", "R", "impostor", 0.1),
+                 row("x", "L", "impostor", 0.3), row("x", "R", "impostor", 0.4),
+                 row("x", "L", "impostor", 0.5 if third_usable else "")]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval", "--scores", scores, "--sum-rule",
+                       "--out-prefix", tmp_path / "sr", "--far-target", 0.5) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "(x, x') has 3" in err["message"]
+        assert not (tmp_path / "sr-summary.json").exists()
 
 
 class TestCheckCommands:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from irisfuse import fileio
 from irisfuse.evaluation import Manifest, ManifestEntry, ScoreSet, roc_curve
-from irisfuse.fusion import NormalizationParams
+from irisfuse.fusion import NormalizationParams, cue_matrix
 from irisfuse.mlp import MlpParams, TrainConfig
 from irisfuse.templates import PeriocularRecord, pack_template
 
@@ -170,34 +170,122 @@ class TestManifestJsonl:
             fileio.read_manifest(path)
 
 
-class TestMatchCsv:
-    @staticmethod
-    def rows():
-        return [
-            fileio.MatchRow(
-                a_id="S0:L:0", b_id="S0:L:1", side="L", label="genuine",
-                iris_valid=True, hamming=0.125, ws=0.8123456789012345,
-                best_shift=-2, joint_valid=417, mask_rate_a=0.75,
-                mask_rate_b=0.5, perioc_dist=1.25, eye_sum=0.4,
-                eye_diff=-0.05, brow_sum=0.3, brow_diff=0.02,
-            ),
-            fileio.MatchRow(
-                a_id="S0:L:0", b_id="S1:L:0", side="L", label="impostor",
-                iris_valid=False, hamming=None, ws=None, best_shift=None,
-                joint_valid=None, mask_rate_a=0.1, mask_rate_b=0.2,
-                perioc_dist=2.5, eye_sum=0.3, eye_diff=0.1, brow_sum=0.2,
-                brow_diff=-0.1,
-            ),
-        ]
+def match_table():
+    """A usable and an unusable comparison as match-table columns."""
+    return {
+        "a_id": ["S0:L:0", "S0:L:0"],
+        "b_id": ["S0:L:1", "S1:L:0"],
+        "side": ["L", "L"],
+        "label": ["genuine", "impostor"],
+        "iris_valid": [True, False],
+        "hamming": [0.125, np.nan],
+        "ws": [0.8123456789012345, np.nan],
+        "best_shift": [-2, np.nan],
+        "joint_valid": [417, np.nan],
+        "mask_rate_a": [0.75, 0.1],
+        "mask_rate_b": [0.5, 0.2],
+        "perioc_dist": [1.25, 2.5],
+        "eye_sum": [0.4, 0.3],
+        "eye_diff": [-0.05, 0.1],
+        "brow_sum": [0.3, 0.2],
+        "brow_diff": [0.02, -0.1],
+    }
 
+
+def assert_tables_equal(got, want):
+    assert list(got) == list(want)
+    for name, values in want.items():
+        np.testing.assert_array_equal(got[name], np.asarray(values), err_msg=name)
+
+
+def replace_field(path, line, column, text):
+    """Rewrite field ``column`` of 1-based ``line`` of a CSV file."""
+    lines = path.read_text().split("\n")
+    fields = lines[line - 1].split(",")
+    fields[column] = text
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines))
+
+
+class TestMatchCsv:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "match.csv"
-        fileio.write_match_csv(path, self.rows())
-        assert fileio.read_match_csv(path) == self.rows()
+        fileio.write_match_csv(path, match_table())
+        table = fileio.read_match_csv(path)
+        assert_tables_equal(table, match_table())
+        assert table["iris_valid"].dtype == bool
+        again = tmp_path / "again.csv"
+        fileio.write_match_csv(again, table)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_written_text(self, tmp_path):
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, match_table())
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(name for name, _ in fileio.MATCH_SCHEMA)
+        assert lines[1] == (
+            "S0:L:0,S0:L:1,L,genuine,1,0.125,0.8123456789012345,-2,417,"
+            "0.75,0.5,1.25,0.4,-0.05,0.3,0.02"
+        )
+        assert lines[2] == "S0:L:0,S1:L:0,L,impostor,0,,,,,0.1,0.2,2.5,0.3,0.1,0.2,-0.1"
+
+    @pytest.mark.parametrize(
+        "kind, values",
+        [
+            (fileio.STR, ["S0:L:0", "a,b", 'q"uote', ""]),
+            (fileio.FLAG, [True, False, True, True]),
+            (fileio.FLOAT, [0.1 + 0.2, -0.0, 1e-300, 12345.678901234567]),
+            (fileio.OPT_FLOAT, [np.nan, 1 / 3, np.nan, -2.5e10]),
+            (fileio.OPT_INT, [-16, np.nan, 0, 2**53 - 1]),
+        ],
+    )
+    def test_column_kind_round_trip(self, tmp_path, kind, values):
+        schema = (("x", kind),)
+        path = tmp_path / "t.csv"
+        fileio._write_table(path, schema, {"x": values})
+        got = fileio._read_table(path, schema, "test")["x"]
+        np.testing.assert_array_equal(got, np.asarray(values, dtype=got.dtype))
+        if kind in (fileio.FLOAT, fileio.OPT_FLOAT):
+            assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "line, column, text, message",
+        [
+            (3, 15, "0.1,0.2", r":3: expected 16 fields, got 17"),
+            (3, 3, "intruder", r":3: column 'label': bad label 'intruder'"),
+            (2, 4, "2", r":2: column 'iris_valid': bad flag '2'"),
+            (2, 5, "abc", r":2: column 'hamming': not a number: 'abc'"),
+            (3, 11, "inf", r":3: column 'perioc_dist': non-finite value"),
+            (2, 6, "nan", r":2: column 'ws': non-finite value"),
+            (2, 7, "1.5", r":2: column 'best_shift': not an integer: '1.5'"),
+            (2, 8, str(2**53), r":2: column 'joint_valid': integer out of range"),
+            (3, 9, "", r":3: column 'mask_rate_a': not a number: ''"),
+        ],
+    )
+    def test_parse_error_names_file_line_and_column(
+        self, tmp_path, line, column, text, message
+    ):
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, match_table())
+        replace_field(path, line, column, text)
+        with pytest.raises(fileio.ParseError, match=r"match\.csv" + message):
+            fileio.read_match_csv(path)
+
+    def test_first_fault_in_file_order_across_blocks(self, tmp_path):
+        n = fileio.BLOCK_ROWS + 7
+        table = {name: values[:1] * n for name, values in match_table().items()}
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, table)
+        assert len(fileio.read_match_csv(path)["a_id"]) == n
+        bad_line = fileio.BLOCK_ROWS + 4  # in the second block
+        replace_field(path, bad_line + 1, 3, "intruder")
+        replace_field(path, bad_line, 12, "x")  # earlier line, later column
+        with pytest.raises(fileio.ParseError, match=rf":{bad_line}: column 'eye_sum'"):
+            fileio.read_match_csv(path)
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "match.csv"
-        fileio.write_match_csv(path, self.rows())
+        fileio.write_match_csv(path, match_table())
         path.write_text(path.read_text().replace("impostor", "intruder"))
         with pytest.raises(fileio.ParseError, match="bad label"):
             fileio.read_match_csv(path)
@@ -205,34 +293,64 @@ class TestMatchCsv:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "match.csv"
         path.write_text("a,b\n")
-        with pytest.raises(fileio.ParseError, match="header"):
+        with pytest.raises(fileio.ParseError, match=r"match\.csv:1: bad match-table header"):
             fileio.read_match_csv(path)
+
+    def test_header_only_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "match.csv"
+        table = {name: [] for name, _ in fileio.MATCH_SCHEMA}
+        fileio.write_match_csv(path, table)
+        again = fileio.read_match_csv(path)
+        assert all(values.size == 0 for values in again.values())
+        assert again["iris_valid"].dtype == bool
+
+    def test_out_of_range_cue_in_usable_row_names_the_cue(self, tmp_path):
+        table = match_table()
+        table["mask_rate_b"] = [1.5, 1.5]
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, table)
+        matches = fileio.read_match_csv(path)  # ranges are a cue rule, not a format rule
+        norm = NormalizationParams(0.0, 2.0)
+        with pytest.raises(ValueError, match=r"mask_rate_b must lie in \[0, 1\], got 1.5"):
+            cue_matrix(matches, norm)
+        matches["iris_valid"][0] = False  # unusable rows are not fed to the network
+        assert cue_matrix(matches, norm).shape == (0, 8)
 
 
 class TestScoreCsv:
     @staticmethod
-    def rows():
-        return [
-            fileio.ScoreRow(
-                a_id="S0:L:0", b_id="S0:L:1", side="L", label="genuine",
-                iris_score=1.456, perioc_norm=0.25, mask_rate_a=0.9,
-                mask_rate_b=0.8, eye_sum=0.4, eye_diff=0.0, brow_sum=0.3,
-                brow_diff=0.0, hamming=0.11, ws=1.456, static=0.81,
-                dynamic=0.97,
-            ),
-            fileio.ScoreRow(
-                a_id="S0:L:0", b_id="S2:L:0", side="L", label="impostor",
-                iris_score=None, perioc_norm=None, mask_rate_a=0.2,
-                mask_rate_b=0.1, eye_sum=0.5, eye_diff=0.2, brow_sum=0.2,
-                brow_diff=0.1, hamming=None, ws=None, static=None,
-                dynamic=None,
-            ),
-        ]
+    def table():
+        return {
+            "a_id": ["S0:L:0", "S0:L:0"],
+            "b_id": ["S0:L:1", "S2:L:0"],
+            "side": ["L", "L"],
+            "label": ["genuine", "impostor"],
+            "iris_score": [1.456, np.nan],
+            "perioc_norm": [0.25, np.nan],
+            "mask_rate_a": [0.9, 0.2],
+            "mask_rate_b": [0.8, 0.1],
+            "eye_sum": [0.4, 0.5],
+            "eye_diff": [0.0, 0.2],
+            "brow_sum": [0.3, 0.2],
+            "brow_diff": [0.0, 0.1],
+            "hamming": [0.11, np.nan],
+            "ws": [1.456, np.nan],
+            "static": [0.81, np.nan],
+            "dynamic": [0.97, np.nan],
+        }
 
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "scores.csv"
-        fileio.write_score_csv(path, self.rows())
-        assert fileio.read_score_csv(path) == self.rows()
+        fileio.write_score_csv(path, self.table())
+        assert_tables_equal(fileio.read_score_csv(path), self.table())
+        lines = path.read_text().splitlines()
+        assert lines[2] == "S0:L:0,S2:L:0,L,impostor,,,0.2,0.1,0.5,0.2,0.2,0.1,,,,"
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        table = self.table()
+        table["dynamic"] = [0.5]
+        with pytest.raises(ValueError, match="differ in length"):
+            fileio.write_score_csv(tmp_path / "scores.csv", table)
 
 
 class TestRocCsv:

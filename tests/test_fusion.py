@@ -6,7 +6,7 @@ import pytest
 from irisfuse.bitmatch import IrisMatchResult, ShiftPolicy, match_pair
 from irisfuse.fusion import (
     NormalizationParams,
-    assemble_cues,
+    cue_matrix,
     dynamic_fuse,
     normalized_distance,
     perioc_distance,
@@ -66,6 +66,21 @@ class TestNormalization:
         assert normalized_distance(5.0, norm) == 1.0
 
 
+def match_row(iris, distance, a, b, usable=True):
+    """One match-table row of a compared pair, as ``match`` writes it."""
+    return {
+        "iris_valid": np.array([usable]),
+        "ws": np.array([iris.ws_score]),
+        "perioc_dist": np.array([distance]),
+        "mask_rate_a": np.array([iris.mask_rate_a]),
+        "mask_rate_b": np.array([iris.mask_rate_b]),
+        "eye_sum": np.array([a.eye_area + b.eye_area]),
+        "eye_diff": np.array([a.eye_area - b.eye_area]),
+        "brow_sum": np.array([a.brow_area + b.brow_area]),
+        "brow_diff": np.array([a.brow_area - b.brow_area]),
+    }
+
+
 class TestAssembleCues:
     NORM = NormalizationParams(perioc_min=0.0, perioc_max=2.0)
 
@@ -80,9 +95,13 @@ class TestAssembleCues:
             mask_rate_b=rate_b,
         )
 
+    def cues(self, *args, norm=None):
+        (row,) = cue_matrix(match_row(*args), norm or self.NORM)
+        return CueVector.from_array(row)
+
     def test_identical_records_symmetric_cues(self):
         a = record([1.0, 0.0], eye=0.2, brow=0.1)
-        cues = assemble_cues(self.iris_result(), 1.0, self.NORM, a, a)
+        cues = self.cues(self.iris_result(), 1.0, a, a)
         assert cues.eye_sum == pytest.approx(0.4)
         assert cues.eye_diff == 0.0
         assert cues.brow_sum == pytest.approx(0.2)
@@ -90,7 +109,7 @@ class TestAssembleCues:
 
     def test_distance_at_minimum_normalises_to_zero(self):
         a = record([1.0, 0.0])
-        cues = assemble_cues(self.iris_result(), 0.0, self.NORM, a, a)
+        cues = self.cues(self.iris_result(), 0.0, a, a)
         assert cues.perioc_dist == 0.0
 
     def test_full_worked_pair_on_synthetic_templates(self):
@@ -112,7 +131,7 @@ class TestAssembleCues:
         pb = record([0.0, 4.0], eye=0.15, brow=0.20)
         distance = perioc_distance(pa, pb)  # 5.0 by construction
         norm = NormalizationParams(perioc_min=1.0, perioc_max=6.0)
-        cues = assemble_cues(iris, distance, norm, pa, pb)
+        cues = self.cues(iris, distance, pa, pb, norm=norm)
         assert cues.iris_score == iris.ws_score
         assert cues.perioc_dist == pytest.approx((5.0 - 1.0) / 5.0, abs=1e-15)
         assert (cues.mask_rate_a, cues.mask_rate_b) == (1.0, 1.0)
@@ -126,13 +145,22 @@ class TestAssembleCues:
         b = record([0.0, 1.0], eye=0.15, brow=0.20)
         iris = self.iris_result(rate_a=0.8, rate_b=0.8)
         d = perioc_distance(a, b)
-        forward = assemble_cues(iris, d, self.NORM, a, b)
-        backward = assemble_cues(iris, d, self.NORM, b, a)
+        forward = self.cues(iris, d, a, b)
+        backward = self.cues(iris, d, b, a)
         assert backward.eye_diff == -forward.eye_diff
         assert backward.brow_diff == -forward.brow_diff
         assert backward.eye_sum == forward.eye_sum
         assert backward.iris_score == forward.iris_score
         assert backward.perioc_dist == forward.perioc_dist
+
+    def test_checks_every_row_with_the_cue_vector_rules(self):
+        a = record([1.0, 0.0])
+        table = match_row(self.iris_result(), 1.0, a, a)
+        table["mask_rate_b"] = np.array([-0.25])
+        with pytest.raises(ValueError, match=r"mask_rate_b must lie in \[0, 1\]"):
+            cue_matrix(table, self.NORM)
+        with pytest.raises(ValueError, match=r"mask_rate_b must lie in \[0, 1\]"):
+            CueVector(0.8, 0.5, 0.9, -0.25, 0.4, 0.0, 0.2, 0.0)
 
 
 class TestStaticFuse:
@@ -176,13 +204,13 @@ class TestStaticFuse:
 class TestDynamicFuse:
     def test_zero_params_give_half(self):
         cues = CueVector(0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5, 0.0)
-        assert dynamic_fuse(MlpParams.zeros(), cues) == 0.5
+        assert dynamic_fuse(MlpParams.zeros(), [cues.as_array()]).tolist() == [0.5]
 
     def test_output_in_unit_interval_for_random_cues(self):
         rng = np.random.default_rng(2)
         params = MlpParams.init_random(rng)
-        for _ in range(1000):
-            cues = CueVector(
+        cues = np.stack([
+            CueVector(
                 iris_score=float(rng.uniform(0, 2)),
                 perioc_dist=float(rng.uniform(0, 1)),
                 mask_rate_a=float(rng.uniform(0, 1)),
@@ -191,8 +219,12 @@ class TestDynamicFuse:
                 eye_diff=float(rng.uniform(-1, 1)),
                 brow_sum=float(rng.uniform(0, 2)),
                 brow_diff=float(rng.uniform(-1, 1)),
-            )
-            assert 0.0 <= dynamic_fuse(params, cues) <= 1.0
+            ).as_array()
+            for _ in range(1000)
+        ])
+        scores = dynamic_fuse(params, cues)
+        assert scores.shape == (1000,)
+        assert ((0.0 <= scores) & (scores <= 1.0)).all()
 
     def test_trained_network_separates_constructed_classes(self):
         rng = np.random.default_rng(3)
@@ -219,10 +251,4 @@ class TestDynamicFuse:
             TrainConfig(learning_rate=1e-2, epochs=150, seed=4,
                         genuine_impostor_ratio=None),
         )
-        gen_scores = [
-            dynamic_fuse(params, CueVector.from_array(v)) for v in genuine
-        ]
-        imp_scores = [
-            dynamic_fuse(params, CueVector.from_array(v)) for v in impostor
-        ]
-        assert np.mean(gen_scores) > np.mean(imp_scores)
+        assert dynamic_fuse(params, genuine).mean() > dynamic_fuse(params, impostor).mean()
