@@ -241,13 +241,12 @@ def cmd_match(args) -> int:
     if args.unmasked_ws:
         ws = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy, unmasked=True).ws
     mask_rates = np.array([t.valid_count() / t.n_pixels for t in templates])
-    perioc_index = {ref: k for k, ref in enumerate(periocular)}
-    areas = np.array([(r.eye_area, r.brow_area) for r in periocular.values()])
-    pa, pb = (
-        np.array([perioc_index[getattr(m, s).periocular_ref] for _, m in rows_of], dtype=np.intp)
-        for s in ("a", "b")
-    )
-    (eye_a, brow_a), (eye_b, brow_b) = areas[pa].T, areas[pb].T
+    p_a = [periocular[member.a.periocular_ref] for _, member in rows_of]
+    p_b = [periocular[member.b.periocular_ref] for _, member in rows_of]
+    eye_a = np.array([p.eye_area for p in p_a])
+    eye_b = np.array([p.eye_area for p in p_b])
+    brow_a = np.array([p.brow_area for p in p_a])
+    brow_b = np.array([p.brow_area for p in p_b])
     usable = scores.usable
     fileio.write_match_csv(args.out, {
         "a_id": [group.a_id for group, _ in rows_of],
@@ -261,10 +260,7 @@ def cmd_match(args) -> int:
         "joint_valid": np.where(usable, scores.joint_valid, np.nan),
         "mask_rate_a": mask_rates[ia],
         "mask_rate_b": mask_rates[ib],
-        "perioc_dist": [
-            fusion.perioc_distance(periocular[m.a.periocular_ref], periocular[m.b.periocular_ref])
-            for _, m in rows_of
-        ],
+        "perioc_dist": [fusion.perioc_distance(a, b) for a, b in zip(p_a, p_b)],
         "eye_sum": eye_a + eye_b,
         "eye_diff": eye_a - eye_b,
         "brow_sum": brow_a + brow_b,

@@ -15,7 +15,7 @@ each column's name and kind in file order:
     flag     ``1`` or ``0``                     bool array
     float    finite number, ``repr`` text       float64 array
     float?   empty, or a finite number          float64, NaN if empty
-    int?     empty, or an integer below 2**53   float64, NaN if empty
+    int?     empty, or an integer, |v| < 2**53  float64, NaN if empty
 
 Readers and writers stream :data:`BLOCK_ROWS` rows at a time.  A
 parse error names the first bad field in file order.  The match CSV
