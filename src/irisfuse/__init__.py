@@ -38,8 +38,7 @@ from .evaluation import (
     TarAtFar,
     count_pairs,
     eer,
-    generate_pairs,
-    iter_pair_groups,
+    protocol_pairs,
     roc_auc,
     roc_curve,
     sum_rule_combine,
@@ -102,8 +101,7 @@ __all__ = [
     "TarAtFar",
     "count_pairs",
     "eer",
-    "generate_pairs",
-    "iter_pair_groups",
+    "protocol_pairs",
     "roc_auc",
     "roc_curve",
     "sum_rule_combine",

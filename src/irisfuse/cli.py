@@ -18,8 +18,9 @@ from .evaluation import (
     PROTOCOLS,
     WITHIN_SIDE,
     ScoreSet,
+    count_pairs,
     eer,
-    generate_pairs,
+    protocol_pairs,
     roc_curve,
     sum_rule_combine,
     tar_at_far,
@@ -215,7 +216,8 @@ def cmd_match(args) -> int:
     manifest = fileio.read_manifest(args.manifest)
     periocular = fileio.read_feature_csv(args.features)
     policy = bitmatch.ShiftPolicy(max_shift=args.max_shift, step=args.step)
-    pairs = generate_pairs(manifest, args.protocol)
+    pairs = protocol_pairs(manifest, args.protocol)
+    a, b = pairs["a"], pairs["b"]
 
     templates_dir = Path(args.templates_dir)
     index: dict[str, int] = {}
@@ -229,30 +231,24 @@ def cmd_match(args) -> int:
         if entry.periocular_ref not in periocular:
             raise ValueError(f"feature table misses id {entry.periocular_ref!r}")
 
-    rows_of = [
-        (group, member)
-        for group in (*pairs.genuine, *pairs.impostor)
-        for member in group.members
-    ]
-    ia = np.array([index[member.a.template_ref] for _, member in rows_of], dtype=np.intp)
-    ib = np.array([index[member.b.template_ref] for _, member in rows_of], dtype=np.intp)
+    # per-entry arrays, gathered per comparison by the manifest rows a and b
+    entries = manifest.entries
+    template_of = np.array([index[e.template_ref] for e in entries], dtype=np.intp)
+    records = [periocular[e.periocular_ref] for e in entries]
+    eye = np.array([r.eye_area for r in records])
+    brow = np.array([r.brow_area for r in records])
+    ia, ib = template_of[a], template_of[b]
     scores = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy)
     ws = scores.ws
     if args.unmasked_ws:
         ws = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy, unmasked=True).ws
     mask_rates = np.array([t.valid_count() / t.n_pixels for t in templates])
-    p_a = [periocular[member.a.periocular_ref] for _, member in rows_of]
-    p_b = [periocular[member.b.periocular_ref] for _, member in rows_of]
-    eye_a = np.array([p.eye_area for p in p_a])
-    eye_b = np.array([p.eye_area for p in p_b])
-    brow_a = np.array([p.brow_area for p in p_a])
-    brow_b = np.array([p.brow_area for p in p_b])
     usable = scores.usable
     fileio.write_match_csv(args.out, {
-        "a_id": [group.a_id for group, _ in rows_of],
-        "b_id": [group.b_id for group, _ in rows_of],
-        "side": [member.a.eye_side for _, member in rows_of],
-        "label": [group.label.name.lower() for group, _ in rows_of],
+        "a_id": pairs["a_id"],
+        "b_id": pairs["b_id"],
+        "side": np.array([e.eye_side for e in entries])[a],
+        "label": np.where(pairs["genuine"], "genuine", "impostor"),
         "iris_valid": usable,
         "hamming": np.where(usable, scores.hamming, np.nan),
         "ws": np.where(usable, ws, np.nan),
@@ -260,14 +256,17 @@ def cmd_match(args) -> int:
         "joint_valid": np.where(usable, scores.joint_valid, np.nan),
         "mask_rate_a": mask_rates[ia],
         "mask_rate_b": mask_rates[ib],
-        "perioc_dist": [fusion.perioc_distance(a, b) for a, b in zip(p_a, p_b)],
-        "eye_sum": eye_a + eye_b,
-        "eye_diff": eye_a - eye_b,
-        "brow_sum": brow_a + brow_b,
-        "brow_diff": brow_a - brow_b,
+        "perioc_dist": [
+            fusion.perioc_distance(records[i], records[j])
+            for i, j in zip(a.tolist(), b.tolist())
+        ],
+        "eye_sum": eye[a] + eye[b],
+        "eye_diff": eye[a] - eye[b],
+        "brow_sum": brow[a] + brow[b],
+        "brow_diff": brow[a] - brow[b],
     })
-    n_gen, n_imp = pairs.counts
-    print(f"wrote {len(rows_of)} comparisons ({n_gen} genuine / {n_imp} impostor groups)")
+    n_gen, n_imp = count_pairs(manifest, args.protocol)
+    print(f"wrote {len(a)} comparisons ({n_gen} genuine / {n_imp} impostor groups)")
     return 0
 
 
@@ -348,6 +347,15 @@ def _collect_scores(
                     f"({a_id}, {b_id}) has {len(members)}"
                 )
         first, second = np.array(list(grouped.values()), dtype=np.intp).reshape(-1, 2).T
+        pair_sides = np.sort([table["side"][first], table["side"][second]], axis=0)
+        bad = np.flatnonzero((pair_sides[0] != "L") | (pair_sides[1] != "R"))
+        if bad.size:
+            k = first[bad[0]]
+            raise ValueError(
+                f"sum rule expects one L and one R comparison per pair, "
+                f"({table['a_id'][k]}, {table['b_id'][k]}) has sides "
+                f"{pair_sides[:, bad[0]].tolist()}"
+            )
         values = sum_rule_combine(values[first], values[second])
         genuine = genuine[first]
     scored = ~np.isnan(values)  # a pair is unusable if either side is
@@ -369,7 +377,7 @@ def cmd_eval(args) -> int:
         print(f"skipped {skipped} comparisons without a {args.column} score",
               file=sys.stderr)
     curve = roc_curve(scores)
-    result = tar_at_far(scores, args.far_target)
+    result = tar_at_far(curve, args.far_target, n_impostor=scores.n_impostor)
     if result.underpowered:
         print(
             f"warning: {scores.n_impostor} impostor scores cannot resolve "
@@ -380,7 +388,7 @@ def cmd_eval(args) -> int:
         "dataset": args.dataset,
         "n_genuine": scores.n_genuine,
         "n_impostor": scores.n_impostor,
-        "eer": eer(scores),
+        "eer": eer(curve),
         "tar_at_far": result.tar,
         "far_target": args.far_target,
         "alpha": args.alpha,

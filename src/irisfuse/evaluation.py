@@ -1,12 +1,20 @@
 """Verification-protocol machinery: pair generation, ROC, EER, TAR@FAR.
 
+A protocol's comparisons are index arrays, not objects:
+:func:`protocol_pairs` returns one row per comparison with its two
+manifest rows, its genuine flag and its pair-group ids, built from
+upper-triangle indices over each block of comparable units.
+:func:`count_pairs` gives the same counts from closed forms.
+
 Conventions, fixed across the package and echoed in output metadata:
 
 * a comparison is accepted when ``score >= threshold``;
 * thresholds sweep every distinct observed score (exact empirical ROC)
   unless a bin count is requested for very large score sets;
 * EER interpolates linearly in (FAR, FRR) space between the two ROC
-  points bracketing the crossing.
+  points bracketing the crossing;
+* :func:`eer` and :func:`tar_at_far` read one :class:`RocCurve`, so a
+  report sorts and sweeps its scores once.
 
 Score sets carry an orientation flag so distance-like scores (lower is
 genuine) evaluate identically to similarity scores.
@@ -14,14 +22,11 @@ genuine) evaluate identically to similarity scores.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-from .templates import MatchLabel
 
 EYE_SIDES = ("L", "R")
 
@@ -73,128 +78,93 @@ class Manifest:
     def sides(self) -> list[str]:
         return sorted({e.eye_side for e in self.entries})
 
-    def filter_side(self, side: str) -> list[ManifestEntry]:
-        return sorted(
-            (e for e in self.entries if e.eye_side == side),
-            key=lambda e: (e.subject_id, e.sample_index),
-        )
-
     def filter_subjects(self, keep) -> "Manifest":
         keep = set(keep)
         return Manifest(tuple(e for e in self.entries if e.subject_id in keep))
 
 
-@dataclass(frozen=True)
-class ComparisonPair:
-    a: ManifestEntry
-    b: ManifestEntry
+def _unit_blocks(manifest: Manifest, protocol: str):
+    """Validated blocks of comparable units, as ``(members, ids, subjects)``.
 
-
-@dataclass(frozen=True)
-class PairGroup:
-    """One scored unit: an identity pair with one comparison per shared side.
-
-    Within-side pairing yields a single member; the left/right protocol
-    yields an aligned (L, R) member pair whose scores are later combined
-    with the sum rule.
-    """
-
-    a_id: str
-    b_id: str
-    label: MatchLabel
-    members: tuple[ComparisonPair, ...]
-
-
-@dataclass(frozen=True)
-class PairSet:
-    genuine: tuple[PairGroup, ...]
-    impostor: tuple[PairGroup, ...]
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        return len(self.genuine), len(self.impostor)
-
-
-def _iter_within_side_pairs(manifest: Manifest):
-    for side in manifest.sides():
-        entries = manifest.filter_side(side)
-        for a, b in itertools.combinations(entries, 2):
-            label = (
-                MatchLabel.GENUINE
-                if a.subject_id == b.subject_id
-                else MatchLabel.IMPOSTOR
-            )
-            yield PairGroup(
-                a_id=a.entry_id,
-                b_id=b.entry_id,
-                label=label,
-                members=(ComparisonPair(a, b),),
-            )
-
-
-def _left_right_units(manifest: Manifest) -> list[tuple[str, int, ManifestEntry, ManifestEntry]]:
-    by_key: dict[tuple[str, int], dict[str, ManifestEntry]] = {}
-    for e in manifest.entries:
-        by_key.setdefault((e.subject_id, e.sample_index), {})[e.eye_side] = e
-    units = []
-    for (subject, index), sides in sorted(by_key.items()):
-        if set(sides) != set(EYE_SIDES):
-            raise ValueError(
-                f"{LEFT_RIGHT_DISJOINT} requires both eye sides per sample; "
-                f"({subject}, {index}) has only {sorted(sides)}"
-            )
-        units.append((subject, index, sides["L"], sides["R"]))
-    return units
-
-
-def _iter_left_right_pairs(manifest: Manifest):
-    units = _left_right_units(manifest)
-    for ua, ub in itertools.combinations(units, 2):
-        subj_a, idx_a, left_a, right_a = ua
-        subj_b, idx_b, left_b, right_b = ub
-        label = MatchLabel.GENUINE if subj_a == subj_b else MatchLabel.IMPOSTOR
-        yield PairGroup(
-            a_id=f"{subj_a}:{idx_a}",
-            b_id=f"{subj_b}:{idx_b}",
-            label=label,
-            members=(
-                ComparisonPair(left_a, left_b),
-                ComparisonPair(right_a, right_b),
-            ),
-        )
-
-
-def iter_pair_groups(manifest: Manifest, protocol: str = WITHIN_SIDE):
-    """Lazily yield every pair group under a matching protocol.
-
-    ``all-vs-all-within-side`` compares every same-side sample pair; for
-    S subjects with n samples per side that is ``S * C(n, 2)`` genuine
-    and ``C(S, 2) * n^2`` impostor groups per side.  The
-    ``left-right-disjoint`` protocol pairs (subject, sample) units, each
-    carrying a left-left and a right-right comparison for sum-rule
-    combination, giving the same closed forms over units.
+    ``members`` is an ``(n_units, k)`` array of rows into
+    ``manifest.entries``: one entry per unit within a side, or the
+    ``(L, R)`` entries of a (subject, sample) unit.  Units are sorted by
+    (subject, sample); only units of one block are compared.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if len(manifest.subjects()) < 2:
         raise ValueError("pair generation needs at least two subjects")
+    entries = manifest.entries
     if protocol == WITHIN_SIDE:
-        return _iter_within_side_pairs(manifest)
-    return _iter_left_right_pairs(manifest)
+        blocks = []
+        for side in manifest.sides():
+            rows = sorted(
+                (k for k, e in enumerate(entries) if e.eye_side == side),
+                key=lambda k: (entries[k].subject_id, entries[k].sample_index),
+            )
+            blocks.append((
+                np.array(rows, dtype=np.intp).reshape(-1, 1),
+                [entries[k].entry_id for k in rows],
+                [entries[k].subject_id for k in rows],
+            ))
+        return blocks
+    by_key: dict[tuple[str, int], dict[str, int]] = {}
+    for k, e in enumerate(entries):
+        by_key.setdefault((e.subject_id, e.sample_index), {})[e.eye_side] = k
+    units = sorted(by_key)
+    for subject, index in units:
+        if set(by_key[subject, index]) != set(EYE_SIDES):
+            raise ValueError(
+                f"{LEFT_RIGHT_DISJOINT} requires both eye sides per sample; "
+                f"({subject}, {index}) has only {sorted(by_key[subject, index])}"
+            )
+    members = np.array(
+        [[by_key[u][side] for side in EYE_SIDES] for u in units], dtype=np.intp
+    )
+    return [(members, [f"{s}:{i}" for s, i in units], [s for s, _ in units])]
 
 
-def generate_pairs(manifest: Manifest, protocol: str = WITHIN_SIDE) -> PairSet:
-    """Materialised genuine/impostor pair groups (see :func:`iter_pair_groups`).
+def protocol_pairs(manifest: Manifest, protocol: str = WITHIN_SIDE) -> dict[str, np.ndarray]:
+    """Every comparison of a matching protocol, as columns of one row each.
 
-    Fine at desk scale; verification-protocol runs with millions of
-    pairs should stream :func:`iter_pair_groups` or count with
-    :func:`count_pairs` instead.
+    ``a`` and ``b`` are rows into ``manifest.entries``, ``genuine`` is
+    subject equality and ``a_id``/``b_id`` name the pair group.
+    ``all-vs-all-within-side`` compares every same-side sample pair; for
+    S subjects with n samples per side that is ``S * C(n, 2)`` genuine
+    and ``C(S, 2) * n^2`` impostor groups per side.  The
+    ``left-right-disjoint`` protocol pairs (subject, sample) units; each
+    group is two rows, its left-left then its right-right comparison,
+    for sum-rule combination, with the same closed forms over units.
+
+    Groups are ordered genuine first, each class in
+    ``itertools.combinations`` order over the (subject, sample)-sorted
+    units of each side in turn.
     """
-    genuine: list[PairGroup] = []
-    impostor: list[PairGroup] = []
-    for group in iter_pair_groups(manifest, protocol):
-        (genuine if group.label is MatchLabel.GENUINE else impostor).append(group)
-    return PairSet(genuine=tuple(genuine), impostor=tuple(impostor))
+    blocks = _unit_blocks(manifest, protocol)
+    members = np.concatenate([m for m, _, _ in blocks])
+    ids = np.array([i for _, block_ids, _ in blocks for i in block_ids])
+    _, subject = np.unique(
+        [s for _, _, subjects in blocks for s in subjects], return_inverse=True
+    )
+    ua, ub, start = [], [], 0
+    for m, _, _ in blocks:
+        i, j = np.triu_indices(len(m), k=1)
+        ua.append(i + start)
+        ub.append(j + start)
+        start += len(m)
+    ua, ub = np.concatenate(ua), np.concatenate(ub)
+    genuine = subject[ua] == subject[ub]
+    order = np.concatenate([np.flatnonzero(genuine), np.flatnonzero(~genuine)])
+    ua, ub = ua[order], ub[order]
+    k = members.shape[1]  # rows per group
+    return {
+        "a": members[ua].reshape(-1),
+        "b": members[ub].reshape(-1),
+        "genuine": np.repeat(genuine[order], k),
+        "a_id": ids[np.repeat(ua, k)],
+        "b_id": ids[np.repeat(ub, k)],
+    }
 
 
 def _closed_form_counts(subject_of_unit: list[str]) -> tuple[int, int]:
@@ -210,18 +180,13 @@ def count_pairs(manifest: Manifest, protocol: str = WITHIN_SIDE) -> tuple[int, i
     Per side (or over (subject, sample) units for the left/right
     protocol) genuine is the sum of ``C(n_s, 2)`` over subjects and
     impostor is ``C(N, 2)`` minus that.  Raises the same errors as
-    :func:`iter_pair_groups`.
+    :func:`protocol_pairs`.
     """
-    iter_pair_groups(manifest, protocol)  # validates; the iterator is never run
-    if protocol == WITHIN_SIDE:
-        unit_lists = [
-            [e.subject_id for e in manifest.filter_side(side)]
-            for side in manifest.sides()
-        ]
-    else:
-        unit_lists = [[subject for subject, *_ in _left_right_units(manifest)]]
-    genuine, impostor = zip(*(_closed_form_counts(units) for units in unit_lists))
-    return sum(genuine), sum(impostor)
+    counts = [
+        _closed_form_counts(subjects)
+        for _, _, subjects in _unit_blocks(manifest, protocol)
+    ]
+    return sum(g for g, _ in counts), sum(i for _, i in counts)
 
 
 def sum_rule_combine(left_scores, right_scores) -> np.ndarray:
@@ -264,11 +229,6 @@ class ScoreSet:
         return -self.genuine, -self.impostor
 
 
-def _require_nonempty(scores: ScoreSet) -> None:
-    if scores.n_genuine == 0 or scores.n_impostor == 0:
-        raise ValueError("metric computation needs non-empty genuine and impostor sets")
-
-
 @dataclass(frozen=True)
 class RocCurve:
     """Operating points ordered by descending threshold.
@@ -292,7 +252,8 @@ def roc_curve(scores: ScoreSet, resolution: int | None = None) -> RocCurve:
     exactly (tens of millions); it places that many equispaced
     thresholds across the observed range instead.
     """
-    _require_nonempty(scores)
+    if scores.n_genuine == 0 or scores.n_impostor == 0:
+        raise ValueError("metric computation needs non-empty genuine and impostor sets")
     genuine, impostor = scores.oriented()
     if resolution is None:
         thresholds = np.unique(np.concatenate([genuine, impostor]))
@@ -322,9 +283,8 @@ def roc_auc(curve: RocCurve) -> float:
     return float(np.trapezoid(curve.tar, curve.far))
 
 
-def eer(scores: ScoreSet) -> float:
-    """Rate at the FAR = FRR crossing, linearly interpolated."""
-    curve = roc_curve(scores)
+def eer(curve: RocCurve) -> float:
+    """Rate at the FAR = FRR crossing of a ROC, linearly interpolated."""
     far = curve.far
     frr = 1.0 - curve.tar
     diff = far - frr  # runs from -1 (reject all) towards +1 (accept all)
@@ -353,12 +313,14 @@ class TarAtFar:
     underpowered: bool
 
 
-def tar_at_far(scores: ScoreSet, far_target: float = 1e-4) -> TarAtFar:
-    """Maximum TAR among swept thresholds with empirical FAR <= target."""
+def tar_at_far(curve: RocCurve, far_target: float = 1e-4, *, n_impostor: int) -> TarAtFar:
+    """Maximum TAR among a ROC's thresholds with empirical FAR <= target.
+
+    ``n_impostor`` is the size of the impostor set the curve was built
+    from; it decides ``underpowered``.
+    """
     if not 0.0 <= far_target <= 1.0:
         raise ValueError(f"far_target must lie in [0, 1], got {far_target}")
-    _require_nonempty(scores)
-    curve = roc_curve(scores)
     qualifying = np.flatnonzero(curve.far <= far_target)
     # far is non-decreasing along the curve, so qualifying is a prefix;
     # its last index carries the highest tar.
@@ -367,5 +329,5 @@ def tar_at_far(scores: ScoreSet, far_target: float = 1e-4) -> TarAtFar:
         tar=float(curve.tar[k]),
         threshold=float(curve.thresholds[k]),
         achieved_far=float(curve.far[k]),
-        underpowered=scores.n_impostor * far_target < 1.0,
+        underpowered=n_impostor * far_target < 1.0,
     )

@@ -23,6 +23,7 @@ from irisfuse.evaluation import (
     ScoreSet,
     count_pairs,
     eer,
+    protocol_pairs,
     roc_curve,
     tar_at_far,
 )
@@ -120,38 +121,58 @@ def _shape_manifest(subjects: int, samples: int, sides: str) -> Manifest:
     return Manifest(tuple(entries))
 
 
+def _enumerated_counts(manifest: Manifest, protocol: str, rows_per_group: int):
+    """(genuine, impostor) groups of the protocol's index arrays."""
+    pairs = protocol_pairs(manifest, protocol)
+    n_rows = pairs["a"].size
+    assert pairs["b"].size == pairs["genuine"].size == n_rows
+    assert n_rows % rows_per_group == 0
+    genuine = int(np.count_nonzero(pairs["genuine"]))
+    return genuine // rows_per_group, (n_rows - genuine) // rows_per_group
+
+
 def test_protocol_counts():
-    single = count_pairs(_shape_manifest(159, 10, "L"), WITHIN_SIDE)
-    combined = count_pairs(_shape_manifest(180, 10, "LR"), LEFT_RIGHT_DISJOINT)
-    ok = single == (7_155, 1_256_100) and combined == (8_100, 1_611_000)
+    single_manifest = _shape_manifest(159, 10, "L")
+    combined_manifest = _shape_manifest(180, 10, "LR")
+    single = count_pairs(single_manifest, WITHIN_SIDE)
+    combined = count_pairs(combined_manifest, LEFT_RIGHT_DISJOINT)
+    single_rows = _enumerated_counts(single_manifest, WITHIN_SIDE, 1)
+    combined_rows = _enumerated_counts(combined_manifest, LEFT_RIGHT_DISJOINT, 2)
+    ok = (
+        single == single_rows == (7_155, 1_256_100)
+        and combined == combined_rows == (8_100, 1_611_000)
+    )
     report(
         "protocol-counts",
         ok,
-        f"159x10 single side -> {single[0]:,}/{single[1]:,}; "
-        f"180x10 both sides + sum rule -> {combined[0]:,}/{combined[1]:,}",
+        f"159x10 single side -> {single[0]:,}/{single[1]:,} "
+        f"(index arrays {single_rows[0]:,}/{single_rows[1]:,}); "
+        f"180x10 both sides + sum rule -> {combined[0]:,}/{combined[1]:,} "
+        f"(index arrays {combined_rows[0]:,}/{combined_rows[1]:,})",
     )
-    assert single == (7_155, 1_256_100)
-    assert combined == (8_100, 1_611_000)
+    assert single == single_rows == (7_155, 1_256_100)
+    assert combined == combined_rows == (8_100, 1_611_000)
 
 
 def test_metric_oracles():
     gaussian = gen_score_scenario(2, 2.0, 1.0, 0.0, 1.0, 100_000, 100_000)
-    gaussian_eer = eer(gaussian)
+    gaussian_eer = eer(roc_curve(gaussian))
     expected = normal_cdf(-1.0)
 
     disjoint = gen_score_scenario(3, 10.0, 0.5, 0.0, 0.5, 5_000, 5_000)
-    disjoint_eer = eer(disjoint)
+    disjoint_eer = eer(roc_curve(disjoint))
 
     base = gen_score_scenario(4, 1.0, 1.0, 0.0, 1.0, 20_000, 20_000)
     warped = ScoreSet(
         genuine=np.exp(0.5 * base.genuine), impostor=np.exp(0.5 * base.impostor)
     )
-    eer_drift = abs(eer(base) - eer(warped))
-    tar_drift = abs(
-        tar_at_far(base, 1e-3).tar - tar_at_far(warped, 1e-3).tar
-    )
     curve_base = roc_curve(base)
     curve_warped = roc_curve(warped)
+    eer_drift = abs(eer(curve_base) - eer(curve_warped))
+    tar_drift = abs(
+        tar_at_far(curve_base, 1e-3, n_impostor=base.n_impostor).tar
+        - tar_at_far(curve_warped, 1e-3, n_impostor=warped.n_impostor).tar
+    )
     roc_identical = (curve_base.far == curve_warped.far).all() and (
         curve_base.tar == curve_warped.tar
     ).all()
@@ -235,7 +256,9 @@ def test_end_to_end_fusion_benefit(tmp_path):
     iris01 = ws / (2.0 - 0.3)
 
     def eer_of(values):
-        return eer(ScoreSet(genuine=values[labels == 0], impostor=values[labels == 1]))
+        return eer(roc_curve(
+            ScoreSet(genuine=values[labels == 0], impostor=values[labels == 1])
+        ))
 
     iris_eer = eer_of(ws)
     perioc_eer = eer_of(perioc01)
@@ -329,13 +352,14 @@ def test_black_rate_exceeds_white_rate_for_genuine_pairs():
         degraded_fraction=0.0, mask_coverage_range=(0.8, 1.0),
     )
     population = gen_population(config)
-    from irisfuse.evaluation import generate_pairs
+    pairs = protocol_pairs(population.manifest)
+    refs = [e.template_ref for e in population.manifest.entries]
+    genuine = pairs["genuine"]
 
     white_rates, black_rates = [], []
-    for group in generate_pairs(population.manifest).genuine:
-        member = group.members[0]
-        a = population.templates[member.a.template_ref]
-        b = population.templates[member.b.template_ref]
+    for i, j in zip(pairs["a"][genuine].tolist(), pairs["b"][genuine].tolist()):
+        a = population.templates[refs[i]]
+        b = population.templates[refs[j]]
         white_rates.append(bitmatch.white_match_rate(a, b))
         black_rates.append(bitmatch.black_match_rate(a, b))
     mean_white = float(np.mean(white_rates))

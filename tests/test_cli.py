@@ -467,6 +467,24 @@ class TestSumRulePipeline:
         assert "(x, x') has 3" in err["message"]
         assert not (tmp_path / "sr-summary.json").exists()
 
+    def test_pair_without_one_left_and_one_right_is_rejected(self, tmp_path, capsys):
+        def row(a, b, side, label, dynamic):
+            return (f"{a},{b},{side},{label},1.0,0.1,0.9,0.9,0.4,0.0,0.2,0.0,"
+                    f"0.1,1.0,0.9,{dynamic}")
+
+        lines = [SCORE_HEADER,
+                 row("A:0", "A:1", "L", "genuine", 0.9), row("A:0", "A:1", "L", "genuine", 0.8),
+                 row("A:0", "B:0", "L", "impostor", 0.2), row("A:0", "B:0", "R", "impostor", 0.1)]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval", "--scores", scores, "--sum-rule",
+                       "--out-prefix", tmp_path / "sr", "--far-target", 0.5) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "(A:0, A:1)" in err["message"]
+        assert "one L and one R" in err["message"]
+        assert not (tmp_path / "sr-summary.json").exists()
+
 
 class TestCheckCommands:
     def test_gradcheck_passes(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,13 +12,12 @@ from irisfuse.evaluation import (
     ScoreSet,
     count_pairs,
     eer,
-    generate_pairs,
+    protocol_pairs,
     roc_auc,
     roc_curve,
     sum_rule_combine,
     tar_at_far,
 )
-from irisfuse.templates import MatchLabel
 
 
 def make_manifest(subjects: int, samples: int, sides: str = "L") -> Manifest:
@@ -46,11 +46,66 @@ class TestManifest:
             ManifestEntry("S1", "X", 0, "t", "p")
 
 
+def reference_pairs(manifest: Manifest, protocol: str) -> list[tuple]:
+    """``(a, b, genuine, a_id, b_id, side)`` per comparison, by enumeration.
+
+    Pair groups in ``itertools.combinations`` order over the
+    (subject, sample)-sorted units of each side (or over (subject, sample)
+    units for the left/right protocol), genuine groups first; a left/right
+    group is its L comparison, then its R comparison.
+    """
+    entries = manifest.entries
+    groups = []
+    if protocol == WITHIN_SIDE:
+        for side in sorted({e.eye_side for e in entries}):
+            units = sorted(
+                (k for k, e in enumerate(entries) if e.eye_side == side),
+                key=lambda k: (entries[k].subject_id, entries[k].sample_index),
+            )
+            for x, y in itertools.combinations(units, 2):
+                ex, ey = entries[x], entries[y]
+                groups.append((ex.subject_id == ey.subject_id, ex.entry_id,
+                               ey.entry_id, [(x, y, side)]))
+    else:
+        units: dict[tuple[str, int], dict[str, int]] = {}
+        for k, e in enumerate(entries):
+            units.setdefault((e.subject_id, e.sample_index), {})[e.eye_side] = k
+        for (kx, x), (ky, y) in itertools.combinations(sorted(units.items()), 2):
+            groups.append((kx[0] == ky[0], f"{kx[0]}:{kx[1]}", f"{ky[0]}:{ky[1]}",
+                           [(x["L"], y["L"], "L"), (x["R"], y["R"], "R")]))
+    ordered = [g for g in groups if g[0]] + [g for g in groups if not g[0]]
+    return [
+        (a, b, genuine, a_id, b_id, side)
+        for genuine, a_id, b_id, members in ordered
+        for a, b, side in members
+    ]
+
+
+def rows_of(manifest: Manifest, pairs: dict) -> list[tuple]:
+    """:func:`protocol_pairs` columns as reference tuples, checking sides."""
+    entries = manifest.entries
+    rows = []
+    for a, b, genuine, a_id, b_id in zip(
+        pairs["a"].tolist(), pairs["b"].tolist(), pairs["genuine"].tolist(),
+        pairs["a_id"].tolist(), pairs["b_id"].tolist(),
+    ):
+        assert entries[a].eye_side == entries[b].eye_side
+        rows.append((a, b, genuine, a_id, b_id, entries[a].eye_side))
+    return rows
+
+
+def group_counts(pairs: dict, rows_per_group: int = 1) -> tuple[int, int]:
+    genuine = pairs["genuine"]
+    n_gen = int(np.count_nonzero(genuine))
+    return n_gen // rows_per_group, (genuine.size - n_gen) // rows_per_group
+
+
 class TestGeneratePairs:
     def test_two_subjects_two_samples_by_hand(self):
-        pairs = generate_pairs(make_manifest(2, 2), WITHIN_SIDE)
-        assert pairs.counts == (2, 4)
-        genuine_ids = {(g.a_id, g.b_id) for g in pairs.genuine}
+        pairs = protocol_pairs(make_manifest(2, 2), WITHIN_SIDE)
+        assert group_counts(pairs) == (2, 4)
+        genuine_ids = set(zip(pairs["a_id"][pairs["genuine"]].tolist(),
+                              pairs["b_id"][pairs["genuine"]].tolist()))
         assert genuine_ids == {
             ("S0000:L:0", "S0000:L:1"),
             ("S0001:L:0", "S0001:L:1"),
@@ -71,25 +126,28 @@ class TestGeneratePairs:
 
     def test_sum_rule_units_and_members(self):
         manifest = make_manifest(3, 2, sides="LR")
-        pairs = generate_pairs(manifest, LEFT_RIGHT_DISJOINT)
-        assert pairs.counts == (3 * 1, 3 * 4)
-        group = pairs.genuine[0]
-        assert len(group.members) == 2
-        assert {m.a.eye_side for m in group.members} == {"L", "R"}
-        assert group.label is MatchLabel.GENUINE
+        pairs = protocol_pairs(manifest, LEFT_RIGHT_DISJOINT)
+        assert group_counts(pairs, rows_per_group=2) == (3 * 1, 3 * 4)
+        entries = manifest.entries
+        # the first group: two rows, its L comparison then its R comparison
+        assert [entries[a].eye_side for a in pairs["a"][:2]] == ["L", "R"]
+        assert [entries[b].eye_side for b in pairs["b"][:2]] == ["L", "R"]
+        assert pairs["a_id"][:2].tolist() == ["S0000:0", "S0000:0"]
+        assert pairs["b_id"][:2].tolist() == ["S0000:1", "S0000:1"]
+        assert pairs["genuine"][:2].all()
 
     def test_sum_rule_requires_both_sides(self):
         entries = list(make_manifest(2, 2, sides="LR").entries)
         with pytest.raises(ValueError, match="both eye sides"):
-            generate_pairs(Manifest(tuple(entries[:-1])), LEFT_RIGHT_DISJOINT)
+            protocol_pairs(Manifest(tuple(entries[:-1])), LEFT_RIGHT_DISJOINT)
 
     def test_fewer_than_two_subjects_rejected(self):
         with pytest.raises(ValueError, match="two subjects"):
-            generate_pairs(make_manifest(1, 5), WITHIN_SIDE)
+            protocol_pairs(make_manifest(1, 5), WITHIN_SIDE)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            generate_pairs(make_manifest(2, 2), "everything-vs-everything")
+            protocol_pairs(make_manifest(2, 2), "everything-vs-everything")
 
     def test_ragged_manifest_supported(self):
         # variable samples per subject still pair correctly
@@ -99,8 +157,8 @@ class TestGeneratePairs:
             ManifestEntry("A", "L", 2, "a2", "a2"),
             ManifestEntry("B", "L", 0, "b0", "b0"),
         )
-        pairs = generate_pairs(Manifest(entries), WITHIN_SIDE)
-        assert pairs.counts == (3, 3)
+        pairs = protocol_pairs(Manifest(entries), WITHIN_SIDE)
+        assert group_counts(pairs) == (3, 3)
 
     def test_count_pairs_agrees_with_enumeration(self):
         # ragged subjects, both sides, a side-only sample on one subject
@@ -112,10 +170,10 @@ class TestGeneratePairs:
         ]
         entries.append(ManifestEntry("C", "L", 7, "cl7", "cl7"))
         ragged = Manifest(tuple(entries))
-        assert count_pairs(ragged, WITHIN_SIDE) == generate_pairs(ragged).counts
+        assert count_pairs(ragged, WITHIN_SIDE) == group_counts(protocol_pairs(ragged))
         paired = Manifest(tuple(entries[:-1]))
-        assert count_pairs(paired, LEFT_RIGHT_DISJOINT) == (
-            generate_pairs(paired, LEFT_RIGHT_DISJOINT).counts
+        assert count_pairs(paired, LEFT_RIGHT_DISJOINT) == group_counts(
+            protocol_pairs(paired, LEFT_RIGHT_DISJOINT), rows_per_group=2
         )
 
     def test_count_pairs_raises_the_enumeration_errors(self):
@@ -126,6 +184,26 @@ class TestGeneratePairs:
             count_pairs(make_manifest(1, 5), WITHIN_SIDE)
         with pytest.raises(ValueError, match="unknown protocol"):
             count_pairs(make_manifest(2, 2), "everything-vs-everything")
+
+    @pytest.mark.parametrize("protocol", [WITHIN_SIDE, LEFT_RIGHT_DISJOINT])
+    def test_rows_match_combinations_reference(self, protocol):
+        # ragged, shuffled, two-sided; ids that sort differently as numbers
+        rng = np.random.default_rng(11)
+        entries = [
+            ManifestEntry(s, side, i, f"{s}{side}{i}", f"{s}{side}{i}")
+            for s, indices in (("S10", (0, 4, 2)), ("S2", (1,)), ("S3", (5, 0)),
+                               ("S07", (3, 1, 9, 2)))
+            for side in "LR"
+            for i in indices
+        ]
+        if protocol == WITHIN_SIDE:
+            entries.append(ManifestEntry("S2", "R", 8, "s2r8", "s2r8"))
+        order = rng.permutation(len(entries))
+        manifest = Manifest(tuple(entries[k] for k in order))
+        expected = reference_pairs(manifest, protocol)
+        assert rows_of(manifest, protocol_pairs(manifest, protocol)) == expected
+        assert any(genuine for _, _, genuine, *_ in expected)
+        assert not all(genuine for _, _, genuine, *_ in expected)
 
 
 class TestSumRule:
@@ -214,30 +292,30 @@ class TestRocCurve:
 class TestEer:
     def test_perfect_separation_gives_zero(self):
         scores = ScoreSet(genuine=np.full(50, 0.9), impostor=np.full(50, 0.1))
-        assert eer(scores) == 0.0
+        assert eer(roc_curve(scores)) == 0.0
 
     def test_identical_distributions_give_half(self):
         rng = np.random.default_rng(4)
         scores = ScoreSet(
             genuine=rng.normal(0, 1, 10_000), impostor=rng.normal(0, 1, 10_000)
         )
-        assert eer(scores) == pytest.approx(0.5, abs=0.02)
+        assert eer(roc_curve(scores)) == pytest.approx(0.5, abs=0.02)
 
     def test_gaussian_mean_gap_two_matches_closed_form(self):
         rng = np.random.default_rng(5)
         scores = ScoreSet(
             genuine=rng.normal(2, 1, 100_000), impostor=rng.normal(0, 1, 100_000)
         )
-        assert eer(scores) == pytest.approx(normal_cdf(-1.0), abs=0.01)
+        assert eer(roc_curve(scores)) == pytest.approx(normal_cdf(-1.0), abs=0.01)
 
     def test_negating_scores_and_flipping_orientation_is_invariant(self):
         rng = np.random.default_rng(6)
         genuine = rng.normal(1.5, 1, 3000)
         impostor = rng.normal(0, 1, 4000)
-        forward = eer(ScoreSet(genuine=genuine, impostor=impostor))
-        flipped = eer(
+        forward = eer(roc_curve(ScoreSet(genuine=genuine, impostor=impostor)))
+        flipped = eer(roc_curve(
             ScoreSet(genuine=-genuine, impostor=-impostor, higher_is_genuine=False)
-        )
+        ))
         assert forward == flipped
 
     def test_invariant_under_strictly_increasing_transform(self):
@@ -248,8 +326,9 @@ class TestEer:
         warped = ScoreSet(
             genuine=np.exp(0.5 * genuine), impostor=np.exp(0.5 * impostor)
         )
-        assert eer(base) == pytest.approx(eer(warped), abs=1e-12)
-        assert tar_at_far(base, 0.01).tar == tar_at_far(warped, 0.01).tar
+        assert eer(roc_curve(base)) == pytest.approx(eer(roc_curve(warped)), abs=1e-12)
+        assert (tar_at_far(roc_curve(base), 0.01, n_impostor=base.n_impostor).tar
+                == tar_at_far(roc_curve(warped), 0.01, n_impostor=warped.n_impostor).tar)
         assert roc_auc(roc_curve(base)) == pytest.approx(
             roc_auc(roc_curve(warped)), abs=1e-12
         )
@@ -257,24 +336,25 @@ class TestEer:
 
 class TestTarAtFar:
     def test_perfect_separation_gives_one(self):
-        scores = ScoreSet(genuine=np.full(50, 0.9), impostor=np.full(50, 0.1))
+        curve = roc_curve(ScoreSet(genuine=np.full(50, 0.9), impostor=np.full(50, 0.1)))
         for target in (0.5, 0.01, 1e-4):
-            assert tar_at_far(scores, target).tar == 1.0
+            assert tar_at_far(curve, target, n_impostor=50).tar == 1.0
 
     def test_underpowered_flag(self):
         scores = ScoreSet(
             genuine=np.linspace(0.5, 1.0, 20), impostor=np.linspace(0.0, 0.6, 50)
         )
-        result = tar_at_far(scores, 1e-4)
+        curve = roc_curve(scores)
+        result = tar_at_far(curve, 1e-4, n_impostor=scores.n_impostor)
         assert result.underpowered
         assert result.achieved_far == 0.0
-        well_powered = tar_at_far(scores, 0.1)
+        well_powered = tar_at_far(curve, 0.1, n_impostor=scores.n_impostor)
         assert not well_powered.underpowered
 
     def test_toy_set_matches_exhaustive_enumeration(self):
         genuine = np.array([0.92, 0.81, 0.77, 0.65, 0.50])
         impostor = np.array([0.70, 0.55, 0.40, 0.30, 0.20])
-        scores = ScoreSet(genuine=genuine, impostor=impostor)
+        curve = roc_curve(ScoreSet(genuine=genuine, impostor=impostor))
         for target in (0.0, 0.2, 0.4, 0.6, 1.0):
             best = -1.0
             for t in np.concatenate([genuine, impostor, [1.0]]):
@@ -282,12 +362,12 @@ class TestTarAtFar:
                 tar = float((genuine >= t).mean())
                 if far <= target:
                     best = max(best, tar)
-            assert tar_at_far(scores, target).tar == best
+            assert tar_at_far(curve, target, n_impostor=impostor.size).tar == best
 
     def test_bad_target_rejected(self):
-        scores = ScoreSet(genuine=np.array([1.0]), impostor=np.array([0.0]))
+        curve = roc_curve(ScoreSet(genuine=np.array([1.0]), impostor=np.array([0.0])))
         with pytest.raises(ValueError, match="far_target"):
-            tar_at_far(scores, 1.5)
+            tar_at_far(curve, 1.5, n_impostor=1)
 
 
 class TestReferenceProtocolShapes:

@@ -2,18 +2,27 @@ import numpy as np
 import pytest
 
 from irisfuse.bitmatch import ShiftPolicy, masked_hamming, black_match_rate, white_match_rate
-from irisfuse.evaluation import eer, generate_pairs
+from irisfuse.evaluation import eer, protocol_pairs, roc_curve
 from irisfuse.synth import SynthConfig, degraded_scenario, gen_population, gen_score_scenario
 
 
+def template_pairs(population, genuine: bool):
+    """Template pairs of the within-side protocol's genuine or impostor rows."""
+    pairs = protocol_pairs(population.manifest)
+    keep = pairs["genuine"] == genuine
+    refs = [e.template_ref for e in population.manifest.entries]
+    return [
+        (population.templates[refs[a]], population.templates[refs[b]])
+        for a, b in zip(pairs["a"][keep].tolist(), pairs["b"][keep].tolist())
+    ]
+
+
 def within_class_pairs(population):
-    pairs = generate_pairs(population.manifest)
-    return [g.members[0] for g in pairs.genuine]
+    return template_pairs(population, genuine=True)
 
 
 def cross_class_pairs(population, limit=200):
-    pairs = generate_pairs(population.manifest)
-    return [g.members[0] for g in pairs.impostor[:limit]]
+    return template_pairs(population, genuine=False)[:limit]
 
 
 class TestDeterminism:
@@ -47,13 +56,8 @@ class TestStatisticalShape:
             genuine_flip_rate=0.0, mask_coverage_range=(1.0, 1.0), perioc_dim=4,
         )
         population = gen_population(config)
-        templates = population.templates
-        for member in within_class_pairs(population):
-            d, _, _ = masked_hamming(
-                templates[member.a.template_ref],
-                templates[member.b.template_ref],
-                ShiftPolicy(0, 1),
-            )
+        for a, b in within_class_pairs(population):
+            d, _, _ = masked_hamming(a, b, ShiftPolicy(0, 1))
             assert d == 0.0
 
     def test_genuine_hamming_matches_flip_expectation(self):
@@ -64,14 +68,9 @@ class TestStatisticalShape:
             genuine_flip_rate=0.1, mask_coverage_range=(1.0, 1.0), perioc_dim=4,
         )
         population = gen_population(config)
-        templates = population.templates
         distances = [
-            masked_hamming(
-                templates[m.a.template_ref],
-                templates[m.b.template_ref],
-                ShiftPolicy(0, 1),
-            )[0]
-            for m in within_class_pairs(population)
+            masked_hamming(a, b, ShiftPolicy(0, 1))[0]
+            for a, b in within_class_pairs(population)
         ]
         assert np.mean(distances) == pytest.approx(2 * 0.1 * 0.9, abs=0.02)
 
@@ -81,14 +80,9 @@ class TestStatisticalShape:
             mask_coverage_range=(1.0, 1.0), perioc_dim=4,
         )
         population = gen_population(config)
-        templates = population.templates
         distances = [
-            masked_hamming(
-                templates[m.a.template_ref],
-                templates[m.b.template_ref],
-                ShiftPolicy(0, 1),
-            )[0]
-            for m in cross_class_pairs(population)
+            masked_hamming(a, b, ShiftPolicy(0, 1))[0]
+            for a, b in cross_class_pairs(population)
         ]
         assert np.mean(distances) == pytest.approx(0.5, abs=0.02)
 
@@ -109,11 +103,8 @@ class TestStatisticalShape:
             mask_coverage_range=(1.0, 1.0), perioc_dim=4,
         )
         population = gen_population(config)
-        templates = population.templates
         white, black = [], []
-        for member in within_class_pairs(population):
-            a = templates[member.a.template_ref]
-            b = templates[member.b.template_ref]
+        for a, b in within_class_pairs(population):
             white.append(white_match_rate(a, b))
             black.append(black_match_rate(a, b))
         assert np.mean(black) > np.mean(white)
@@ -165,18 +156,18 @@ class TestConfigValidation:
 class TestScoreScenario:
     def test_identical_gaussians_near_half_eer(self):
         scores = gen_score_scenario(0, 0.0, 1.0, 0.0, 1.0, 20_000, 20_000)
-        assert eer(scores) == pytest.approx(0.5, abs=0.02)
+        assert eer(roc_curve(scores)) == pytest.approx(0.5, abs=0.02)
 
     def test_mean_gap_two_matches_gaussian_closed_form(self):
         import math
 
         scores = gen_score_scenario(1, 2.0, 1.0, 0.0, 1.0, 100_000, 100_000)
         expected = 0.5 * (1.0 + math.erf(-1.0 / math.sqrt(2.0)))
-        assert eer(scores) == pytest.approx(expected, abs=0.01)
+        assert eer(roc_curve(scores)) == pytest.approx(expected, abs=0.01)
 
     def test_disjoint_supports_give_zero_eer(self):
         scores = gen_score_scenario(2, 10.0, 0.5, 0.0, 0.5, 2000, 2000)
-        assert eer(scores) == 0.0
+        assert eer(roc_curve(scores)) == 0.0
 
     def test_clip_bounds_scores(self):
         scores = gen_score_scenario(3, 0.5, 1.0, 0.5, 1.0, 500, 500, clip=(0.0, 1.0))
