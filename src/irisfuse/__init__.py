@@ -58,6 +58,7 @@ from .losses import (
 )
 from .mlp import (
     LAYER_SIZES,
+    N_PARAMS,
     MlpParams,
     TrainConfig,
     TrainingDivergedError,
@@ -115,6 +116,7 @@ __all__ = [
     "distance_to_logit",
     "triplet_margin_loss",
     "LAYER_SIZES",
+    "N_PARAMS",
     "MlpParams",
     "TrainConfig",
     "TrainingDivergedError",

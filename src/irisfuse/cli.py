@@ -335,18 +335,28 @@ def _collect_scores(
     name, higher_is_genuine = _EVAL_COLUMNS[column]
     values, genuine = table[name], table["label"] == "genuine"
     if combine_sides:
-        grouped: dict[tuple[str, str], list[int]] = {}
-        for k, key in enumerate(zip(table["a_id"].tolist(), table["b_id"].tolist())):
-            grouped.setdefault(key, []).append(k)
-        for (a_id, b_id), members in grouped.items():
-            if len(set(genuine[members].tolist())) != 1:
+        # group rows by (a_id, b_id); pairs keep the order of their first row
+        _, a_code = np.unique(table["a_id"], return_inverse=True)
+        b_ids, b_code = np.unique(table["b_id"], return_inverse=True)
+        _, first_row, group, size = np.unique(
+            a_code * len(b_ids) + b_code,
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        appearance = np.argsort(first_row)
+        n_genuine = np.bincount(group[genuine], minlength=size.size)
+        mixed = (n_genuine != 0) & (n_genuine != size)
+        faulty = appearance[(mixed | (size != 2))[appearance]]
+        if faulty.size:
+            g = faulty[0]
+            a_id, b_id = table["a_id"][first_row[g]], table["b_id"][first_row[g]]
+            if mixed[g]:
                 raise ValueError(f"inconsistent labels for pair ({a_id}, {b_id})")
-            if len(members) != 2:
-                raise ValueError(
-                    f"sum rule expects two aligned comparisons per pair, "
-                    f"({a_id}, {b_id}) has {len(members)}"
-                )
-        first, second = np.array(list(grouped.values()), dtype=np.intp).reshape(-1, 2).T
+            raise ValueError(
+                f"sum rule expects two aligned comparisons per pair, "
+                f"({a_id}, {b_id}) has {size[g]}"
+            )
+        members = np.argsort(group, kind="stable").reshape(-1, 2)
+        first, second = members[appearance].T
         pair_sides = np.sort([table["side"][first], table["side"][second]], axis=0)
         bad = np.flatnonzero((pair_sides[0] != "L") | (pair_sides[1] != "R"))
         if bad.size:

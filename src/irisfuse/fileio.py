@@ -475,10 +475,7 @@ def read_checkpoint(path) -> tuple[MlpParams, NormalizationParams, dict | None]:
             f"{source}: layer sizes {payload.get('layer_sizes')} != {list(LAYER_SIZES)}"
         )
     try:
-        params = MlpParams(
-            tuple(np.array(w, dtype=np.float64) for w in payload["weights"]),
-            tuple(np.array(b, dtype=np.float64) for b in payload["biases"]),
-        )
+        params = MlpParams.from_layers(payload["weights"], payload["biases"])
         norm_obj = payload["normalization"]
         norm = NormalizationParams(
             perioc_min=norm_obj["perioc_min"], perioc_max=norm_obj["perioc_max"]

@@ -69,13 +69,12 @@ def check_mlp_gradients(
         cues = rng.normal(size=mlp.LAYER_SIZES[0])
         label = int(rng.integers(2))
 
-        analytic = mlp.mlp_gradient(params, cues, label).to_vector()
+        analytic = mlp.mlp_gradient(params, cues, label)
 
         def loss_at(vec, cues=cues, label=label):
-            p = mlp.MlpParams.from_vector(vec)
-            return mlp.softmax_xent(mlp.mlp_logits(p, cues)[0], label)
+            return mlp.softmax_xent(mlp.mlp_logits(mlp.MlpParams(vec), cues)[0], label)
 
-        numeric = central_difference(loss_at, params.to_vector())
+        numeric = central_difference(loss_at, params.vector)
         worst = max(worst, max_relative_error(analytic, numeric))
     return GradCheckReport(
         name="fusion-mlp",

@@ -4,6 +4,17 @@ Implemented directly in numpy with analytic gradients so training is
 fully deterministic given a seed: initialisation, class balancing and
 mini-batch order all derive from one generator, and no parallel
 reduction happens inside a run.
+
+All :data:`N_PARAMS` parameters live in one flat float64 vector: for
+each layer in turn, its ``(fan_in, fan_out)`` weight matrix row-major,
+then its ``fan_out`` biases.  :func:`_layers` gives the per-layer views
+of such a vector; the network, its gradient and the optimiser all work
+on the flat vector.  :class:`MlpParams` wraps a read-only copy and
+validates it (length and finiteness) when it is built: from the random
+initialisation, from a checkpoint (:meth:`MlpParams.from_layers` also
+checks each layer's shapes), once per training epoch for the full-set
+loss, and for the training result.  Mini-batch steps build none; they
+check the updated vector for finiteness directly.
 """
 
 from __future__ import annotations
@@ -13,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .templates import CueVector
-
 LAYER_SIZES = (8, 32, 16, 8, 2)
+N_PARAMS = sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]))
 
 OPTIMIZERS = ("sgd-momentum", "adam")
 
@@ -28,43 +39,52 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
 
 
-def _layer_shapes() -> list[tuple[int, int]]:
-    return list(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]))
+def _layers(vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(weight, bias)`` views of each layer of a flat parameter vector."""
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]):
+        end = pos + fan_in * fan_out
+        layers.append((vec[pos:end].reshape(fan_in, fan_out), vec[end : end + fan_out]))
+        pos = end + fan_out
+    return layers
 
 
 @dataclass(frozen=True)
 class MlpParams:
     """Weights and biases of the fusion network, immutable.
 
-    ``weights[i]`` has shape ``(fan_in, fan_out)``; activations flow as
-    row vectors.  The same container is used for gradients.
+    ``vector`` is a read-only copy of the :data:`N_PARAMS` parameters in
+    the layout of :func:`_layers`.  ``weights[k]`` has shape
+    ``(fan_in, fan_out)``; activations flow as row vectors.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    vector: np.ndarray
 
     def __post_init__(self) -> None:
-        shapes = _layer_shapes()
-        if len(self.weights) != len(shapes) or len(self.biases) != len(shapes):
-            raise ValueError(f"expected {len(shapes)} layers")
-        ws, bs = [], []
-        for k, (fan_in, fan_out) in enumerate(shapes):
-            w = np.ascontiguousarray(self.weights[k], dtype=np.float64)
-            b = np.ascontiguousarray(self.biases[k], dtype=np.float64)
-            if w.shape != (fan_in, fan_out):
-                raise ValueError(
-                    f"layer {k}: weight shape {w.shape} != {(fan_in, fan_out)}"
-                )
-            if b.shape != (fan_out,):
-                raise ValueError(f"layer {k}: bias shape {b.shape} != {(fan_out,)}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {k}: non-finite parameter")
-            w.flags.writeable = False
-            b.flags.writeable = False
-            ws.append(w)
-            bs.append(b)
-        object.__setattr__(self, "weights", tuple(ws))
-        object.__setattr__(self, "biases", tuple(bs))
+        vec = np.array(self.vector, dtype=np.float64)
+        if vec.shape != (N_PARAMS,):
+            raise ValueError(f"expected {N_PARAMS} parameters, got shape {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("non-finite parameter")
+        vec.flags.writeable = False
+        object.__setattr__(self, "vector", vec)
+
+    @classmethod
+    def from_layers(cls, weights, biases) -> "MlpParams":
+        """Parameters from per-layer weight matrices and bias vectors."""
+        vec = np.empty(N_PARAMS)
+        layers = _layers(vec)
+        if len(weights) != len(layers) or len(biases) != len(layers):
+            raise ValueError(f"expected {len(layers)} layers")
+        for k, ((w, b), weight, bias) in enumerate(zip(layers, weights, biases)):
+            weight = np.asarray(weight, dtype=np.float64)
+            bias = np.asarray(bias, dtype=np.float64)
+            if weight.shape != w.shape:
+                raise ValueError(f"layer {k}: weight shape {weight.shape} != {w.shape}")
+            if bias.shape != b.shape:
+                raise ValueError(f"layer {k}: bias shape {bias.shape} != {b.shape}")
+            w[...], b[...] = weight, bias
+        return cls(vec)
 
     @classmethod
     def init_random(cls, seed) -> "MlpParams":
@@ -73,51 +93,22 @@ class MlpParams:
         ``seed`` may be an integer or a ``numpy.random.Generator``.
         """
         rng = np.random.default_rng(seed)
-        ws, bs = [], []
-        for fan_in, fan_out in _layer_shapes():
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            ws.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            bs.append(np.zeros(fan_out))
-        return cls(tuple(ws), tuple(bs))
-
-    @classmethod
-    def zeros(cls) -> "MlpParams":
-        shapes = _layer_shapes()
-        return cls(
-            tuple(np.zeros(s) for s in shapes),
-            tuple(np.zeros(s[1]) for s in shapes),
-        )
-
-    def to_vector(self) -> np.ndarray:
-        """All parameters flattened into one vector (weights then bias per layer)."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(-1))
-            parts.append(b)
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_vector(cls, vec) -> "MlpParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        ws, bs = [], []
-        pos = 0
-        for fan_in, fan_out in _layer_shapes():
-            ws.append(vec[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-            pos += fan_in * fan_out
-            bs.append(vec[pos : pos + fan_out].copy())
-            pos += fan_out
-        if pos != vec.size:
-            raise ValueError(f"expected {pos} parameters, got {vec.size}")
-        return cls(tuple(ws), tuple(bs))
+        vec = np.zeros(N_PARAMS)
+        for w, _ in _layers(vec):
+            limit = math.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+        return cls(vec)
 
     @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return tuple(w for w, _ in _layers(self.vector))
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return tuple(b for _, b in _layers(self.vector))
 
 
 def _as_input_matrix(inputs) -> np.ndarray:
-    if isinstance(inputs, CueVector):
-        inputs = inputs.as_array()
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -126,12 +117,12 @@ def _as_input_matrix(inputs) -> np.ndarray:
     return x
 
 
-def _forward_trace(params: MlpParams, x: np.ndarray):
+def _forward_trace(vec: np.ndarray, x: np.ndarray):
     """Logits plus per-layer activations (inputs included) for backprop."""
     activations = [x]
     a = x
-    last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(LAYER_SIZES) - 2
+    for k, (w, b) in enumerate(_layers(vec)):
         z = a @ w + b
         a = z if k == last else np.tanh(z)
         activations.append(a)
@@ -140,7 +131,7 @@ def _forward_trace(params: MlpParams, x: np.ndarray):
 
 def mlp_logits(params: MlpParams, inputs) -> np.ndarray:
     """Raw pre-softmax outputs, shape (n, 2)."""
-    logits, _ = _forward_trace(params, _as_input_matrix(inputs))
+    logits, _ = _forward_trace(params.vector, _as_input_matrix(inputs))
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite network output (exploded parameters?)")
     return logits
@@ -171,9 +162,9 @@ def softmax_xent(logits, label) -> float:
     return float(lse - z[int(label)])
 
 
-def _batch_loss_and_gradient(params: MlpParams, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and its gradient as an MlpParams."""
-    logits, activations = _forward_trace(params, x)
+def _batch_loss_and_gradient(vec: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy over the batch and its gradient, laid out as ``vec``."""
+    logits, activations = _forward_trace(vec, x)
     n = x.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -184,27 +175,27 @@ def _batch_loss_and_gradient(params: MlpParams, x: np.ndarray, y: np.ndarray):
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.biases)
-    for k in range(len(params.weights) - 1, -1, -1):
-        a_prev = activations[k]
-        grad_w[k] = a_prev.T @ delta
-        grad_b[k] = delta.sum(axis=0)
+    grad = np.empty(N_PARAMS)
+    layers = list(zip(_layers(vec), _layers(grad)))
+    for k in reversed(range(len(layers))):
+        (w, _), (grad_w, grad_b) = layers[k]
+        a_k = activations[k]  # the layer's input: tanh output of layer k-1
+        grad_w[...] = a_k.T @ delta
+        grad_b[...] = delta.sum(axis=0)
         if k > 0:
-            a_k = activations[k]  # tanh output of layer k-1's successor
-            delta = (delta @ params.weights[k].T) * (1.0 - a_k * a_k)
-    return loss, MlpParams(tuple(grad_w), tuple(grad_b))
+            delta = (delta @ w.T) * (1.0 - a_k * a_k)
+    return loss, grad
 
 
-def mlp_gradient(params: MlpParams, cues, label) -> MlpParams:
+def mlp_gradient(params: MlpParams, cues, label) -> np.ndarray:
     """Analytic gradient of ``softmax_xent(mlp_forward(...))`` for one sample.
 
-    Returned in an :class:`MlpParams` container with matching shapes.
+    Returned as a flat vector laid out like ``params.vector``.
     """
     x = _as_input_matrix(cues)
     y = np.array([int(label)])
-    _, grads = _batch_loss_and_gradient(params, x, y)
-    return grads
+    _, grad = _batch_loss_and_gradient(params.vector, x, y)
+    return grad
 
 
 def mean_loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
@@ -245,21 +236,17 @@ class TrainConfig:
 
 
 def _coerce_dataset(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(features, (list, tuple)) and features and isinstance(
-        features[0], CueVector
-    ):
-        features = np.stack([c.as_array() for c in features])
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0]:
         raise ValueError(f"features must be (n, {LAYER_SIZES[0]}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("features contain a non-finite entry")
-    y = np.asarray([int(v) for v in labels], dtype=np.int64)
+    y = np.asarray(labels)
     if y.shape != (x.shape[0],):
         raise ValueError("labels must align with features")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 (genuine) or 1 (impostor)")
-    return x, y
+    return x, y.astype(np.int64)
 
 
 def _balanced_indices(
@@ -279,8 +266,8 @@ def _balanced_indices(
 def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParams:
     """Train the fusion network; deterministic for a given config.
 
-    ``features`` is an ``(n, 8)`` cue matrix (or a list of CueVectors)
-    and ``labels`` the matching genuine/impostor labels.  Impostor rows
+    ``features`` is an ``(n, 8)`` cue matrix and ``labels`` the matching
+    genuine/impostor labels, each exactly 0 or 1.  Impostor rows
     are subsampled to ``genuine_impostor_ratio`` before training.  The
     parameters with the best full-set loss seen at any epoch boundary
     are returned, so the result never scores worse than the initial
@@ -294,15 +281,14 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
     keep = _balanced_indices(y, config.genuine_impostor_ratio, rng)
     x, y = x[keep], y[keep]
 
-    params = MlpParams.init_random(rng)
-    vec = params.to_vector()
+    best = MlpParams.init_random(rng)
+    vec = best.vector
     velocity = np.zeros_like(vec)
     adam_m = np.zeros_like(vec)
     adam_v = np.zeros_like(vec)
     adam_t = 0
 
-    best_loss = mean_loss(params, x, y)
-    best_vec = vec.copy()
+    best_loss = mean_loss(best, x, y)
     epochs_since_improvement = 0
 
     n = x.shape[0]
@@ -310,10 +296,9 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = _batch_loss_and_gradient(params, x[idx], y[idx])
+            loss, g = _batch_loss_and_gradient(vec, x[idx], y[idx])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            g = grads.to_vector()
             if config.optimizer == "sgd-momentum":
                 velocity = config.momentum * velocity - config.learning_rate * g
                 vec = vec + velocity
@@ -326,21 +311,19 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
                 vec = vec - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
             if not np.isfinite(vec).all():
                 raise TrainingDivergedError(epoch)
-            params = MlpParams.from_vector(vec)
 
+        params = MlpParams(vec)
         epoch_loss = mean_loss(params, x, y)
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
         if epoch_loss < best_loss * (1.0 - config.plateau_rel_tol):
-            best_loss = epoch_loss
-            best_vec = vec.copy()
+            best_loss, best = epoch_loss, params
             epochs_since_improvement = 0
         else:
             if epoch_loss < best_loss:
-                best_loss = epoch_loss
-                best_vec = vec.copy()
+                best_loss, best = epoch_loss, params
             epochs_since_improvement += 1
             if epochs_since_improvement >= config.plateau_patience:
                 break
 
-    return MlpParams.from_vector(best_vec)
+    return best

@@ -339,7 +339,7 @@ def reference_score_rows(match_csv, checkpoint, alpha, weight):
                 iris01, perioc01 = static_inputs(cues.iris_score, alpha, cues.perioc_dist)
                 fused = [repr(cues.iris_score), repr(cues.perioc_dist),
                          repr(static_fuse(iris01, perioc01, weight)),
-                         repr(mlp_forward(params, cues)[0])]
+                         repr(mlp_forward(params, cues.as_array())[0])]
             out.append(
                 [row[k] for k in ("a_id", "b_id", "side", "label")] + fused[:2]
                 + [row[k] for k in CUE_NAMES[2:]]
@@ -447,6 +447,50 @@ class TestSumRulePipeline:
         assert summary["n_genuine"] == 6 * 1
         assert summary["n_impostor"] == math.comb(6, 2) * 4
 
+    def test_row_order_does_not_change_the_result(self, tmp_path):
+        rng = np.random.default_rng(17)
+        rows = []
+        for k in range(40):
+            label = "genuine" if k % 4 == 0 else "impostor"
+            for side in ("L", "R"):
+                dynamic = "" if k % 9 == 5 and side == "R" else repr(float(rng.uniform()))
+                rows.append(f"S{k}:0,S{k}:1,{side},{label},1.0,0.1,0.9,0.9,0.4,0.0,"
+                            f"0.2,0.0,0.1,1.0,0.9,{dynamic}")
+        outputs = []
+        for order in (rows, rows[::-1], rows[0::2] + rows[1::2]):
+            tag = len(outputs)
+            scores = tmp_path / f"scores{tag}.csv"
+            scores.write_text("\n".join([SCORE_HEADER, *order]) + "\n")
+            assert run_cli("eval", "--scores", scores, "--sum-rule",
+                           "--out-prefix", tmp_path / f"sr{tag}", "--far-target", 0.1) == 0
+            outputs.append([(tmp_path / f"sr{tag}-{name}").read_bytes()
+                            for name in ("summary.json", "roc.csv")])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("faulty_first, message", [
+        ("count", "(m, m') has 3"),
+        ("labels", "inconsistent labels for pair (m, m')"),
+        ("none", "inconsistent labels for pair (b, b')"),
+    ])
+    def test_first_faulty_pair_in_file_order_is_reported(
+        self, tmp_path, capsys, faulty_first, message
+    ):
+        def row(a, side, label):
+            return f"{a},{a}',{side},{label},1.0,0.1,0.9,0.9,0.4,0.0,0.2,0.0,0.1,1.0,0.9,0.5"
+
+        # "b" sorts before "m" but appears after it; "b" has mixed labels
+        m_third = {"count": [row("m", "L", "impostor")],
+                   "labels": [row("m", "L", "genuine")], "none": []}[faulty_first]
+        lines = [SCORE_HEADER, row("m", "L", "impostor"), row("b", "L", "genuine"),
+                 row("b", "R", "impostor"), row("m", "R", "impostor"), *m_third]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval", "--scores", scores, "--sum-rule",
+                       "--out-prefix", tmp_path / "sr", "--far-target", 0.5) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
 
     @pytest.mark.parametrize("third_usable", [True, False])
     def test_pair_with_three_comparisons_is_rejected(self, tmp_path, capsys, third_usable):

@@ -374,7 +374,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         fileio.write_checkpoint(path, params, norm, config)
         again_params, again_norm, meta = fileio.read_checkpoint(path)
-        assert (again_params.to_vector() == params.to_vector()).all()
+        assert (again_params.vector == params.vector).all()
         assert again_norm == norm
         assert meta["seed"] == 42
         assert meta["epochs"] == 17
@@ -388,6 +388,26 @@ class TestCheckpoint:
         payload["layer_sizes"] = [8, 16, 2]
         path.write_text(json.dumps(payload))
         with pytest.raises(fileio.ParseError, match="layer sizes"):
+            fileio.read_checkpoint(path)
+
+    def test_mis_shaped_weight_matrix_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(path, MlpParams.init_random(0), NormalizationParams(0.0, 1.0))
+        payload = json.loads(path.read_text())
+        payload["weights"][2] = [row[:-1] for row in payload["weights"][2]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            fileio.ParseError, match=r"ckpt\.json: layer 2: weight shape \(16, 7\) != \(16, 8\)"
+        ):
+            fileio.read_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(path, MlpParams.init_random(0), NormalizationParams(0.0, 1.0))
+        payload = json.loads(path.read_text())
+        payload["biases"][1][0] = float("nan")  # json writes NaN, which it also reads
+        path.write_text(json.dumps(payload))
+        with pytest.raises(fileio.ParseError, match="non-finite parameter"):
             fileio.read_checkpoint(path)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):

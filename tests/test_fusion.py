@@ -13,7 +13,7 @@ from irisfuse.fusion import (
     static_fuse,
     static_inputs,
 )
-from irisfuse.mlp import MlpParams, TrainConfig, train_mlp
+from irisfuse.mlp import N_PARAMS, MlpParams, TrainConfig, train_mlp
 from irisfuse.templates import CueVector, PeriocularRecord, pack_template
 
 
@@ -204,7 +204,7 @@ class TestStaticFuse:
 class TestDynamicFuse:
     def test_zero_params_give_half(self):
         cues = CueVector(0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5, 0.0)
-        assert dynamic_fuse(MlpParams.zeros(), [cues.as_array()]).tolist() == [0.5]
+        assert dynamic_fuse(MlpParams(np.zeros(N_PARAMS)), [cues.as_array()]).tolist() == [0.5]
 
     def test_output_in_unit_interval_for_random_cues(self):
         rng = np.random.default_rng(2)

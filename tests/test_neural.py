@@ -6,6 +6,7 @@ import pytest
 from irisfuse import gradcheck, losses
 from irisfuse.mlp import (
     LAYER_SIZES,
+    N_PARAMS,
     MlpParams,
     TrainConfig,
     TrainingDivergedError,
@@ -38,7 +39,7 @@ def scalar_forward_probs(params: MlpParams, x) -> list[float]:
 
 class TestForward:
     def test_zero_params_give_even_split(self):
-        p_gen, p_imp = mlp_forward(MlpParams.zeros(), np.zeros(LAYER_SIZES[0]))
+        p_gen, p_imp = mlp_forward(MlpParams(np.zeros(N_PARAMS)), np.zeros(LAYER_SIZES[0]))
         assert (p_gen, p_imp) == (0.5, 0.5)
 
     def test_outputs_sum_to_one(self):
@@ -63,21 +64,64 @@ class TestForward:
         weights = [np.zeros(s) for s in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])]
         weights[0][0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            MlpParams(tuple(weights), tuple(np.zeros(n) for n in LAYER_SIZES[1:]))
+            MlpParams.from_layers(weights, [np.zeros(n) for n in LAYER_SIZES[1:]])
 
     def test_wrong_shapes_rejected(self):
-        with pytest.raises(ValueError, match="weight shape"):
-            MlpParams(
+        with pytest.raises(ValueError, match="layer 0: weight shape"):
+            MlpParams.from_layers(
                 tuple(np.zeros((3, 3)) for _ in range(4)),
                 tuple(np.zeros(n) for n in LAYER_SIZES[1:]),
             )
+        weights = [np.zeros(s) for s in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])]
+        with pytest.raises(ValueError, match="layer 2: bias shape"):
+            MlpParams.from_layers(weights, [np.zeros(n) for n in (32, 16, 7, 2)])
+        with pytest.raises(ValueError, match="expected 4 layers"):
+            MlpParams.from_layers(weights[:3], [np.zeros(n) for n in LAYER_SIZES[1:4]])
 
     def test_vector_round_trip(self):
         params = MlpParams.init_random(7)
-        again = MlpParams.from_vector(params.to_vector())
+        again = MlpParams.from_layers(params.weights, params.biases)
+        assert (again.vector == params.vector).all()
+        assert (MlpParams(params.vector).vector == params.vector).all()
         for w1, w2 in zip(params.weights, again.weights):
             assert (w1 == w2).all()
-        assert params.n_params == 8 * 32 + 32 + 32 * 16 + 16 + 16 * 8 + 8 + 8 * 2 + 2
+        assert N_PARAMS == 8 * 32 + 32 + 32 * 16 + 16 + 16 * 8 + 8 + 8 * 2 + 2
+        # layout: each layer's weights row-major, then its bias
+        assert (params.vector[:256] == params.weights[0].reshape(-1)).all()
+        assert (params.vector[256:288] == params.biases[0]).all()
+
+    @pytest.mark.parametrize("size", [N_PARAMS - 1, N_PARAMS + 1])
+    def test_wrong_vector_length_rejected(self, size):
+        with pytest.raises(ValueError, match=f"expected {N_PARAMS} parameters"):
+            MlpParams(np.zeros(size))
+        with pytest.raises(ValueError, match=f"expected {N_PARAMS} parameters"):
+            MlpParams(np.zeros((1, N_PARAMS)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_entry_rejected(self, bad):
+        vec = np.zeros(N_PARAMS)
+        vec[N_PARAMS - 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            MlpParams(vec)
+
+    def test_vector_is_read_only(self):
+        params = MlpParams.init_random(8)
+        assert not params.vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            params.vector[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            params.weights[1][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            params.biases[3][0] = 1.0
+
+    def test_construction_copies_the_callers_array(self):
+        vec = MlpParams.init_random(9).vector.copy()
+        params = MlpParams(vec)
+        cues = np.linspace(0.0, 1.0, LAYER_SIZES[0])
+        before = mlp_forward(params, cues)
+        vec[:] = 0.0
+        assert params.vector[0] != 0.0
+        assert mlp_forward(params, cues) == before
 
 
 class TestSoftmaxXent:
@@ -118,8 +162,9 @@ class TestGradients:
         biases = list(params.biases)
         weights[-1] = weights[-1] * 400.0
         biases[-1] = biases[-1] * 400.0
-        saturated = MlpParams(tuple(weights), tuple(biases))
-        grad = mlp_gradient(saturated, cues, label).to_vector()
+        saturated = MlpParams.from_layers(weights, biases)
+        grad = mlp_gradient(saturated, cues, label)
+        assert grad.shape == (N_PARAMS,)
         assert float(np.linalg.norm(grad)) < 1e-6
 
     def test_gradient_norm_vanishes_at_converged_minimum(self):
@@ -138,7 +183,7 @@ class TestGradients:
             plateau_patience=2000,  # run to saturation, not to the plateau stop
         )
         params = train_mlp(features, labels, config)
-        grad = mlp_gradient(params, features[0], 0).to_vector()
+        grad = mlp_gradient(params, features[0], 0)
         assert float(np.linalg.norm(grad)) < 1e-6
 
 
@@ -183,14 +228,32 @@ class TestTraining:
         config = TrainConfig(learning_rate=1e-2, epochs=30, seed=9)
         first = train_mlp(features, labels, config)
         second = train_mlp(features, labels, config)
-        assert (first.to_vector() == second.to_vector()).all()
+        assert (first.vector == second.vector).all()
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(7)
         features, labels = self.separable_cues(rng, n=40)
         first = train_mlp(features, labels, TrainConfig(epochs=5, seed=0))
         second = train_mlp(features, labels, TrainConfig(epochs=5, seed=1))
-        assert not (first.to_vector() == second.to_vector()).all()
+        assert not (first.vector == second.vector).all()
+
+    @pytest.mark.parametrize("bad", [0.7, 1.9, -1, 2])
+    def test_non_binary_labels_rejected(self, bad):
+        rng = np.random.default_rng(13)
+        features, labels = self.separable_cues(rng, n=10)
+        labels = labels.astype(np.float64)
+        labels[3] = bad
+        with pytest.raises(ValueError, match=r"labels must be 0 \(genuine\) or 1"):
+            train_mlp(features, labels, TrainConfig(epochs=1))
+
+    def test_int_bool_and_match_label_labels_accepted(self):
+        rng = np.random.default_rng(14)
+        features, labels = self.separable_cues(rng, n=10)
+        config = TrainConfig(epochs=3, seed=2)
+        expected = train_mlp(features, labels, config).vector
+        for same in (labels.astype(bool), [MatchLabel(int(v)) for v in labels],
+                     labels.astype(np.float64)):
+            assert (train_mlp(features, same, config).vector == expected).all()
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(8)
