@@ -2,13 +2,14 @@
 
 Library layout:
 
-* :mod:`irisfuse.templates` — domain types and bit packing
+* :mod:`irisfuse.templates` — domain types, bit packing, the fusion cue check
 * :mod:`irisfuse.bitmatch` — the batched packed count kernel (Hamming,
   weighted similarity) and white/black match rates, mask rates
 * :mod:`irisfuse.reference` — naive per-pixel mirrors of the kernels
-* :mod:`irisfuse.mlp`, :mod:`irisfuse.losses`, :mod:`irisfuse.gradcheck`
-  — the fusion network, standalone losses, finite-difference checks
-* :mod:`irisfuse.fusion` — cue assembly, static and dynamic fusion
+* :mod:`irisfuse.mlp`, :mod:`irisfuse.gradcheck` — the fusion network
+  and the finite-difference check of its gradient
+* :mod:`irisfuse.fusion` — periocular distances, cue assembly, static
+  and dynamic fusion
 * :mod:`irisfuse.evaluation` — pair protocols, ROC / EER / TAR@FAR
 * :mod:`irisfuse.synth` — seeded synthetic populations
 * :mod:`irisfuse.fileio`, :mod:`irisfuse.cli` — formats and commands
@@ -39,7 +40,6 @@ from .evaluation import (
     count_pairs,
     eer,
     protocol_pairs,
-    roc_auc,
     roc_curve,
     sum_rule_combine,
     tar_at_far,
@@ -48,13 +48,8 @@ from .fusion import (
     NormalizationParams,
     cue_matrix,
     dynamic_fuse,
-    perioc_distance,
+    perioc_distances,
     static_fuse,
-)
-from .losses import (
-    distance_sigmoid_loss,
-    distance_to_logit,
-    triplet_margin_loss,
 )
 from .mlp import (
     LAYER_SIZES,
@@ -68,15 +63,7 @@ from .mlp import (
     train_mlp,
 )
 from .synth import Population, SynthConfig, gen_population, gen_score_scenario
-from .templates import (
-    CueVector,
-    IrisTemplate,
-    MatchLabel,
-    PeriocularRecord,
-    pack_template,
-    unpack_template,
-    validate_periocular,
-)
+from .templates import IrisTemplate, PeriocularRecord, pack_template
 
 __version__ = "0.1.0"
 
@@ -103,18 +90,14 @@ __all__ = [
     "count_pairs",
     "eer",
     "protocol_pairs",
-    "roc_auc",
     "roc_curve",
     "sum_rule_combine",
     "tar_at_far",
     "NormalizationParams",
     "cue_matrix",
     "dynamic_fuse",
-    "perioc_distance",
+    "perioc_distances",
     "static_fuse",
-    "distance_sigmoid_loss",
-    "distance_to_logit",
-    "triplet_margin_loss",
     "LAYER_SIZES",
     "N_PARAMS",
     "MlpParams",
@@ -128,11 +111,7 @@ __all__ = [
     "SynthConfig",
     "gen_population",
     "gen_score_scenario",
-    "CueVector",
     "IrisTemplate",
-    "MatchLabel",
     "PeriocularRecord",
     "pack_template",
-    "unpack_template",
-    "validate_periocular",
 ]

@@ -365,9 +365,8 @@ def black_match_rate(a: IrisTemplate, b: IrisTemplate) -> float:
 def mask_rate(a: IrisTemplate, b: IrisTemplate) -> tuple[float, float, float]:
     """Valid-pixel fractions: (joint at shift 0, template a, template b)."""
     _check_same_dims(a, b)
-    n = a.n_pixels
-    joint = _popcount(a.packed_mask & b.packed_mask) / n
-    return joint, a.valid_count() / n, b.valid_count() / n
+    joint = _popcount(a.packed_mask & b.packed_mask) / a.n_pixels
+    return joint, a.valid_fraction(), b.valid_fraction()
 
 
 def match_pair(
@@ -383,6 +382,6 @@ def match_pair(
         ws_score=float(scores.ws[0]),
         best_shift=int(scores.best_shift[0]),
         joint_valid=int(scores.joint_valid[0]),
-        mask_rate_a=a.valid_count() / a.n_pixels,
-        mask_rate_b=b.valid_count() / b.n_pixels,
+        mask_rate_a=a.valid_fraction(),
+        mask_rate_b=b.valid_fraction(),
     )

@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-shift", type=int, default=16)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference checks of all gradients")
+    p = sub.add_parser("gradcheck", help="finite-difference check of the fusion gradient")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=gradcheck.DEFAULT_POINTS)
     p.set_defaults(func=cmd_gradcheck)
@@ -175,6 +175,12 @@ def cmd_synth(args) -> int:
         degraded_flip_rate=args.degraded_flip_rate,
         degraded_coverage_range=tuple(args.degraded_coverage),
     )
+    if args.train_fraction is not None:
+        if not 0.0 < args.train_fraction < 1.0:
+            raise ValueError("--train-fraction must lie strictly inside (0, 1)")
+        n_train = round(args.train_fraction * config.num_subjects)
+        if n_train < 2 or config.num_subjects - n_train < 2:
+            raise ValueError("--train-fraction leaves fewer than 2 subjects in a split")
     population = synth.gen_population(config)
     out = Path(args.out)
     (out / "templates").mkdir(parents=True, exist_ok=True)
@@ -183,12 +189,7 @@ def cmd_synth(args) -> int:
     fileio.write_feature_csv(out / "features.csv", population.periocular)
     fileio.write_manifest(out / "manifest.jsonl", population.manifest)
     if args.train_fraction is not None:
-        if not 0.0 < args.train_fraction < 1.0:
-            raise ValueError("--train-fraction must lie strictly inside (0, 1)")
         subjects = population.manifest.subjects()
-        n_train = round(args.train_fraction * len(subjects))
-        if n_train < 2 or len(subjects) - n_train < 2:
-            raise ValueError("--train-fraction leaves fewer than 2 subjects in a split")
         train_ids = set(subjects[:n_train])
         fileio.write_manifest(
             out / "manifest-train.jsonl", population.manifest.filter_subjects(train_ids)
@@ -242,7 +243,7 @@ def cmd_match(args) -> int:
     ws = scores.ws
     if args.unmasked_ws:
         ws = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy, unmasked=True).ws
-    mask_rates = np.array([t.valid_count() / t.n_pixels for t in templates])
+    mask_rates = np.array([t.valid_fraction() for t in templates])
     usable = scores.usable
     fileio.write_match_csv(args.out, {
         "a_id": pairs["a_id"],
@@ -256,10 +257,7 @@ def cmd_match(args) -> int:
         "joint_valid": np.where(usable, scores.joint_valid, np.nan),
         "mask_rate_a": mask_rates[ia],
         "mask_rate_b": mask_rates[ib],
-        "perioc_dist": [
-            fusion.perioc_distance(records[i], records[j])
-            for i, j in zip(a.tolist(), b.tolist())
-        ],
+        "perioc_dist": fusion.perioc_distances(records, a, b),
         "eye_sum": eye[a] + eye[b],
         "eye_diff": eye[a] - eye[b],
         "brow_sum": brow[a] + brow[b],
@@ -413,17 +411,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = gradcheck.run_all(seed=args.seed, points=args.points)
-    ok = True
-    for report in reports:
-        status = "PASS" if report.passed else "FAIL"
-        ok &= report.passed
-        print(
-            f"[{status}] {report.name}: max relative error "
-            f"{report.max_rel_error:.3e} (tolerance {report.tolerance:g}, "
-            f"{report.points} points, {report.elapsed_seconds:.2f}s)"
-        )
-    return 0 if ok else 1
+    report = gradcheck.check_mlp_gradients(seed=args.seed, points=args.points)
+    status = "PASS" if report.passed else "FAIL"
+    print(
+        f"[{status}] {report.name}: max relative error "
+        f"{report.max_rel_error:.3e} (tolerance {report.tolerance:g}, "
+        f"{report.points} points, {report.elapsed_seconds:.2f}s)"
+    )
+    return 0 if report.passed else 1
 
 
 def cmd_oracle(args) -> int:

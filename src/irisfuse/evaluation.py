@@ -9,8 +9,7 @@ upper-triangle indices over each block of comparable units.
 Conventions, fixed across the package and echoed in output metadata:
 
 * a comparison is accepted when ``score >= threshold``;
-* thresholds sweep every distinct observed score (exact empirical ROC)
-  unless a bin count is requested for very large score sets;
+* thresholds sweep every distinct observed score (exact empirical ROC);
 * EER interpolates linearly in (FAR, FRR) space between the two ROC
   points bracketing the crossing;
 * :func:`eer` and :func:`tar_at_far` read one :class:`RocCurve`, so a
@@ -241,28 +240,13 @@ class RocCurve:
     far: np.ndarray
     tar: np.ndarray
 
-    def __iter__(self):
-        return iter(zip(self.thresholds, self.far, self.tar))
 
-
-def roc_curve(scores: ScoreSet, resolution: int | None = None) -> RocCurve:
-    """Empirical ROC; exact over observed scores unless ``resolution`` bins.
-
-    ``resolution`` is intended for score sets too large to sweep
-    exactly (tens of millions); it places that many equispaced
-    thresholds across the observed range instead.
-    """
+def roc_curve(scores: ScoreSet) -> RocCurve:
+    """Exact empirical ROC, one operating point per distinct observed score."""
     if scores.n_genuine == 0 or scores.n_impostor == 0:
         raise ValueError("metric computation needs non-empty genuine and impostor sets")
     genuine, impostor = scores.oriented()
-    if resolution is None:
-        thresholds = np.unique(np.concatenate([genuine, impostor]))
-    else:
-        if resolution < 2:
-            raise ValueError("resolution must be >= 2")
-        lo = min(genuine.min(), impostor.min())
-        hi = max(genuine.max(), impostor.max())
-        thresholds = np.linspace(lo, hi, resolution)
+    thresholds = np.unique(np.concatenate([genuine, impostor]))
     # sentinel above every score anchors the curve at (0, 0)
     top = thresholds[-1]
     sentinel = np.nextafter(top, np.inf) if np.isfinite(top) else top
@@ -276,11 +260,6 @@ def roc_curve(scores: ScoreSet, resolution: int | None = None) -> RocCurve:
     far = imp_above / impostor.size
     order = slice(None, None, -1)  # descending thresholds
     return RocCurve(thresholds[order], far[order], tar[order])
-
-
-def roc_auc(curve: RocCurve) -> float:
-    """Area under the ROC by trapezoidal rule."""
-    return float(np.trapezoid(curve.tar, curve.far))
 
 
 def eer(curve: RocCurve) -> float:

@@ -1,4 +1,4 @@
-"""Central finite-difference verification of every analytic gradient.
+"""Central finite-difference verification of the fusion network's gradient.
 
 Relative error uses a unit floor, ``|a - n| / max(1, |a|, |n|)``, so
 near-zero coordinates are judged on absolute error instead of blowing
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, mlp
+from . import mlp
 
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_STEP = 1e-5
@@ -83,85 +83,3 @@ def check_mlp_gradients(
         tolerance=tolerance,
         elapsed_seconds=time.perf_counter() - start,
     )
-
-
-def check_triplet_gradients(
-    seed: int = 1, points: int = DEFAULT_POINTS, tolerance: float = DEFAULT_TOLERANCE
-) -> GradCheckReport:
-    """Gradients of the triplet hinge w.r.t. all three map batches.
-
-    Configurations whose hinge argument sits within 0.05 of the kink are
-    redrawn; the analytic subgradient there is one-sided and finite
-    differences straddle it.
-    """
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    checked = 0
-    while checked < points:
-        batch = int(rng.integers(1, 4))
-        shape = (batch, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        anchor = rng.normal(size=shape)
-        positive = rng.normal(size=shape)
-        negative = rng.normal(size=shape)
-        margin = float(rng.uniform(0.0, 2.0))
-        args = ((positive - anchor) ** 2).reshape(batch, -1).sum(1) - (
-            (negative - anchor) ** 2
-        ).reshape(batch, -1).sum(1) + margin
-        if np.any(np.abs(args) < 0.05):
-            continue
-        checked += 1
-        _, grad_a, grad_p, grad_n = losses.triplet_margin_loss_grads(
-            anchor, positive, negative, margin
-        )
-        for analytic, which in ((grad_a, 0), (grad_p, 1), (grad_n, 2)):
-            tensors = [anchor, positive, negative]
-
-            def loss_at(x, which=which, tensors=tensors, margin=margin):
-                t = list(tensors)
-                t[which] = x
-                return losses.triplet_margin_loss(*t, margin)
-
-            numeric = central_difference(loss_at, tensors[which])
-            worst = max(worst, max_relative_error(analytic, numeric))
-    return GradCheckReport(
-        name="triplet-margin-loss",
-        points=points,
-        max_rel_error=worst,
-        tolerance=tolerance,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-def check_distance_loss_gradients(
-    seed: int = 2, points: int = DEFAULT_POINTS, tolerance: float = DEFAULT_TOLERANCE
-) -> GradCheckReport:
-    """Gradient of the sigmoid cross-entropy w.r.t. the transformed distances."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(points):
-        n = int(rng.integers(1, 8))
-        s = rng.normal(scale=2.0, size=n)
-        t = rng.integers(2, size=n).astype(np.float64)
-        _, analytic = losses.distance_sigmoid_loss_grad(s, t)
-        numeric = central_difference(
-            lambda x, t=t: losses.distance_sigmoid_loss(x, t), s
-        )
-        worst = max(worst, max_relative_error(analytic, numeric))
-    return GradCheckReport(
-        name="distance-sigmoid-loss",
-        points=points,
-        max_rel_error=worst,
-        tolerance=tolerance,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-def run_all(seed: int = 0, points: int = DEFAULT_POINTS) -> list[GradCheckReport]:
-    """All three gradient checks with per-check derived seeds."""
-    return [
-        check_mlp_gradients(seed=seed, points=points),
-        check_triplet_gradients(seed=seed + 1, points=points),
-        check_distance_loss_gradients(seed=seed + 2, points=points),
-    ]

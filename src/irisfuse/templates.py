@@ -8,7 +8,6 @@ across any number of reader threads.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,25 +88,12 @@ class IrisTemplate:
             self.height, self.width
         )
 
-    def bit_at(self, i: int, j: int) -> int:
-        """Feature bit of pixel (i, j), straight from packed storage."""
-        return self._plane_bit(self.packed_bits, i, j)
-
-    def mask_at(self, i: int, j: int) -> int:
-        """Mask bit of pixel (i, j), straight from packed storage."""
-        return self._plane_bit(self.packed_mask, i, j)
-
-    def _plane_bit(self, plane: np.ndarray, i: int, j: int) -> int:
-        if not (0 <= i < self.height and 0 <= j < self.width):
-            raise IndexError(f"pixel ({i}, {j}) outside {self.height}x{self.width}")
-        k = i * self.width + j
-        return int(plane[k >> 3] >> (7 - (k & 7)) & 1)
-
     def valid_count(self) -> int:
         """Number of valid pixels (set mask bits)."""
         return int(np.bitwise_count(self.packed_mask).sum())
 
     def valid_fraction(self) -> float:
+        """Fraction of valid pixels: the template's mask rate."""
         return self.valid_count() / self.n_pixels
 
 
@@ -126,11 +112,6 @@ def pack_template(bits, mask, height: int, width: int) -> IrisTemplate:
         packed_bits=np.packbits(bits_flat),
         packed_mask=np.packbits(mask_flat),
     )
-
-
-def unpack_template(template: IrisTemplate) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_template`: ``(bits, mask)`` as (H, W) arrays."""
-    return template.unpack_bits(), template.unpack_mask()
 
 
 @dataclass(frozen=True)
@@ -167,15 +148,6 @@ class PeriocularRecord:
     @property
     def dim(self) -> int:
         return self.features.size
-
-
-def validate_periocular(vector, eye_area: float, brow_area: float) -> PeriocularRecord:
-    """Construct a :class:`PeriocularRecord`, rejecting invalid inputs."""
-    return PeriocularRecord(
-        features=np.asarray(vector, dtype=np.float64),
-        eye_area=eye_area,
-        brow_area=brow_area,
-    )
 
 
 CUE_NAMES = (
@@ -217,53 +189,3 @@ def check_cues(cues: np.ndarray) -> None:
         bad = column[(column < lo) | (column > hi)]
         if bad.size:
             raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {bad[0]}")
-
-
-@dataclass(frozen=True)
-class CueVector:
-    """The eight per-pair inputs consumed by the fusion network.
-
-    ``iris_score`` is the weighted-similarity value, ``perioc_dist`` the
-    min-max normalised periocular distance; the remaining six are the
-    per-template valid-mask fractions and the eye/eyebrow area sums and
-    signed differences.
-    """
-
-    iris_score: float
-    perioc_dist: float
-    mask_rate_a: float
-    mask_rate_b: float
-    eye_sum: float
-    eye_diff: float
-    brow_sum: float
-    brow_diff: float
-
-    def __post_init__(self) -> None:
-        values = [float(getattr(self, name)) for name in CUE_NAMES]
-        check_cues(np.array([values]))
-        for name, value in zip(CUE_NAMES, values):
-            object.__setattr__(self, name, value)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in CUE_NAMES])
-
-    @classmethod
-    def from_array(cls, values) -> "CueVector":
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
-        if arr.size != len(CUE_NAMES):
-            raise ValueError(f"expected {len(CUE_NAMES)} cues, got {arr.size}")
-        return cls(**dict(zip(CUE_NAMES, arr.tolist())))
-
-
-class MatchLabel(enum.IntEnum):
-    """Pair label; GENUINE doubles as class index 0 of the fusion softmax."""
-
-    GENUINE = 0
-    IMPOSTOR = 1
-
-    @classmethod
-    def from_name(cls, name: str) -> "MatchLabel":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(f"unknown match label {name!r}") from None

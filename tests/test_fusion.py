@@ -9,12 +9,13 @@ from irisfuse.fusion import (
     cue_matrix,
     dynamic_fuse,
     normalized_distance,
-    perioc_distance,
+    PERIOC_BLOCK_BYTES,
+    perioc_distances,
     static_fuse,
     static_inputs,
 )
 from irisfuse.mlp import N_PARAMS, MlpParams, TrainConfig, train_mlp
-from irisfuse.templates import CueVector, PeriocularRecord, pack_template
+from irisfuse.templates import CUE_NAMES, PeriocularRecord, check_cues, pack_template
 
 
 def record(features, eye=0.2, brow=0.1):
@@ -25,12 +26,12 @@ def record(features, eye=0.2, brow=0.1):
 class TestPeriocDistance:
     def test_identical_records_distance_zero(self):
         r = record([0.5, -1.0, 2.0])
-        assert perioc_distance(r, r) == 0.0
+        assert perioc_distances([r], [0], [0]).tolist() == [0.0]
 
     def test_unit_axes(self):
-        a = record([1.0, 0.0])
-        b = record([0.0, 1.0])
-        assert perioc_distance(a, b) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        records = [record([1.0, 0.0]), record([0.0, 1.0])]
+        (d,) = perioc_distances(records, [0], [1])
+        assert d == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_matches_scalar_loop_oracle_at_d512(self):
         rng = np.random.default_rng(0)
@@ -40,13 +41,26 @@ class TestPeriocDistance:
         for x, y in zip(va.tolist(), vb.tolist()):
             total += (x - y) ** 2
         expected = math.sqrt(total)
-        assert perioc_distance(record(va), record(vb)) == pytest.approx(
-            expected, abs=1e-10
-        )
+        (d,) = perioc_distances([record(va), record(vb)], [0], [1])
+        assert d == pytest.approx(expected, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            perioc_distance(record([1.0, 2.0]), record([1.0, 2.0, 3.0]))
+            perioc_distances([record([1.0, 2.0]), record([1.0, 2.0, 3.0])], [0], [1])
+
+    @pytest.mark.parametrize("dim", [64, 512])
+    def test_blocks_equal_per_pair_dot_to_the_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        records = [record(rng.normal(size=dim)) for _ in range(40)]
+        rows = PERIOC_BLOCK_BYTES // (8 * dim)
+        n = 10 * rows + 3  # ten full blocks and a partial one
+        a = rng.integers(0, len(records), n)
+        b = rng.integers(0, len(records), n)
+        want = []
+        for i, j in zip(a.tolist(), b.tolist()):
+            diff = records[i].features - records[j].features
+            want.append(float(np.sqrt(np.dot(diff, diff))))
+        assert perioc_distances(records, a, b).tobytes() == np.array(want).tobytes()
 
 
 class TestNormalization:
@@ -97,20 +111,20 @@ class TestAssembleCues:
 
     def cues(self, *args, norm=None):
         (row,) = cue_matrix(match_row(*args), norm or self.NORM)
-        return CueVector.from_array(row)
+        return dict(zip(CUE_NAMES, row.tolist()))
 
     def test_identical_records_symmetric_cues(self):
         a = record([1.0, 0.0], eye=0.2, brow=0.1)
         cues = self.cues(self.iris_result(), 1.0, a, a)
-        assert cues.eye_sum == pytest.approx(0.4)
-        assert cues.eye_diff == 0.0
-        assert cues.brow_sum == pytest.approx(0.2)
-        assert cues.brow_diff == 0.0
+        assert cues["eye_sum"] == pytest.approx(0.4)
+        assert cues["eye_diff"] == 0.0
+        assert cues["brow_sum"] == pytest.approx(0.2)
+        assert cues["brow_diff"] == 0.0
 
     def test_distance_at_minimum_normalises_to_zero(self):
         a = record([1.0, 0.0])
         cues = self.cues(self.iris_result(), 0.0, a, a)
-        assert cues.perioc_dist == 0.0
+        assert cues["perioc_dist"] == 0.0
 
     def test_full_worked_pair_on_synthetic_templates(self):
         # 4x4 templates: a all ones, b ones in top half, full masks
@@ -129,29 +143,29 @@ class TestAssembleCues:
         assert iris.ws_score == pytest.approx((1.7 * 8 + 0.3 * 0) / 16)
         pa = record([3.0, 0.0], eye=0.25, brow=0.10)
         pb = record([0.0, 4.0], eye=0.15, brow=0.20)
-        distance = perioc_distance(pa, pb)  # 5.0 by construction
+        (distance,) = perioc_distances([pa, pb], [0], [1])  # 5.0 by construction
         norm = NormalizationParams(perioc_min=1.0, perioc_max=6.0)
         cues = self.cues(iris, distance, pa, pb, norm=norm)
-        assert cues.iris_score == iris.ws_score
-        assert cues.perioc_dist == pytest.approx((5.0 - 1.0) / 5.0, abs=1e-15)
-        assert (cues.mask_rate_a, cues.mask_rate_b) == (1.0, 1.0)
-        assert cues.eye_sum == pytest.approx(0.40, abs=1e-15)
-        assert cues.eye_diff == pytest.approx(0.10, abs=1e-15)
-        assert cues.brow_sum == pytest.approx(0.30, abs=1e-15)
-        assert cues.brow_diff == pytest.approx(-0.10, abs=1e-15)
+        assert cues["iris_score"] == iris.ws_score
+        assert cues["perioc_dist"] == pytest.approx((5.0 - 1.0) / 5.0, abs=1e-15)
+        assert (cues["mask_rate_a"], cues["mask_rate_b"]) == (1.0, 1.0)
+        assert cues["eye_sum"] == pytest.approx(0.40, abs=1e-15)
+        assert cues["eye_diff"] == pytest.approx(0.10, abs=1e-15)
+        assert cues["brow_sum"] == pytest.approx(0.30, abs=1e-15)
+        assert cues["brow_diff"] == pytest.approx(-0.10, abs=1e-15)
 
     def test_swap_negates_diffs_only(self):
         a = record([1.0, 0.0], eye=0.25, brow=0.10)
         b = record([0.0, 1.0], eye=0.15, brow=0.20)
         iris = self.iris_result(rate_a=0.8, rate_b=0.8)
-        d = perioc_distance(a, b)
+        (d,) = perioc_distances([a, b], [0], [1])
         forward = self.cues(iris, d, a, b)
         backward = self.cues(iris, d, b, a)
-        assert backward.eye_diff == -forward.eye_diff
-        assert backward.brow_diff == -forward.brow_diff
-        assert backward.eye_sum == forward.eye_sum
-        assert backward.iris_score == forward.iris_score
-        assert backward.perioc_dist == forward.perioc_dist
+        assert backward["eye_diff"] == -forward["eye_diff"]
+        assert backward["brow_diff"] == -forward["brow_diff"]
+        assert backward["eye_sum"] == forward["eye_sum"]
+        assert backward["iris_score"] == forward["iris_score"]
+        assert backward["perioc_dist"] == forward["perioc_dist"]
 
     def test_checks_every_row_with_the_cue_vector_rules(self):
         a = record([1.0, 0.0])
@@ -160,7 +174,7 @@ class TestAssembleCues:
         with pytest.raises(ValueError, match=r"mask_rate_b must lie in \[0, 1\]"):
             cue_matrix(table, self.NORM)
         with pytest.raises(ValueError, match=r"mask_rate_b must lie in \[0, 1\]"):
-            CueVector(0.8, 0.5, 0.9, -0.25, 0.4, 0.0, 0.2, 0.0)
+            check_cues(np.array([[0.8, 0.5, 0.9, -0.25, 0.4, 0.0, 0.2, 0.0]]))
 
 
 class TestStaticFuse:
@@ -203,25 +217,17 @@ class TestStaticFuse:
 
 class TestDynamicFuse:
     def test_zero_params_give_half(self):
-        cues = CueVector(0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5, 0.0)
-        assert dynamic_fuse(MlpParams(np.zeros(N_PARAMS)), [cues.as_array()]).tolist() == [0.5]
+        cues = [[0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5, 0.0]]
+        assert dynamic_fuse(MlpParams(np.zeros(N_PARAMS)), cues).tolist() == [0.5]
 
     def test_output_in_unit_interval_for_random_cues(self):
         rng = np.random.default_rng(2)
         params = MlpParams.init_random(rng)
-        cues = np.stack([
-            CueVector(
-                iris_score=float(rng.uniform(0, 2)),
-                perioc_dist=float(rng.uniform(0, 1)),
-                mask_rate_a=float(rng.uniform(0, 1)),
-                mask_rate_b=float(rng.uniform(0, 1)),
-                eye_sum=float(rng.uniform(0, 2)),
-                eye_diff=float(rng.uniform(-1, 1)),
-                brow_sum=float(rng.uniform(0, 2)),
-                brow_diff=float(rng.uniform(-1, 1)),
-            ).as_array()
-            for _ in range(1000)
-        ])
+        # each cue drawn uniformly over its whole range, in CUE_NAMES order
+        low = [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, -1.0]
+        high = [2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 1.0]
+        cues = rng.uniform(low, high, size=(1000, 8))
+        check_cues(cues)
         scores = dynamic_fuse(params, cues)
         assert scores.shape == (1000,)
         assert ((0.0 <= scores) & (scores <= 1.0)).all()

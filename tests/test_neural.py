@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from irisfuse import gradcheck, losses
+from irisfuse import gradcheck
 from irisfuse.mlp import (
     LAYER_SIZES,
     N_PARAMS,
@@ -16,7 +16,6 @@ from irisfuse.mlp import (
     softmax_xent,
     train_mlp,
 )
-from irisfuse.templates import MatchLabel
 
 
 def scalar_forward_probs(params: MlpParams, x) -> list[float]:
@@ -126,23 +125,23 @@ class TestForward:
 
 class TestSoftmaxXent:
     def test_uniform_logits_give_ln_two(self):
-        for label in (MatchLabel.GENUINE, MatchLabel.IMPOSTOR):
+        for label in (0, 1):
             assert softmax_xent((0.0, 0.0), label) == pytest.approx(
                 math.log(2.0), abs=1e-15
             )
 
     def test_saturated_correct_prediction(self):
-        assert softmax_xent((20.0, -20.0), MatchLabel.GENUINE) < 1e-8
+        assert softmax_xent((20.0, -20.0), 0) < 1e-8
 
     def test_matches_direct_formula(self):
         expected = -math.log(math.exp(1.0) / (math.exp(1.0) + math.exp(-0.5)))
-        assert softmax_xent((1.0, -0.5), MatchLabel.GENUINE) == pytest.approx(
+        assert softmax_xent((1.0, -0.5), 0) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            softmax_xent((float("nan"), 0.0), MatchLabel.GENUINE)
+            softmax_xent((float("nan"), 0.0), 0)
 
 
 class TestGradients:
@@ -246,12 +245,12 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"labels must be 0 \(genuine\) or 1"):
             train_mlp(features, labels, TrainConfig(epochs=1))
 
-    def test_int_bool_and_match_label_labels_accepted(self):
+    def test_int_bool_and_float_labels_accepted(self):
         rng = np.random.default_rng(14)
         features, labels = self.separable_cues(rng, n=10)
         config = TrainConfig(epochs=3, seed=2)
         expected = train_mlp(features, labels, config).vector
-        for same in (labels.astype(bool), [MatchLabel(int(v)) for v in labels],
+        for same in (labels.astype(bool), [int(v) for v in labels],
                      labels.astype(np.float64)):
             assert (train_mlp(features, same, config).vector == expected).all()
 
@@ -297,84 +296,3 @@ class TestTraining:
         idx = _balanced_indices(labels, (2, 1), np.random.default_rng(0))
         assert (labels[idx] == 0).sum() == 60
         assert (labels[idx] == 1).sum() == 30
-
-
-class TestTripletMarginLoss:
-    def test_positive_equals_anchor_inside_margin(self):
-        anchor = np.zeros((1, 4))
-        negative = np.full((1, 4), math.sqrt(0.5 / 4))  # squared distance 0.5
-        loss = losses.triplet_margin_loss(anchor, anchor, negative, margin=0.2)
-        assert loss == pytest.approx(0.0, abs=1e-15)
-
-    def test_equidistant_returns_margin(self):
-        anchor = np.zeros((1, 4))
-        other = np.ones((1, 4))
-        loss = losses.triplet_margin_loss(anchor, other, other, margin=0.2)
-        assert loss == pytest.approx(0.2, abs=1e-15)
-
-    def test_zero_margin_floor(self):
-        anchor = np.zeros((1, 4))
-        negative = np.ones((1, 4))
-        assert losses.triplet_margin_loss(anchor, anchor, negative, 0.0) == 0.0
-
-    def test_batch_mean(self):
-        anchor = np.zeros((2, 3))
-        positive = np.zeros((2, 3))
-        negative = np.zeros((2, 3))
-        negative[1] = 10.0  # second hinge inactive, first returns margin
-        loss = losses.triplet_margin_loss(anchor, positive, negative, 0.4)
-        assert loss == pytest.approx(0.2, abs=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            losses.triplet_margin_loss(np.zeros((1, 2)), np.zeros((1, 3)),
-                                       np.zeros((1, 2)), 0.1)
-
-    def test_monotonicity_under_perturbation(self):
-        rng = np.random.default_rng(12)
-        anchor = rng.normal(size=(1, 6))
-        positive = rng.normal(size=(1, 6))
-        negative = rng.normal(size=(1, 6))
-        margin = 1.0
-        base = losses.triplet_margin_loss(anchor, positive, negative, margin)
-        # pushing the negative further away never increases the loss
-        further = anchor + 2.0 * (negative - anchor)
-        assert losses.triplet_margin_loss(anchor, positive, further, margin) <= base
-        # pulling the positive further away never decreases it
-        worse = anchor + 2.0 * (positive - anchor)
-        assert losses.triplet_margin_loss(anchor, worse, negative, margin) >= base
-
-    def test_gradients_match_finite_differences(self):
-        report = gradcheck.check_triplet_gradients(seed=1, points=20)
-        assert report.passed, f"max relative error {report.max_rel_error}"
-
-
-class TestDistanceSigmoidLoss:
-    def test_midpoint_gives_ln_two(self):
-        assert losses.distance_sigmoid_loss(0.0, 1.0) == pytest.approx(
-            math.log(2.0), abs=1e-15
-        )
-
-    def test_saturated(self):
-        assert losses.distance_sigmoid_loss(20.0, 1.0) < 1e-8
-
-    def test_matches_direct_formula(self):
-        s = -1.5
-        expected = -math.log(1.0 - 1.0 / (1.0 + math.exp(1.5)))
-        assert losses.distance_sigmoid_loss(s, 0.0) == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError, match="labels"):
-            losses.distance_sigmoid_loss(0.5, 0.5)
-
-    def test_gradients_match_finite_differences(self):
-        report = gradcheck.check_distance_loss_gradients(seed=2, points=20)
-        assert report.passed, f"max relative error {report.max_rel_error}"
-
-    def test_distance_to_logit_orientation(self):
-        logits = losses.distance_to_logit([0.2, 0.8], pivot=0.5, scale=2.0)
-        assert logits == pytest.approx([0.6, -0.6])
-        with pytest.raises(ValueError, match="scale"):
-            losses.distance_to_logit(0.2, pivot=0.5, scale=0.0)

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irisfuse.templates import (
-    CueVector,
     IrisTemplate,
-    MatchLabel,
+    PeriocularRecord,
+    check_cues,
     pack_template,
     plane_bytes,
-    unpack_template,
-    validate_periocular,
 )
 
 
@@ -37,7 +35,8 @@ def test_round_trip_100_seeded_random_templates():
     for _ in range(100):
         bits = (rng.random((64, 512)) < 0.5).astype(np.uint8)
         mask = (rng.random((64, 512)) < 0.7).astype(np.uint8)
-        out_bits, out_mask = unpack_template(pack_template(bits, mask, 64, 512))
+        t = pack_template(bits, mask, 64, 512)
+        out_bits, out_mask = t.unpack_bits(), t.unpack_mask()
         assert (out_bits == bits).all()
         assert (out_mask == mask).all()
 
@@ -54,7 +53,7 @@ def test_pack_unpack_identity_property(height, width, seed):
     mask = rng.integers(0, 2, size=(height, width), dtype=np.uint8)
     t = pack_template(bits, mask, height, width)
     assert t.packed_bits.shape == (plane_bytes(height, width),)
-    out_bits, out_mask = unpack_template(t)
+    out_bits, out_mask = t.unpack_bits(), t.unpack_mask()
     assert (out_bits == bits).all()
     assert (out_mask == mask).all()
 
@@ -64,12 +63,13 @@ def test_pixel_addressing_matches_row_major_order():
     bits = rng.integers(0, 2, size=(5, 13), dtype=np.uint8)
     mask = rng.integers(0, 2, size=(5, 13), dtype=np.uint8)
     t = pack_template(bits, mask, 5, 13)
-    flat_bits = bits.reshape(-1)
-    flat_mask = mask.reshape(-1)
-    for i in range(5):
-        for j in range(13):
-            assert t.bit_at(i, j) == flat_bits[i * 13 + j]
-            assert t.mask_at(i, j) == flat_mask[i * 13 + j]
+    # pixel (i, j) is bit i * 13 + j of one MSB-first stream per plane
+    for plane, values in ((t.packed_bits, bits), (t.packed_mask, mask)):
+        stream = np.unpackbits(plane)
+        for i in range(5):
+            for j in range(13):
+                assert stream[i * 13 + j] == values[i, j]
+        assert not stream[5 * 13:].any()
 
 
 def test_packed_storage_size():
@@ -103,50 +103,35 @@ def test_degenerate_dimensions_rejected():
 
 class TestPeriocularRecord:
     def test_valid_record(self):
-        r = validate_periocular((1.0, 0.0, 0.0, 0.0), eye_area=0.1, brow_area=0.05)
+        r = PeriocularRecord((1.0, 0.0, 0.0, 0.0), eye_area=0.1, brow_area=0.05)
         assert r.dim == 4
         assert r.eye_area == 0.1
 
     def test_area_sum_error(self):
         with pytest.raises(ValueError, match="must not exceed 1"):
-            validate_periocular((1.0, 0.0), eye_area=0.7, brow_area=0.5)
+            PeriocularRecord((1.0, 0.0), eye_area=0.7, brow_area=0.5)
 
     def test_nan_feature_error(self):
         with pytest.raises(ValueError, match="non-finite"):
-            validate_periocular((1.0, float("nan")), eye_area=0.1, brow_area=0.1)
+            PeriocularRecord((1.0, float("nan")), eye_area=0.1, brow_area=0.1)
 
     def test_area_out_of_range(self):
         with pytest.raises(ValueError, match="eye_area"):
-            validate_periocular((1.0,), eye_area=1.5, brow_area=0.0)
+            PeriocularRecord((1.0,), eye_area=1.5, brow_area=0.0)
 
     def test_features_immutable(self):
-        r = validate_periocular((1.0, 2.0), eye_area=0.2, brow_area=0.1)
+        r = PeriocularRecord((1.0, 2.0), eye_area=0.2, brow_area=0.1)
         with pytest.raises(ValueError):
             r.features[0] = 9.0
 
 
 class TestCueVector:
-    def test_as_array_round_trip(self):
-        c = CueVector(0.9, 0.2, 0.8, 0.7, 0.4, 0.0, 0.2, -0.05)
-        assert CueVector.from_array(c.as_array()) == c
-        assert c.as_array().shape == (8,)
+    """The per-pair cue rows that :func:`check_cues` accepts."""
 
     def test_rejects_out_of_range_mask_rate(self):
         with pytest.raises(ValueError, match="mask_rate_a"):
-            CueVector(0.9, 0.2, 1.5, 0.7, 0.4, 0.0, 0.2, 0.0)
+            check_cues(np.array([[0.9, 0.2, 1.5, 0.7, 0.4, 0.0, 0.2, 0.0]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            CueVector(float("inf"), 0.2, 0.5, 0.7, 0.4, 0.0, 0.2, 0.0)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="expected 8"):
-            CueVector.from_array([1.0, 2.0])
-
-
-def test_match_label_is_binary_with_genuine_index_zero():
-    assert int(MatchLabel.GENUINE) == 0
-    assert int(MatchLabel.IMPOSTOR) == 1
-    assert MatchLabel.from_name("genuine") is MatchLabel.GENUINE
-    with pytest.raises(ValueError):
-        MatchLabel.from_name("unknown")
+            check_cues(np.array([[float("inf"), 0.2, 0.5, 0.7, 0.4, 0.0, 0.2, 0.0]]))
