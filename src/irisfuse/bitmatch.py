@@ -26,11 +26,14 @@ the probe (the ``ia`` side) instead of the gallery: comparing ``a``
 rotated by ``-s`` with an unrotated ``b`` pairs pixel ``(i, j)`` of
 ``a`` with pixel ``(i, (j + s) mod W)`` of ``b``, exactly the pixels
 that shift ``s`` pairs, so the ``(ones, disagree, valid)`` counts are
-identical.  Only one probe's ``n_shifts`` rotated planes exist at a
-time; gallery templates stay unrotated.  Planes are read as ``uint64``
-words, zero-padded to a multiple of 8 bytes (padding bits are zero on
-both sides and change no count), and each block of gallery templates is
-reduced straight to per-pair values.  :func:`masked_hamming`,
+identical.  Gallery templates stay unrotated.  Probe runs are split
+round-robin across CPU threads when the call has enough work; each
+worker holds one probe's ``n_shifts`` rotated planes at a time, in
+scratch buffers allocated once per call within one byte budget shared
+by all workers.  Planes are read as ``uint64`` words, zero-padded to a
+multiple of 8 bytes (padding bits are zero on both sides and change no
+count), and each block of gallery templates is reduced straight to
+per-pair values.  :func:`masked_hamming`,
 :func:`weighted_similarity` and :func:`match_pair` are one-pair
 wrappers over the same kernel.
 
@@ -42,6 +45,8 @@ kernels bit for bit.  All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -126,9 +131,22 @@ def _popcount(packed: np.ndarray) -> int:
     return int(np.bitwise_count(packed).sum(dtype=np.int64))
 
 
-# Byte size each kernel temporary is kept near: a gallery block holds as
-# many templates as fit one (n_shifts, block, words) uint64 array in it.
+# Scratch byte budget of one match_pairs call, split evenly between its
+# workers: a gallery block holds as many templates as fit one
+# (n_shifts, block, words) uint64 array in a worker's share, and the
+# probe rotations are unpacked as many shifts at a time as fit in it.
 BLOCK_BYTES = 1 << 20
+
+# Kernel work (pairs x shifts x words x 8 bytes) per worker thread: a
+# call with less work per CPU uses fewer threads, a small one runs inline.
+WORKER_BYTES = 64 << 20
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -171,43 +189,92 @@ def _gallery_planes(
     return bits & mask, mask
 
 
+def _worker_scratch(
+    h: int, w: int, n_shifts: int, words: int, block: int, budget: int
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """One worker's probe and block buffers, reused for every probe.
+
+    The probe buffers are the doubled ``(2, H, 2W)`` unpacked planes, a
+    rotation buffer of as many shifts as fit ``budget`` and the packed
+    ``(2, n_shifts, words)`` planes, whose padding stays zero.  The block
+    buffers are two ``(n_shifts, block, words)`` word planes and their
+    popcounts.
+    """
+    chunk = max(1, min(n_shifts, budget // (2 * h * w)))
+    shape = (n_shifts, block, words)
+    return (
+        (
+            np.empty((2, h, 2 * w), dtype=np.uint8),
+            np.empty((2, chunk, h, w), dtype=np.uint8),
+            np.zeros((2, n_shifts, words), dtype=np.uint64),
+        ),
+        (
+            np.empty(shape, dtype=np.uint64),
+            np.empty(shape, dtype=np.uint64),
+            np.empty(shape, dtype=np.uint8),
+        ),
+    )
+
+
 def _probe_planes(
-    template: IrisTemplate, shifts: tuple[int, ...], unmasked: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    template: IrisTemplate, shifts: tuple[int, ...], unmasked: bool, scratch
+) -> np.ndarray:
     """``(bits & mask, mask)`` word planes of the probe rotated by ``-s``.
 
     Row ``k`` holds the template rolled so that column ``j`` lands on
-    column ``(j + s_k) mod W``; both arrays are ``(n_shifts, words)``.
+    column ``(j + s_k) mod W``; the result is the worker's
+    ``(2, n_shifts, words)`` probe buffer, filled a rotation chunk at a
+    time.
     """
+    doubled, rotation, planes = scratch
     h, w = template.height, template.width
-    planes = np.stack([template.unpack_bits(), template.unpack_mask()])
-    if unmasked:
-        planes[1] = 1
-    doubled = np.concatenate([planes, planes], axis=2)
-    rolled = np.empty((2, len(shifts), h, w), dtype=np.uint8)
-    for k, s in enumerate(shifts):
-        start = -s % w
-        rolled[:, k] = doubled[:, :, start:start + w]
-    packed = np.packbits(rolled.reshape(2, len(shifts), h * w), axis=2)
-    bits, mask = _as_words(packed[0]), _as_words(packed[1])
-    return bits & mask, mask
+    doubled[0, :, :w] = template.unpack_bits()
+    doubled[1, :, :w] = 1 if unmasked else template.unpack_mask()
+    doubled[:, :, w:] = doubled[:, :, :w]
+    packed = planes.view(np.uint8)
+    nbytes = -(-h * w // 8)
+    chunk = rotation.shape[1]
+    for k0 in range(0, len(shifts), chunk):
+        part = shifts[k0:k0 + chunk]
+        rolled = rotation[:, :len(part)]
+        for k, s in enumerate(part):
+            start = -s % w
+            rolled[:, k] = doubled[:, :, start:start + w]
+        packed[:, k0:k0 + len(part), :nbytes] = np.packbits(
+            rolled.reshape(2, len(part), h * w), axis=2
+        )
+    planes[0] &= planes[1]
+    return planes
 
 
-def _score_block(probe, gallery, shifts: np.ndarray, alpha: float, count_dtype):
+def _count(plane: np.ndarray, popcounts: np.ndarray, count_dtype) -> np.ndarray:
+    """Set bits of each ``(shift, pair)`` row of ``plane``, as int64."""
+    return (
+        np.bitwise_count(plane, out=popcounts)
+        .sum(axis=-1, dtype=count_dtype)
+        .astype(np.int64)
+    )
+
+
+def _score_block(
+    probe, gallery, shifts: np.ndarray, alpha: float, count_dtype, scratch
+):
     """One probe's rotations against a gallery block, reduced per pair.
 
-    The ``(n_shifts, block)`` counts live only inside this call.
+    Each plane is formed in the worker's scratch and counted at once; the
+    ``(n_shifts, block)`` counts live only inside this call.
     """
+    m = len(gallery[0])
+    joint, plane, popcounts = scratch[0][:, :m], scratch[1][:, :m], scratch[2][:, :m]
     probe_bits, probe_mask = probe[0][:, None], probe[1][:, None]
     gallery_bits, gallery_mask = gallery[0][None], gallery[1][None]
-    joint = probe_mask & gallery_mask
-    ones = probe_bits & gallery_bits
-    disagree = probe_bits ^ gallery_bits
-    disagree &= joint
-    valid, ones, disagree = (
-        np.bitwise_count(x).sum(axis=-1, dtype=count_dtype).astype(np.int64)
-        for x in (joint, ones, disagree)
-    )
+    np.bitwise_and(probe_mask, gallery_mask, out=joint)
+    valid = _count(joint, popcounts, count_dtype)
+    np.bitwise_and(probe_bits, gallery_bits, out=plane)
+    ones = _count(plane, popcounts, count_dtype)
+    np.bitwise_xor(probe_bits, gallery_bits, out=plane)
+    plane &= joint
+    disagree = _count(plane, popcounts, count_dtype)
     usable = valid > 0
     safe = np.maximum(valid, 1)
     hd = np.where(usable, disagree / safe, np.inf)
@@ -216,7 +283,7 @@ def _score_block(probe, gallery, shifts: np.ndarray, alpha: float, count_dtype):
     # shifts are (|s|, s)-ordered: the first extremum wins ties
     k_hd = hd.argmin(axis=0)
     k_ws = ws.argmax(axis=0)
-    cols = np.arange(valid.shape[1])
+    cols = np.arange(m)
     return (
         usable.any(axis=0),
         hd[k_hd, cols],
@@ -238,20 +305,35 @@ def match_pairs(
     """Score the pairs ``(templates[ia[k]], templates[ib[k]])`` in one pass.
 
     Pairs are processed probe-major: each distinct ``ia`` template is
-    rotated once and compared against its gallery templates in blocks
-    of about :data:`BLOCK_BYTES` per temporary.  ``unmasked=True``
-    scores with all-valid masks, so WS is the all-pixel form and every
-    pair is usable.  Alpha and template dimensions are checked once, up
-    front, for every template in ``templates``.
+    rotated once and compared against its gallery templates in blocks.
+    The probe runs are dealt round-robin to up to one worker thread per
+    CPU, one per :data:`WORKER_BYTES` of work; the calling thread takes
+    the first share.  Workers write disjoint rows of the output, so the
+    scores do not depend on their number, and they split one scratch
+    budget of :data:`BLOCK_BYTES`.  ``unmasked=True`` scores with
+    all-valid masks, so WS is the all-pixel form and every pair is
+    usable.  Alpha, template dimensions and the indices (integers in
+    ``[0, len(templates))``) are checked once, up front, for every
+    template in ``templates``.
     """
     _check_alpha(alpha)
     for template in templates[1:]:
         _check_same_dims(templates[0], template)
-    ia = np.asarray(ia, dtype=np.intp)
-    ib = np.asarray(ib, dtype=np.intp)
+    ia, ib = np.asarray(ia), np.asarray(ib)
     if ia.ndim != 1 or ia.shape != ib.shape:
         raise ValueError("ia and ib must be 1-D index arrays of equal length")
     n = ia.size
+    if n:
+        if ia.dtype.kind not in "iu" or ib.dtype.kind not in "iu":
+            raise ValueError(
+                f"ia and ib must hold integer indices, got {ia.dtype} and {ib.dtype}"
+            )
+        lo, hi = min(ia.min(), ib.min()), max(ia.max(), ib.max())
+        if lo < 0 or hi >= len(templates):
+            raise ValueError(
+                f"pair indices must lie in [0, {len(templates)}), got {lo} to {hi}"
+            )
+    ia, ib = ia.astype(np.intp), ib.astype(np.intp)
     columns = (
         np.zeros(n, dtype=bool),
         np.empty(n),
@@ -268,20 +350,53 @@ def match_pairs(
     shift_array = np.array(shifts, dtype=np.int64)
     gallery_bits, gallery_mask = _gallery_planes(templates, unmasked)
     words = gallery_bits.shape[1]
-    block = max(1, BLOCK_BYTES // (len(shifts) * words * 8))
     count_dtype = np.uint16 if words * 64 <= np.iinfo(np.uint16).max else np.int64
-    cuts = [0, *(np.flatnonzero(np.diff(probes)) + 1).tolist(), n]
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):  # one run per probe
-        probe = _probe_planes(templates[probes[r0]], shifts, unmasked)
-        for b0 in range(r0, r1, block):
-            rows = order[b0:min(b0 + block, r1)]
-            g = ib[rows]
-            values = _score_block(
-                probe, (gallery_bits[g], gallery_mask[g]), shift_array,
-                alpha, count_dtype,
-            )
-            for column, value in zip(columns, values):
-                column[rows] = value
+    cuts = np.array([0, *(np.flatnonzero(np.diff(probes)) + 1), n])
+    runs = list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))  # one run per probe
+    plane_bytes = len(shifts) * words * 8
+    n_workers = max(1, min(_cpu_count(), len(runs), n * plane_bytes // WORKER_BYTES))
+    budget = BLOCK_BYTES // n_workers
+    # a block holds no more templates than the longest probe run
+    block = max(1, min(budget // plane_bytes, int(np.diff(cuts).max())))
+    h, w = templates[0].height, templates[0].width
+    scratch = [
+        _worker_scratch(h, w, len(shifts), words, block, budget)
+        for _ in range(n_workers)
+    ]
+
+    errors: list[BaseException] = []
+
+    def work(share: int) -> None:
+        probe_scratch, block_scratch = scratch[share]
+        try:
+            for r0, r1 in runs[share::n_workers]:
+                if errors:  # another share failed: stop at the next probe
+                    return
+                probe = _probe_planes(
+                    templates[probes[r0]], shifts, unmasked, probe_scratch
+                )
+                for b0 in range(r0, r1, block):
+                    rows = order[b0:min(b0 + block, r1)]
+                    g = ib[rows]
+                    values = _score_block(
+                        probe, (gallery_bits[g], gallery_mask[g]), shift_array,
+                        alpha, count_dtype, block_scratch,
+                    )
+                    for column, value in zip(columns, values):
+                        column[rows] = value
+        except BaseException as error:  # raised again on the calling thread
+            errors.append(error)
+
+    others = [
+        threading.Thread(target=work, args=(share,)) for share in range(1, n_workers)
+    ]
+    for thread in others:
+        thread.start()
+    work(0)
+    for thread in others:
+        thread.join()
+    if errors:
+        raise errors[0]
     return PairScores(*columns)
 
 

@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,7 @@ from irisfuse.bitmatch import (
     mask_rate,
     masked_hamming,
     match_pair,
+    PairScores,
     match_pairs,
     weighted_similarity,
     white_match_rate,
@@ -398,6 +404,40 @@ def naive_or_none(fn, *args, **kwargs):
         return None
 
 
+def assert_rows_equal_reference(templates, ia, ib, alpha, policy, masked, unmasked):
+    """Every masked and unmasked row equals the per-pixel oracle exactly."""
+    assert unmasked.usable.all()
+    assert not masked.usable.all() and masked.usable.any()
+    for k, (i, j) in enumerate(zip(ia, ib)):
+        a, b = templates[i], templates[j]
+        hd = naive_or_none(reference.naive_masked_hamming, a, b, policy)
+        ws = naive_or_none(reference.naive_weighted_similarity, a, b, alpha, policy)
+        assert masked.usable[k] == (hd is not None)
+        if hd is not None:
+            assert (
+                masked.hamming[k], masked.best_shift[k], masked.joint_valid[k]
+            ) == hd
+            assert (masked.ws[k], masked.ws_shift[k]) == ws
+        assert (unmasked.ws[k], unmasked.ws_shift[k]) == (
+            reference.naive_weighted_similarity(a, b, alpha, policy, unmasked=True)
+        )
+
+
+def assert_beyond_uint16_equal_reference(a, b, policy, scores, k):
+    """Row ``k`` scores the pair (a, b), whose counts overflow uint16."""
+    hd = reference.naive_masked_hamming(a, b, policy)
+    assert hd[2] > np.iinfo(np.uint16).max
+    assert (scores.hamming[k], scores.best_shift[k], scores.joint_valid[k]) == hd
+    assert (scores.ws[k], scores.ws_shift[k]) == (
+        reference.naive_weighted_similarity(a, b, 0.3, policy)
+    )
+
+
+def assert_same_scores(x, y):
+    for field in fields(PairScores):
+        assert np.array_equal(getattr(x, field.name), getattr(y, field.name))
+
+
 class TestBatchedKernel:
     """match_pairs against the per-pixel oracle, row by row, exactly."""
 
@@ -419,21 +459,7 @@ class TestBatchedKernel:
         policy = ShiftPolicy(max_shift, step)
         masked = match_pairs(templates, ia, ib, alpha, policy)
         unmasked = match_pairs(templates, ia, ib, alpha, policy, unmasked=True)
-        assert unmasked.usable.all()
-        assert not masked.usable.all() and masked.usable.any()
-        for k, (i, j) in enumerate(zip(ia, ib)):
-            a, b = templates[i], templates[j]
-            hd = naive_or_none(reference.naive_masked_hamming, a, b, policy)
-            ws = naive_or_none(reference.naive_weighted_similarity, a, b, alpha, policy)
-            assert masked.usable[k] == (hd is not None)
-            if hd is not None:
-                assert (
-                    masked.hamming[k], masked.best_shift[k], masked.joint_valid[k]
-                ) == hd
-                assert (masked.ws[k], masked.ws_shift[k]) == ws
-            assert (unmasked.ws[k], unmasked.ws_shift[k]) == (
-                reference.naive_weighted_similarity(a, b, alpha, policy, unmasked=True)
-            )
+        assert_rows_equal_reference(templates, ia, ib, alpha, policy, masked, unmasked)
 
     def test_counts_beyond_uint16(self):
         # 1 x 70000 pixels: more valid pixels than a uint16 count can hold
@@ -441,12 +467,7 @@ class TestBatchedKernel:
         a, b = random_pair(rng, 1, 70_000, density=0.99)
         policy = ShiftPolicy(1, 1)
         scores = match_pairs([a, b], [0], [1], 0.3, policy)
-        hd = reference.naive_masked_hamming(a, b, policy)
-        assert hd[2] > np.iinfo(np.uint16).max
-        assert (scores.hamming[0], scores.best_shift[0], scores.joint_valid[0]) == hd
-        assert (scores.ws[0], scores.ws_shift[0]) == (
-            reference.naive_weighted_similarity(a, b, 0.3, policy)
-        )
+        assert_beyond_uint16_equal_reference(a, b, policy, scores, 0)
 
     def test_ties_resolve_to_smallest_then_negative_shift(self):
         templates = batch_templates(np.random.default_rng(12), 2, 8)
@@ -468,3 +489,189 @@ class TestBatchedKernel:
         a = full_mask_template(np.zeros((2, 4), np.uint8))
         scores = match_pairs([a], [], [])
         assert scores.usable.shape == (0,)
+
+    @pytest.mark.parametrize("ia, ib", [
+        ([-1], [0]),  # would wrap to the last template
+        ([0], [-3]),
+        ([3], [0]),
+        ([0, 1], [2, 3]),
+        (np.array([3], np.uint8), [0]),
+    ])
+    def test_rejects_indices_out_of_range(self, ia, ib):
+        templates = batch_templates(np.random.default_rng(14), 2, 8)[:3]
+        with pytest.raises(ValueError, match=r"indices must lie in \[0, 3\)"):
+            match_pairs(templates, ia, ib)
+
+    @pytest.mark.parametrize("ia, ib", [
+        ([0.7], [1.2]),  # would truncate to (0, 1)
+        ([0.0], [1.0]),
+        ([0], [1.0]),
+        ([True], [False]),
+        (["0"], ["1"]),
+    ])
+    def test_rejects_non_integer_indices(self, ia, ib):
+        templates = batch_templates(np.random.default_rng(14), 2, 8)[:3]
+        with pytest.raises(ValueError, match="integer indices"):
+            match_pairs(templates, ia, ib)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``run(cpus, ...)``: match_pairs on ``cpus`` CPUs, whatever its size.
+
+    Returns the scores and the number of workers that scored a probe,
+    told apart by their scratch buffers.
+    """
+    monkeypatch.setattr(bitmatch, "WORKER_BYTES", 1)
+    probe_planes = bitmatch._probe_planes
+    workers = set()
+
+    def recording(template, shifts, unmasked, scratch):
+        workers.add(id(scratch))
+        return probe_planes(template, shifts, unmasked, scratch)
+
+    monkeypatch.setattr(bitmatch, "_probe_planes", recording)
+
+    def run(cpus, *args, **kwargs):
+        monkeypatch.setattr(bitmatch, "_cpu_count", lambda: cpus)
+        workers.clear()
+        scores = match_pairs(*args, **kwargs)
+        return scores, len(workers)
+
+    return run
+
+
+class TestWorkerSplit:
+    """match_pairs gives the same scores on any number of worker threads."""
+
+    @pytest.mark.parametrize("h, w, max_shift, step", [
+        (3, 7, 3, 1),
+        (5, 13, 4, 2),
+        (8, 16, 6, 3),
+    ])
+    @pytest.mark.parametrize("block_bytes", [1, bitmatch.BLOCK_BYTES])
+    def test_rows_equal_reference_on_any_worker_count(
+        self, monkeypatch, split, h, w, max_shift, step, block_bytes
+    ):
+        monkeypatch.setattr(bitmatch, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(h * w + max_shift)
+        templates = batch_templates(rng, h, w)
+        n = len(templates)
+        ia, ib = np.divmod(rng.permutation(n * n), n)
+        policy = ShiftPolicy(max_shift, step)
+        results = {}
+        for cpus in (1, 2, 3):
+            masked, used = split(cpus, templates, ia, ib, 0.3, policy)
+            unmasked, _ = split(cpus, templates, ia, ib, 0.3, policy, unmasked=True)
+            assert used == cpus
+            results[cpus] = masked, unmasked
+        for masked, unmasked in results.values():
+            assert_same_scores(masked, results[1][0])
+            assert_same_scores(unmasked, results[1][1])
+        assert_rows_equal_reference(templates, ia, ib, 0.3, policy, *results[3])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_counts_beyond_uint16(self, split, cpus):
+        rng = np.random.default_rng(13)
+        a, b = random_pair(rng, 1, 70_000, density=0.99)
+        policy = ShiftPolicy(1, 1)
+        scores, used = split(cpus, [a, b], [0, 1], [1, 0], 0.3, policy)
+        assert used == min(cpus, 2)  # two probe runs
+        assert_beyond_uint16_equal_reference(a, b, policy, scores, 0)
+        assert_beyond_uint16_equal_reference(b, a, policy, scores, 1)
+
+    def test_more_workers_than_probe_runs(self, split):
+        templates = batch_templates(np.random.default_rng(15), 4, 8)
+        ia, ib = [2, 2, 2, 5, 5], [0, 1, 3, 4, 8]
+        policy = ShiftPolicy(2, 1)
+        inline, used = split(1, templates, ia, ib, 0.3, policy)
+        assert used == 1
+        scores, used = split(8, templates, ia, ib, 0.3, policy)
+        assert used == 2
+        assert_same_scores(scores, inline)
+        scores, used = split(8, templates, [4] * 9, range(9), 0.3, policy)
+        assert used == 1
+
+    def test_worker_count_follows_the_work(self, monkeypatch, split):
+        templates = batch_templates(np.random.default_rng(16), 4, 8)  # one word
+        ia, ib = np.divmod(np.arange(81), 9)  # nine probe runs
+        work = 81 * 5 * 1 * 8  # pairs x shifts x words x 8 bytes
+        for worker_bytes, expected in [(work + 1, 1), (work // 2, 2), (work // 8, 8)]:
+            monkeypatch.setattr(bitmatch, "WORKER_BYTES", worker_bytes)
+            assert split(8, templates, ia, ib, 0.3, ShiftPolicy(2, 1))[1] == expected
+
+    def test_workers_share_one_scratch_budget(self, monkeypatch, split):
+        monkeypatch.setattr(bitmatch, "BLOCK_BYTES", 1 << 14)
+        worker_scratch = bitmatch._worker_scratch
+        made = []
+
+        def recording(*args):
+            made.append(worker_scratch(*args))
+            return made[-1]
+
+        monkeypatch.setattr(bitmatch, "_worker_scratch", recording)
+        templates = batch_templates(np.random.default_rng(19), 8, 64) * 4
+        n = len(templates)
+        ia, ib = np.divmod(np.arange(n * n), n)
+        for cpus in (1, 2, 3):
+            made.clear()
+            split(cpus, templates, ia, ib, 0.3, ShiftPolicy(4, 1))
+            assert len(made) == cpus
+            for buffers in (
+                [probe[1] for probe, _ in made],  # rotation buffers
+                [block[0] for _, block in made],  # word planes
+                [block[1] for _, block in made],
+            ):
+                assert sum(b.nbytes for b in buffers) <= bitmatch.BLOCK_BYTES
+
+    def test_many_workers_under_fast_thread_switching(self, split):
+        templates = batch_templates(np.random.default_rng(18), 4, 8) * 4
+        n = len(templates)
+        ia, ib = np.divmod(np.arange(n * n), n)
+        policy = ShiftPolicy(2, 1)
+        inline, _ = split(1, templates, ia, ib, 0.3, policy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                scores, used = split(8, templates, ia, ib, 0.3, policy)
+                assert used == 8
+                assert_same_scores(scores, inline)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(bitmatch, "WORKER_BYTES", 1)
+        monkeypatch.setattr(bitmatch, "_cpu_count", lambda: 3)
+        score_block = bitmatch._score_block
+        caller = threading.get_ident()
+
+        def failing_on_one_thread(*args):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError("probe failed")
+            return score_block(*args)
+
+        monkeypatch.setattr(bitmatch, "_score_block", failing_on_one_thread)
+        templates = batch_templates(np.random.default_rng(17), 4, 8)
+        ia, ib = np.divmod(np.arange(81), 9)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="probe failed"):
+            match_pairs(templates, ia, ib)
+        assert threading.active_count() == before
+
+
+class TestCpuCount:
+    def test_affinity_mask_where_present(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert bitmatch._cpu_count() == 3
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert bitmatch._cpu_count() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert bitmatch._cpu_count() == 1
