@@ -6,9 +6,9 @@ every reader parses strictly: wrong magic, truncated payloads, ragged
 rows or non-finite numbers raise :class:`ParseError` carrying the file
 and position.
 
-The match, score and ROC CSVs share one columnar codec.  A table is a
-dict of equal-length numpy arrays, one per column, and a schema lists
-each column's name and kind in file order:
+The feature, match, score and ROC CSVs share one columnar codec.  A
+table is a dict of equal-length numpy arrays, one per column, and a
+schema lists each column's name and kind in file order:
 
     str      text, as written                   array of str
     label    ``genuine`` or ``impostor``        array of str
@@ -17,8 +17,14 @@ each column's name and kind in file order:
     float?   empty, or a finite number          float64, NaN if empty
     int?     empty, or an integer, |v| < 2**53  float64, NaN if empty
 
-Readers and writers stream :data:`BLOCK_ROWS` rows at a time.  A
-parse error names the first bad field in file order.  The match CSV
+Readers and writers stream blocks of at most :data:`BLOCK_ROWS` rows
+and :data:`BLOCK_FIELDS` fields.  A text field holding ``,``, ``"``,
+``\\r`` or ``\\n`` is written inside ``"`` with each inner ``"``
+doubled, a row whose only field is empty as ``""``, and any other
+field bare.  Floats are parsed by one numpy cast per column, which
+applies Python's ``float()`` to each text, so the codec accepts the
+same texts as ``float()`` (and ``int()`` for int?).  A parse error
+names the first bad field in file order.  The match CSV
 (:data:`MATCH_SCHEMA`) leaves the iris fields empty for unusable
 pairs; the score CSV (:data:`SCORE_SCHEMA`) leaves the cue and fused
 fields empty there.
@@ -36,9 +42,11 @@ Template container layout (little-endian):
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
+import re
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -110,28 +118,6 @@ def read_template(path) -> IrisTemplate:
     return template_from_bytes(path.read_bytes(), source=str(path))
 
 
-# ---------------------------------------------------------------------------
-# Float formatting / parsing helpers
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
-def _parse_float(text: str, source: str, line: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(
-            f"{source}:{line}: column {column!r}: not a number: {text!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{source}:{line}: column {column!r}: non-finite value")
-    return value
-
-
 def _open_reader(path):
     return open(path, "r", newline="", encoding="utf-8")
 
@@ -141,90 +127,15 @@ def _open_writer(path):
 
 
 # ---------------------------------------------------------------------------
-# Periocular feature CSV: id, eye_area, brow_area, f0..f{D-1}
-
-
-def write_feature_csv(path, records: Mapping[str, PeriocularRecord]) -> None:
-    items = sorted(records.items())
-    if not items:
-        raise ValueError("refusing to write an empty feature table")
-    dim = items[0][1].dim
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "eye_area", "brow_area"] + [f"f{i}" for i in range(dim)])
-        for ref, record in items:
-            if record.dim != dim:
-                raise ValueError(f"{ref}: feature dimension {record.dim} != {dim}")
-            writer.writerow(
-                [ref, _fmt(record.eye_area), _fmt(record.brow_area)]
-                + [_fmt(v) for v in record.features]
-            )
-
-
-def read_feature_csv(path) -> dict[str, PeriocularRecord]:
-    source = str(path)
-    records: dict[str, PeriocularRecord] = {}
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["id", "eye_area", "brow_area"]:
-            raise ParseError(f"{source}:1: bad feature-table header")
-        dim = len(header) - 3
-        if dim < 1 or header[3:] != [f"f{i}" for i in range(dim)]:
-            raise ParseError(f"{source}:1: bad feature column names")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != 3 + dim:
-                raise ParseError(
-                    f"{source}:{line}: expected {3 + dim} fields, got {len(row)}"
-                )
-            ref = row[0]
-            if ref in records:
-                raise ParseError(f"{source}:{line}: duplicate id {ref!r}")
-            eye = _parse_float(row[1], source, line, "eye_area")
-            brow = _parse_float(row[2], source, line, "brow_area")
-            values = [
-                _parse_float(v, source, line, f"f{i}")
-                for i, v in enumerate(row[3:])
-            ]
-            try:
-                records[ref] = PeriocularRecord(
-                    features=np.array(values), eye_area=eye, brow_area=brow
-                )
-            except ValueError as exc:
-                raise ParseError(f"{source}:{line}: {exc}") from exc
-    if not records:
-        raise ParseError(f"{source}: no data rows")
-    return records
-
-
-# ---------------------------------------------------------------------------
 # Manifest: one JSON object per line
 
-_MANIFEST_KEYS = {
-    "subject_id",
-    "eye_side",
-    "sample_index",
-    "template_ref",
-    "periocular_ref",
-}
+_MANIFEST_KEYS = {field.name for field in dataclasses.fields(ManifestEntry)}
 
 
 def write_manifest(path, manifest: Manifest) -> None:
     with _open_writer(path) as fh:
         for e in manifest.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "subject_id": e.subject_id,
-                        "eye_side": e.eye_side,
-                        "sample_index": e.sample_index,
-                        "template_ref": e.template_ref,
-                        "periocular_ref": e.periocular_ref,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({k: getattr(e, k) for k in _MANIFEST_KEYS}, sort_keys=True) + "\n")
 
 
 def read_manifest(path) -> Manifest:
@@ -256,7 +167,7 @@ def read_manifest(path) -> Manifest:
 
 
 # ---------------------------------------------------------------------------
-# Match, score and ROC CSVs: one columnar codec driven by a column schema
+# CSV tables: one columnar codec driven by a column schema
 # (column kinds and table layout in the module docstring)
 
 STR, LABEL, FLAG, FLOAT, OPT_FLOAT, OPT_INT = (
@@ -268,7 +179,9 @@ _DTYPES = {
     FLOAT: np.float64, OPT_FLOAT: np.float64, OPT_INT: np.float64,
 }
 _INT_LIMIT = 2**53  # optional ints live in float64 columns, exact below this
-BLOCK_ROWS = 1024  # rows parsed or formatted at a time
+BLOCK_ROWS = 256  # at most this many rows are parsed or formatted at a time,
+BLOCK_FIELDS = 16 * BLOCK_ROWS  # and this many fields: a wide table gets fewer rows
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # text fields holding one are quoted
 
 _AREA_CUES = (
     ("eye_sum", FLOAT), ("eye_diff", FLOAT), ("brow_sum", FLOAT), ("brow_diff", FLOAT),
@@ -300,12 +213,12 @@ def _column(kind: str, texts: tuple[str, ...]):
             return None
         values = np.array(texts, dtype=str)
         return values if kind == LABEL else values == "1"
-    parse = int if kind == OPT_INT else float
     try:
-        values = np.fromiter(
-            (parse(t) if t or kind == FLOAT else math.nan for t in texts),
-            dtype=np.float64, count=len(texts),
-        )
+        if kind == OPT_INT:
+            values = np.fromiter((int(t) if t else math.nan for t in texts), np.float64, len(texts))
+        else:  # numpy parses each str with Python's float(), so the same texts pass
+            values = np.array(
+                [t or "nan" for t in texts] if kind == OPT_FLOAT else texts, np.float64)
     except (ValueError, OverflowError):
         return None
     ok = np.abs(values) < _INT_LIMIT if kind == OPT_INT else np.isfinite(values)
@@ -350,34 +263,53 @@ def _parse_block(rows: list[list[str]], schema, source: str, first_line: int):
     raise AssertionError("_column and _field_error disagree")
 
 
+def _block_rows(schema) -> int:
+    return max(1, min(BLOCK_ROWS, BLOCK_FIELDS // len(schema)))
+
+
+def _row_blocks(reader, schema):
+    """``(first line, rows)`` of each block of a table's data rows."""
+    line = 2
+    while rows := list(itertools.islice(reader, _block_rows(schema))):
+        yield line, rows
+        line += len(rows)
+
+
 def _read_table(path, schema, what: str) -> dict[str, np.ndarray]:
     source = str(path)
-    blocks = []
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         if next(reader, None) != [name for name, _ in schema]:
             raise ParseError(f"{source}:1: bad {what} header")
-        line = 2
-        while rows := list(itertools.islice(reader, BLOCK_ROWS)):
-            blocks.append(_parse_block(rows, schema, source, line))
-            line += len(rows)
-    blocks = blocks or [_parse_block([], schema, source, line)]
+        blocks = [_parse_block(rows, schema, source, n) for n, rows in _row_blocks(reader, schema)]
+    blocks = blocks or [_parse_block([], schema, source, 2)]
     return {
         name: np.concatenate([block[k] for block in blocks])
         for k, (name, _) in enumerate(schema)
     }
 
 
+def _quoted(texts: list[str]) -> list[str]:
+    """Text fields as written (see :data:`_NEEDS_QUOTES`)."""
+    if not _NEEDS_QUOTES.search("".join(texts)):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
+
+
 def _format(kind: str, values: np.ndarray) -> list[str]:
-    items = values.tolist()
+    """One column's fields as written."""
     if kind in (STR, LABEL):
-        return items
+        return _quoted(values.tolist())
     if kind == FLAG:
-        return ["1" if v else "0" for v in items]
+        return ["1" if v else "0" for v in values.tolist()]
     if kind == FLOAT:
-        return list(map(repr, items))
-    text = repr if kind == OPT_FLOAT else lambda v: str(int(v))
-    return ["" if v != v else text(v) for v in items]
+        return list(map(repr, values.tolist()))
+    empty = np.isnan(values)
+    texts = (list(map(repr, values.tolist())) if kind == OPT_FLOAT
+             else list(map(str, map(int, np.where(empty, 0.0, values).tolist()))))
+    for i in np.flatnonzero(empty).tolist():
+        texts[i] = ""
+    return texts
 
 
 def _write_table(path, schema, table: Mapping[str, np.ndarray]) -> None:
@@ -386,11 +318,13 @@ def _write_table(path, schema, table: Mapping[str, np.ndarray]) -> None:
     if any(len(values) != n for _, values in columns):
         raise ValueError("table columns differ in length")
     with _open_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([name for name, _ in schema])
-        for start in range(0, n, BLOCK_ROWS):
-            stop = start + BLOCK_ROWS
-            writer.writerows(zip(*(_format(kind, v[start:stop]) for kind, v in columns)))
+        fh.write(",".join(name for name, _ in schema) + "\n")
+        step = _block_rows(schema)
+        for start in range(0, n, step):
+            fields = [_format(kind, v[start : start + step]) for kind, v in columns]
+            if len(fields) == 1:  # an empty line would read back as no fields
+                fields = [[t or '""' for t in fields[0]]]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def write_match_csv(path, table: Mapping[str, np.ndarray]) -> None:
@@ -419,6 +353,70 @@ def write_roc_csv(path, curve: RocCurve) -> None:
 def read_roc_csv(path) -> RocCurve:
     table = _read_table(path, ROC_SCHEMA, "ROC")
     return RocCurve(thresholds=table["threshold"], far=table["far"], tar=table["tar"])
+
+
+# ---------------------------------------------------------------------------
+# Periocular feature CSV: id, eye_area, brow_area, f0..f{D-1}, one row per
+# record in id order, through the table codec
+
+
+def _feature_schema(dim: int):
+    return (("id", STR), ("eye_area", FLOAT), ("brow_area", FLOAT),
+            *((f"f{i}", FLOAT) for i in range(dim)))
+
+
+def write_feature_csv(path, records: Mapping[str, PeriocularRecord]) -> None:
+    items = sorted(records.items())
+    if not items:
+        raise ValueError("refusing to write an empty feature table")
+    dim = items[0][1].dim
+    for ref, record in items:
+        if record.dim != dim:
+            raise ValueError(f"{ref}: feature dimension {record.dim} != {dim}")
+    schema = _feature_schema(dim)
+    columns = [[ref for ref, _ in items], [r.eye_area for _, r in items],
+               [r.brow_area for _, r in items], *np.array([r.features for _, r in items]).T]
+    _write_table(path, schema, {name: c for (name, _), c in zip(schema, columns)})
+
+
+def _add_records(records: dict, rows, schema, source: str, first_line: int) -> None:
+    """Add a block of feature rows to ``records``; the first bad field,
+    duplicate id or invalid record in file order raises a :class:`ParseError`."""
+    try:
+        ids, eye, brow, *features = _parse_block(rows, schema, source, first_line)
+    except ParseError:
+        if len(rows) > 1:  # one row at a time, so that an earlier duplicate id or record wins
+            for k, row in enumerate(rows):
+                _add_records(records, [row], schema, source, first_line + k)
+        elif len(rows[0]) == len(schema) and rows[0][0] in records:
+            raise ParseError(f"{source}:{first_line}: duplicate id {rows[0][0]!r}") from None
+        raise
+    parsed = zip(ids.tolist(), eye.tolist(), brow.tolist(), np.stack(features, axis=1))
+    for line, (ref, eye_area, brow_area, vector) in enumerate(parsed, start=first_line):
+        if ref in records:
+            raise ParseError(f"{source}:{line}: duplicate id {ref!r}")
+        try:
+            records[ref] = PeriocularRecord(vector, eye_area=eye_area, brow_area=brow_area)
+        except ValueError as exc:
+            raise ParseError(f"{source}:{line}: {exc}") from exc
+
+
+def read_feature_csv(path) -> dict[str, PeriocularRecord]:
+    source = str(path)
+    records: dict[str, PeriocularRecord] = {}
+    with _open_reader(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != ["id", "eye_area", "brow_area"]:
+            raise ParseError(f"{source}:1: bad feature-table header")
+        schema = _feature_schema(len(header) - 3)
+        if len(schema) < 4 or header != [name for name, _ in schema]:
+            raise ParseError(f"{source}:1: bad feature column names")
+        for line, rows in _row_blocks(reader, schema):
+            _add_records(records, rows, schema, source, line)
+    if not records:
+        raise ParseError(f"{source}: no data rows")
+    return records
 
 
 # ---------------------------------------------------------------------------

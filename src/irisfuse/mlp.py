@@ -117,12 +117,13 @@ def _as_input_matrix(inputs) -> np.ndarray:
     return x
 
 
-def _forward_trace(vec: np.ndarray, x: np.ndarray):
-    """Logits plus per-layer activations (inputs included) for backprop."""
+def _forward_trace(layers, x: np.ndarray):
+    """Logits plus per-layer activations (inputs included) for backprop;
+    ``layers`` are the ``(weight, bias)`` views of :func:`_layers`."""
     activations = [x]
     a = x
     last = len(LAYER_SIZES) - 2
-    for k, (w, b) in enumerate(_layers(vec)):
+    for k, (w, b) in enumerate(layers):
         z = a @ w + b
         a = z if k == last else np.tanh(z)
         activations.append(a)
@@ -131,7 +132,7 @@ def _forward_trace(vec: np.ndarray, x: np.ndarray):
 
 def mlp_logits(params: MlpParams, inputs) -> np.ndarray:
     """Raw pre-softmax outputs, shape (n, 2)."""
-    logits, _ = _forward_trace(params.vector, _as_input_matrix(inputs))
+    logits, _ = _forward_trace(_layers(params.vector), _as_input_matrix(inputs))
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite network output (exploded parameters?)")
     return logits
@@ -162,9 +163,11 @@ def softmax_xent(logits, label) -> float:
     return float(lse - z[int(label)])
 
 
-def _batch_loss_and_gradient(vec: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and its gradient, laid out as ``vec``."""
-    logits, activations = _forward_trace(vec, x)
+def _batch_loss_and_gradient(layers, grad_layers, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy over the batch; its gradient is written into
+    ``grad_layers``, the :func:`_layers` views of a gradient vector laid
+    out like the parameters whose views are ``layers``."""
+    logits, activations = _forward_trace(layers, x)
     n = x.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -175,16 +178,14 @@ def _batch_loss_and_gradient(vec: np.ndarray, x: np.ndarray, y: np.ndarray):
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    grad = np.empty(N_PARAMS)
-    layers = list(zip(_layers(vec), _layers(grad)))
     for k in reversed(range(len(layers))):
-        (w, _), (grad_w, grad_b) = layers[k]
+        (w, _), (grad_w, grad_b) = layers[k], grad_layers[k]
         a_k = activations[k]  # the layer's input: tanh output of layer k-1
         grad_w[...] = a_k.T @ delta
         grad_b[...] = delta.sum(axis=0)
         if k > 0:
             delta = (delta @ w.T) * (1.0 - a_k * a_k)
-    return loss, grad
+    return loss
 
 
 def mlp_gradient(params: MlpParams, cues, label) -> np.ndarray:
@@ -194,7 +195,8 @@ def mlp_gradient(params: MlpParams, cues, label) -> np.ndarray:
     """
     x = _as_input_matrix(cues)
     y = np.array([int(label)])
-    _, grad = _batch_loss_and_gradient(params.vector, x, y)
+    grad = np.empty(N_PARAMS)
+    _batch_loss_and_gradient(_layers(params.vector), _layers(grad), x, y)
     return grad
 
 
@@ -282,7 +284,11 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
     x, y = x[keep], y[keep]
 
     best = MlpParams.init_random(rng)
-    vec = best.vector
+    # the parameters, their gradient and the optimiser state are updated in
+    # place, so the layer views are built once
+    vec = best.vector.copy()
+    grad = np.empty_like(vec)
+    layers, grad_layers = _layers(vec), _layers(grad)
     velocity = np.zeros_like(vec)
     adam_m = np.zeros_like(vec)
     adam_v = np.zeros_like(vec)
@@ -294,21 +300,29 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
     n = x.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        x_epoch, y_epoch = x[order], y[order]
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, g = _batch_loss_and_gradient(vec, x[idx], y[idx])
+            stop = start + config.batch_size
+            loss = _batch_loss_and_gradient(
+                layers, grad_layers, x_epoch[start:stop], y_epoch[start:stop]
+            )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
+            # in place; each update does the operations of its out-of-place form
+            # (velocity = momentum * velocity - learning_rate * grad, ...) in order
             if config.optimizer == "sgd-momentum":
-                velocity = config.momentum * velocity - config.learning_rate * g
-                vec = vec + velocity
+                velocity *= config.momentum
+                velocity -= config.learning_rate * grad
+                vec += velocity
             else:  # adam
                 adam_t += 1
-                adam_m = 0.9 * adam_m + 0.1 * g
-                adam_v = 0.999 * adam_v + 0.001 * g * g
+                adam_m *= 0.9
+                adam_m += 0.1 * grad
+                adam_v *= 0.999
+                adam_v += 0.001 * grad * grad
                 m_hat = adam_m / (1.0 - 0.9**adam_t)
                 v_hat = adam_v / (1.0 - 0.999**adam_t)
-                vec = vec - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+                vec -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
             if not np.isfinite(vec).all():
                 raise TrainingDivergedError(epoch)
 

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +133,60 @@ class TestFeatureCsv:
         with pytest.raises(fileio.ParseError, match="duplicate id"):
             fileio.read_feature_csv(path)
 
+    def test_written_bytes(self, tmp_path):
+        records = self.make_records(np.random.default_rng(12), n=3, dim=3)
+        records["id,quoted"] = records.pop("id01")
+        path = tmp_path / "features.csv"
+        fileio.write_feature_csv(path, records)
+        rows = [["id", "eye_area", "brow_area", "f0", "f1", "f2"]] + [
+            [ref, repr(r.eye_area), repr(r.brow_area), *map(repr, r.features.tolist())]
+            for ref, r in sorted(records.items())
+        ]
+        assert path.read_bytes() == csv_writer_text(rows).encode()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["x,0.1,0.1,1.0", "x,0.1,0.1,2.0", "y,0.1,0.1,abc"], r":3: duplicate id 'x'"),
+            (["x,0.1,0.1,1.0", "x,0.1,0.1,abc"], r":3: duplicate id 'x'"),
+            (["x,0.1,0.1,abc", "x,0.1,0.1,1.0"], r":2: column 'f0': not a number: 'abc'"),
+            (["x,1.5,0.1,1.0", "y,0.1,0.1,abc"], r":2: eye_area must lie in \[0, 1\], got 1.5"),
+            (["x,0.1,0.1,1.0", "x,0.1,0.1"], r":3: expected 4 fields, got 3"),
+        ],
+    )
+    @pytest.mark.parametrize("block_fields", [fileio.BLOCK_FIELDS, 4])  # 4: a row per block
+    def test_first_fault_in_file_order(self, tmp_path, monkeypatch, rows, message, block_fields):
+        monkeypatch.setattr(fileio, "BLOCK_FIELDS", block_fields)
+        path = tmp_path / "features.csv"
+        path.write_text("id,eye_area,brow_area,f0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(fileio.ParseError, match=r"features\.csv" + message):
+            fileio.read_feature_csv(path)
+
+    def test_duplicate_across_blocks_reported_before_later_bad_float(self, tmp_path):
+        n = fileio.BLOCK_ROWS + 7
+        rows = [f"id{k},0.1,0.1,1.0" for k in range(n)]
+        rows[-1] = "id9,0.1,0.1,abc"
+        rows[-3] = "id5,0.1,0.1,1.0"  # line n - 1, in the second block
+        path = tmp_path / "features.csv"
+        path.write_text("id,eye_area,brow_area,f0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(fileio.ParseError, match=rf":{n - 1}: duplicate id 'id5'"):
+            fileio.read_feature_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("id,eye_area,brow_area,g0\n", "bad feature column names"),
+            ("id,eye_area,brow_area\n", "bad feature column names"),
+            ("id,eye_area,brow_area,f0\n", "no data rows"),
+            ("", "bad feature-table header"),
+        ],
+    )
+    def test_bad_layout_rejected(self, tmp_path, text, message):
+        path = tmp_path / "features.csv"
+        path.write_text(text)
+        with pytest.raises(fileio.ParseError, match=message):
+            fileio.read_feature_csv(path)
+
 
 class TestManifestJsonl:
     def test_round_trip(self, tmp_path):
@@ -207,6 +264,112 @@ def replace_field(path, line, column, text):
     path.write_text("\n".join(lines))
 
 
+def csv_writer_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def python_parse(kind, text):
+    """``(value, None)`` or ``(None, message)`` for one field, by float()/int()."""
+    if text == "" and kind != fileio.FLOAT:
+        return np.nan, None
+    parse, what = (int, "an integer") if kind == fileio.OPT_INT else (float, "a number")
+    try:
+        value = parse(text)
+    except ValueError:
+        return None, f"not {what}: {text!r}"
+    if kind == fileio.OPT_INT:
+        return (value, None) if abs(value) < 2**53 else (None, f"integer out of range: {text!r}")
+    return (value, None) if np.isfinite(value) else (None, "non-finite value")
+
+
+class TestTableCodec:
+    STR_TEXTS = ["plain", "a,b", 'q"uote', 'both,"', "line\nbreak", " leading space", ""]
+    EDGE_TEXTS = [
+        "1_000", " 1.5", "+1.5", "\u0661\u0662", "1e500", "nan", "infinity", "0x10", "1.5e", "",
+        "-0.0", "1e-400", "1.5 ", "15", "-2", str(2**53), "9" * 400, "1.5\x00",
+    ]
+
+    def test_str_fields_written_as_csv_writer_writes_them(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = fileio.BLOCK_ROWS + 7
+        schema = (("a", fileio.STR), ("b", fileio.STR), ("x", fileio.FLOAT))
+        table = {
+            "a": rng.choice(self.STR_TEXTS, n).tolist(),
+            "b": rng.choice(self.STR_TEXTS, n).tolist(),
+            "x": rng.normal(size=n),
+        }
+        path = tmp_path / "t.csv"
+        fileio._write_table(path, schema, table)
+        rows = [["a", "b", "x"]] + [
+            [a, b, repr(x)] for a, b, x in zip(table["a"], table["b"], table["x"].tolist())
+        ]
+        assert path.read_bytes() == csv_writer_text(rows).encode()
+        assert_tables_equal(fileio._read_table(path, schema, "test"), table)
+
+    def test_one_column_empty_field_written_quoted(self, tmp_path):
+        schema = (("a", fileio.STR),)
+        table = {"a": ["x", "", "y,z", ""]}
+        path = tmp_path / "t.csv"
+        fileio._write_table(path, schema, table)
+        assert path.read_bytes() == csv_writer_text([["a"]] + [[t] for t in table["a"]]).encode()
+        assert_tables_equal(fileio._read_table(path, schema, "test"), table)
+
+    @pytest.mark.parametrize("block_rows, block_fields", [(5, 10**6), (7, 50), (3, 1)])
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch, block_rows, block_fields):
+        records = TestFeatureCsv().make_records(np.random.default_rng(13), n=40, dim=20)
+        table = {name: values * 9 for name, values in match_table().items()}
+        fileio.write_feature_csv(tmp_path / "f.csv", records)
+        fileio.write_match_csv(tmp_path / "m.csv", table)
+        monkeypatch.setattr(fileio, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(fileio, "BLOCK_FIELDS", block_fields)
+        fileio.write_feature_csv(tmp_path / "f2.csv", records)
+        fileio.write_match_csv(tmp_path / "m2.csv", table)
+        assert (tmp_path / "f2.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+        assert (tmp_path / "m2.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+        again = fileio.read_feature_csv(tmp_path / "f2.csv")
+        assert all((again[ref].features == r.features).all() for ref, r in records.items())
+        assert_tables_equal(fileio.read_match_csv(tmp_path / "m2.csv"), table)
+
+    @pytest.mark.parametrize("kind", [fileio.FLOAT, fileio.OPT_FLOAT, fileio.OPT_INT])
+    def test_number_text_is_repr_or_int(self, tmp_path, kind):
+        rng = np.random.default_rng(9)
+        values = np.concatenate([
+            [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0],
+            rng.normal(size=600),
+            np.exp(rng.uniform(-700, 700, size=600)),
+            rng.integers(-(2**53) + 1, 2**53, size=600),
+        ])
+        if kind == fileio.OPT_INT:
+            values = np.trunc(values[np.abs(values) < 2**53]) + 0.0  # no -0.0
+        if kind != fileio.FLOAT:
+            values[rng.random(values.size) < 0.2] = np.nan
+        schema = (("x", kind), ("s", fileio.STR))
+        path = tmp_path / "t.csv"
+        fileio._write_table(path, schema, {"x": values, "s": ["r"] * values.size})
+        text = str if kind == fileio.OPT_INT else repr
+        want = ["" if v != v else text(int(v) if kind == fileio.OPT_INT else v)
+                for v in values.tolist()]
+        assert path.read_text().split("\n")[1:-1] == [f"{t},r" for t in want]
+        got = fileio._read_table(path, schema, "test")["x"]
+        assert got.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("kind", [fileio.FLOAT, fileio.OPT_FLOAT, fileio.OPT_INT])
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_reader_accepts_what_python_accepts(self, tmp_path, kind, text):
+        path = tmp_path / "t.csv"
+        path.write_text("x,s\n" + "2,r\n" * 3 + f"{text},r\n", encoding="utf-8")
+        schema = (("x", kind), ("s", fileio.STR))
+        value, error = python_parse(kind, text)
+        if error is None:
+            got = fileio._read_table(path, schema, "test")["x"]
+            np.testing.assert_array_equal(got, [2.0, 2.0, 2.0, value])
+        else:
+            with pytest.raises(fileio.ParseError, match=re.escape(f"t.csv:5: column 'x': {error}")):
+                fileio._read_table(path, schema, "test")
+
+
 class TestMatchCsv:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "match.csv"
@@ -270,6 +433,14 @@ class TestMatchCsv:
         replace_field(path, line, column, text)
         with pytest.raises(fileio.ParseError, match=r"match\.csv" + message):
             fileio.read_match_csv(path)
+
+    def test_carriage_return_in_str_field_round_trips(self, tmp_path):
+        table = match_table()
+        table["a_id"] = ["a\rb", "S0:L:0"]
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, table)
+        assert path.read_bytes().split(b"\n")[1].startswith(b'"a\rb",S0:L:1,')
+        assert_tables_equal(fileio.read_match_csv(path), table)
 
     def test_first_fault_in_file_order_across_blocks(self, tmp_path):
         n = fileio.BLOCK_ROWS + 7
