@@ -4,7 +4,8 @@ Library layout:
 
 * :mod:`irisfuse.templates` — domain types, bit packing, the fusion cue check
 * :mod:`irisfuse.bitmatch` — the batched packed count kernel (Hamming,
-  weighted similarity) and white/black match rates, mask rates
+  weighted similarity), its one-pair form :func:`~irisfuse.match_pair`,
+  white/black match rates and mask rates
 * :mod:`irisfuse.reference` — naive per-pixel mirrors of the kernels
 * :mod:`irisfuse.mlp`, :mod:`irisfuse.gradcheck` — the fusion network
   and the finite-difference check of its gradient
@@ -23,10 +24,8 @@ from .bitmatch import (
     ShiftPolicy,
     black_match_rate,
     mask_rate,
-    masked_hamming,
     match_pair,
     match_pairs,
-    weighted_similarity,
     white_match_rate,
 )
 from .evaluation import (
@@ -75,10 +74,8 @@ __all__ = [
     "ShiftPolicy",
     "black_match_rate",
     "mask_rate",
-    "masked_hamming",
     "match_pair",
     "match_pairs",
-    "weighted_similarity",
     "white_match_rate",
     "LEFT_RIGHT_DISJOINT",
     "WITHIN_SIDE",

@@ -33,9 +33,8 @@ scratch buffers allocated once per call within one byte budget shared
 by all workers.  Planes are read as ``uint64`` words, zero-padded to a
 multiple of 8 bytes (padding bits are zero on both sides and change no
 count), and each block of gallery templates is reduced straight to
-per-pair values.  :func:`masked_hamming`,
-:func:`weighted_similarity` and :func:`match_pair` are one-pair
-wrappers over the same kernel.
+per-pair values.  :func:`match_pair` is the one-pair form: both
+scores, both shifts and the mask rates of one comparison.
 
 Everything here operates on the packed planes via XOR/AND plus popcount
 and never touches individual pixels; :mod:`irisfuse.reference` holds
@@ -95,7 +94,7 @@ class IrisMatchResult:
     """Outcome of one template comparison.
 
     ``best_shift`` and ``joint_valid`` refer to the Hamming-minimising
-    alignment; ``ws_score`` is maximised under its own alignment.
+    alignment, ``ws_score`` and ``ws_shift`` to the WS-maximising one.
     """
 
     hamming: float
@@ -104,6 +103,7 @@ class IrisMatchResult:
     joint_valid: int
     mask_rate_a: float
     mask_rate_b: float
+    ws_shift: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.hamming <= 1.0:
@@ -400,54 +400,6 @@ def match_pairs(
     return PairScores(*columns)
 
 
-def _match_one(
-    a: IrisTemplate,
-    b: IrisTemplate,
-    alpha: float,
-    policy: ShiftPolicy,
-    unmasked: bool = False,
-) -> PairScores:
-    scores = match_pairs((a, b), [0], [1], alpha, policy, unmasked)
-    if not scores.usable[0]:
-        raise EmptyJointMaskError("no jointly valid pixels at any candidate shift")
-    return scores
-
-
-def masked_hamming(
-    a: IrisTemplate, b: IrisTemplate, policy: ShiftPolicy = DEFAULT_POLICY
-) -> tuple[float, int, int]:
-    """Minimum normalised masked Hamming distance over candidate shifts.
-
-    Returns ``(distance, best_shift, joint_valid)`` where ``joint_valid``
-    counts the jointly valid pixels at the minimising shift.  Shifts with
-    an empty joint mask are skipped; raises :class:`EmptyJointMaskError`
-    when every shift is empty.
-    """
-    scores = _match_one(a, b, DEFAULT_ALPHA, policy)
-    return (
-        float(scores.hamming[0]),
-        int(scores.best_shift[0]),
-        int(scores.joint_valid[0]),
-    )
-
-
-def weighted_similarity(
-    a: IrisTemplate,
-    b: IrisTemplate,
-    alpha: float = DEFAULT_ALPHA,
-    policy: ShiftPolicy = DEFAULT_POLICY,
-    unmasked: bool = False,
-) -> tuple[float, int]:
-    """Maximum weighted-similarity score over candidate shifts.
-
-    With ``unmasked=True`` the masks are ignored and the agreement sum is
-    divided by the full pixel count instead of the jointly valid count
-    (the literal all-pixel form, kept for comparison).
-    """
-    scores = _match_one(a, b, alpha, policy, unmasked)
-    return float(scores.ws[0]), int(scores.ws_shift[0])
-
-
 def white_match_rate(a: IrisTemplate, b: IrisTemplate) -> float:
     """Co-occurrence rate of white (1) pixels at shift 0.
 
@@ -489,9 +441,20 @@ def match_pair(
     b: IrisTemplate,
     alpha: float = DEFAULT_ALPHA,
     policy: ShiftPolicy = DEFAULT_POLICY,
+    unmasked: bool = False,
 ) -> IrisMatchResult:
-    """Compare two templates: masked Hamming, weighted similarity, mask rates."""
-    scores = _match_one(a, b, alpha, policy)
+    """Compare two templates: masked Hamming, weighted similarity, mask rates.
+
+    One pair through :func:`match_pairs`.  Raises
+    :class:`EmptyJointMaskError` when no candidate shift has a jointly
+    valid pixel.  With ``unmasked=True`` the masks are ignored and both
+    scores count every pixel, so WS divides its agreement sum by the full
+    pixel count (the literal all-pixel form, kept for comparison); the
+    mask rates still come from the masks.
+    """
+    scores = match_pairs((a, b), [0], [1], alpha, policy, unmasked)
+    if not scores.usable[0]:
+        raise EmptyJointMaskError("no jointly valid pixels at any candidate shift")
     return IrisMatchResult(
         hamming=float(scores.hamming[0]),
         ws_score=float(scores.ws[0]),
@@ -499,4 +462,5 @@ def match_pair(
         joint_valid=int(scores.joint_valid[0]),
         mask_rate_a=a.valid_fraction(),
         mask_rate_b=b.valid_fraction(),
+        ws_shift=int(scores.ws_shift[0]),
     )

@@ -21,10 +21,13 @@ Readers and writers stream blocks of at most :data:`BLOCK_ROWS` rows
 and :data:`BLOCK_FIELDS` fields.  A text field holding ``,``, ``"``,
 ``\\r`` or ``\\n`` is written inside ``"`` with each inner ``"``
 doubled, a row whose only field is empty as ``""``, and any other
-field bare.  Floats are parsed by one numpy cast per column, which
-applies Python's ``float()`` to each text, so the codec accepts the
-same texts as ``float()`` (and ``int()`` for int?).  A parse error
-names the first bad field in file order.  The match CSV
+field bare.  A text field holding a NUL is rejected by both readers
+and writers, because numpy text arrays drop a trailing NUL.  Floats
+are parsed by one numpy cast per column, which applies Python's
+``float()`` to each text, so the codec accepts the same texts as
+``float()`` (and ``int()`` for int?).  A parse error names the first
+bad field in file order; a ``csv`` error (such as a field over its
+size limit) names its line.  The match CSV
 (:data:`MATCH_SCHEMA`) leaves the iris fields empty for unusable
 pairs; the score CSV (:data:`SCORE_SCHEMA`) leaves the cue and fused
 fields empty there.
@@ -41,6 +44,7 @@ Template container layout (little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -122,6 +126,18 @@ def _open_reader(path):
     return open(path, "r", newline="", encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _csv_reader(path):
+    """A ``csv.reader`` of ``path`` whose ``csv.Error`` (an oversized
+    field, or a NUL before Python 3.11) is a :class:`ParseError` at its line."""
+    with _open_reader(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def _open_writer(path):
     return open(path, "w", newline="", encoding="utf-8")
 
@@ -181,7 +197,7 @@ _DTYPES = {
 _INT_LIMIT = 2**53  # optional ints live in float64 columns, exact below this
 BLOCK_ROWS = 256  # at most this many rows are parsed or formatted at a time,
 BLOCK_FIELDS = 16 * BLOCK_ROWS  # and this many fields: a wide table gets fewer rows
-_NEEDS_QUOTES = re.compile('[,"\r\n]')  # text fields holding one are quoted
+_NEEDS_QUOTES = re.compile('[,"\r\n\0]')  # text fields holding one are quoted, or a NUL rejected
 
 _AREA_CUES = (
     ("eye_sum", FLOAT), ("eye_diff", FLOAT), ("brow_sum", FLOAT), ("brow_diff", FLOAT),
@@ -205,8 +221,8 @@ ROC_SCHEMA = (("threshold", FLOAT), ("far", FLOAT), ("tar", FLOAT))
 
 def _column(kind: str, texts: tuple[str, ...]):
     """One column's fields as an array, or None if any field is invalid."""
-    if kind == STR:
-        return np.array(texts, dtype=str)
+    if kind == STR:  # a <U array would drop a trailing NUL
+        return None if "\0" in "".join(texts) else np.array(texts, dtype=str)
     if kind in (LABEL, FLAG):
         allowed = LABELS if kind == LABEL else ("0", "1")
         if not set(texts) <= set(allowed):
@@ -227,7 +243,9 @@ def _column(kind: str, texts: tuple[str, ...]):
 
 def _field_error(kind: str, text: str) -> str | None:
     """Why one field is invalid, or None; mirrors :func:`_column`."""
-    if kind == STR or (text == "" and kind in (OPT_FLOAT, OPT_INT)):
+    if kind == STR:
+        return f"NUL character in {text!r}" if "\0" in text else None
+    if text == "" and kind in (OPT_FLOAT, OPT_INT):
         return None
     if kind in (LABEL, FLAG):
         return None if _column(kind, (text,)) is not None else f"bad {kind} {text!r}"
@@ -277,29 +295,40 @@ def _row_blocks(reader, schema):
 
 def _read_table(path, schema, what: str) -> dict[str, np.ndarray]:
     source = str(path)
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
+    parts = [[] for _ in schema]  # each column's block arrays
+    with _csv_reader(path) as reader:
         if next(reader, None) != [name for name, _ in schema]:
             raise ParseError(f"{source}:1: bad {what} header")
-        blocks = [_parse_block(rows, schema, source, n) for n, rows in _row_blocks(reader, schema)]
-    blocks = blocks or [_parse_block([], schema, source, 2)]
-    return {
-        name: np.concatenate([block[k] for block in blocks])
-        for k, (name, _) in enumerate(schema)
-    }
+        for n, rows in _row_blocks(reader, schema):
+            for column, values in zip(parts, _parse_block(rows, schema, source, n)):
+                column.append(values)
+    if not parts[0]:
+        parts = [[values] for values in _parse_block([], schema, source, 2)]
+    table = {}
+    for (name, _), column in zip(schema, parts):
+        table[name] = np.concatenate(column)
+        column.clear()  # drop its blocks before the next column is joined
+    return table
 
 
-def _quoted(texts: list[str]) -> list[str]:
+def _nul_error(name: str) -> ValueError:
+    return ValueError(f"column {name!r}: text holds a NUL character")
+
+
+def _quoted(name: str, texts: list[str]) -> list[str]:
     """Text fields as written (see :data:`_NEEDS_QUOTES`)."""
-    if not _NEEDS_QUOTES.search("".join(texts)):
+    joined = "".join(texts)
+    if not _NEEDS_QUOTES.search(joined):
         return texts
+    if "\0" in joined:
+        raise _nul_error(name)
     return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
 
 
-def _format(kind: str, values: np.ndarray) -> list[str]:
+def _format(name: str, kind: str, values: np.ndarray) -> list[str]:
     """One column's fields as written."""
     if kind in (STR, LABEL):
-        return _quoted(values.tolist())
+        return _quoted(name, values.tolist())
     if kind == FLAG:
         return ["1" if v else "0" for v in values.tolist()]
     if kind == FLOAT:
@@ -312,16 +341,25 @@ def _format(kind: str, values: np.ndarray) -> list[str]:
     return texts
 
 
+def _as_column(name: str, kind: str, values) -> np.ndarray:
+    """``values`` as the column's array; Python strings are checked for a
+    NUL first, since a ``<U`` array drops a trailing one."""
+    if _DTYPES[kind] is str and not isinstance(values, np.ndarray):
+        if "\0" in "".join(map(str, values)):
+            raise _nul_error(name)
+    return np.asarray(values, dtype=_DTYPES[kind])
+
+
 def _write_table(path, schema, table: Mapping[str, np.ndarray]) -> None:
-    columns = [(kind, np.asarray(table[name], dtype=_DTYPES[kind])) for name, kind in schema]
-    n = len(columns[0][1])
-    if any(len(values) != n for _, values in columns):
+    columns = [(name, kind, _as_column(name, kind, table[name])) for name, kind in schema]
+    n = len(columns[0][2])
+    if any(len(values) != n for _, _, values in columns):
         raise ValueError("table columns differ in length")
     with _open_writer(path) as fh:
         fh.write(",".join(name for name, _ in schema) + "\n")
         step = _block_rows(schema)
         for start in range(0, n, step):
-            fields = [_format(kind, v[start : start + step]) for kind, v in columns]
+            fields = [_format(name, kind, v[start : start + step]) for name, kind, v in columns]
             if len(fields) == 1:  # an empty line would read back as no fields
                 fields = [[t or '""' for t in fields[0]]]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
@@ -404,8 +442,7 @@ def _add_records(records: dict, rows, schema, source: str, first_line: int) -> N
 def read_feature_csv(path) -> dict[str, PeriocularRecord]:
     source = str(path)
     records: dict[str, PeriocularRecord] = {}
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or header[:3] != ["id", "eye_area", "brow_area"]:
             raise ParseError(f"{source}:1: bad feature-table header")

@@ -64,7 +64,8 @@ def _unmasked_counts_at_shift(bits_a, bits_b, shift: int, width: int):
 def naive_masked_hamming(
     a: IrisTemplate, b: IrisTemplate, policy: ShiftPolicy = DEFAULT_POLICY
 ) -> tuple[float, int, int]:
-    """Per-pixel mirror of :func:`irisfuse.bitmatch.masked_hamming`."""
+    """Per-pixel mirror of ``(hamming, best_shift, joint_valid)`` of
+    :func:`irisfuse.bitmatch.match_pair`."""
     bits_a, mask_a = _pixel_lists(a)
     bits_b, mask_b = _pixel_lists(b)
     best = None
@@ -89,7 +90,8 @@ def naive_weighted_similarity(
     policy: ShiftPolicy = DEFAULT_POLICY,
     unmasked: bool = False,
 ) -> tuple[float, int]:
-    """Per-pixel mirror of :func:`irisfuse.bitmatch.weighted_similarity`."""
+    """Per-pixel mirror of ``(ws_score, ws_shift)`` of
+    :func:`irisfuse.bitmatch.match_pair`, ``unmasked`` included."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie strictly inside (0, 2), got {alpha}")
     bits_a, mask_a = _pixel_lists(a)
@@ -200,14 +202,23 @@ def _random_template(rng: np.random.Generator, h: int, w: int, density: float):
     return pack_template(bits, mask, h, w)
 
 
+def _outcome(error: type[Exception], fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or None where it raises ``error``."""
+    try:
+        return fn(*args, **kwargs)
+    except error:
+        return None
+
+
 def run_equivalence_suite(seed: int = 0, scale: int = 1) -> EquivalenceReport:
     """Compare every kernel against its per-pixel mirror on random pairs.
 
-    Checks masked Hamming, weighted similarity (masked and unmasked),
-    white/black match rates and mask rates for exact equality, including
-    the selected shifts.  ``scale`` multiplies the per-bucket pair counts.
-    Unusable pairs (empty joint mask everywhere) must raise on both
-    routes to count as agreement.
+    Checks every score and shift of :func:`irisfuse.bitmatch.match_pair`
+    (masked Hamming and weighted similarity, then weighted similarity
+    unmasked), white/black match rates and mask rates for exact
+    equality.  ``scale`` multiplies the per-bucket pair counts.  Unusable
+    pairs (empty joint mask everywhere) must raise on both routes to
+    count as agreement.
     """
     from . import bitmatch
 
@@ -220,45 +231,29 @@ def run_equivalence_suite(seed: int = 0, scale: int = 1) -> EquivalenceReport:
             a = _random_template(rng, h, w, density)
             b = _random_template(rng, h, w, density)
             alpha = _SUITE_ALPHAS[i % len(_SUITE_ALPHAS)]
-            ok = True
-            try:
-                fast_hd = bitmatch.masked_hamming(a, b, policy)
-            except EmptyJointMaskError:
-                fast_hd = None
-            try:
-                slow_hd = naive_masked_hamming(a, b, policy)
-            except EmptyJointMaskError:
-                slow_hd = None
-            ok &= fast_hd == slow_hd
-            if fast_hd is None:
+            fast = _outcome(EmptyJointMaskError, bitmatch.match_pair, a, b, alpha, policy)
+            hd = _outcome(EmptyJointMaskError, naive_masked_hamming, a, b, policy)
+            ws = _outcome(
+                EmptyJointMaskError, naive_weighted_similarity, a, b, alpha, policy
+            )
+            if fast is None:
                 unusable += 1
-            for unmasked in (False, True):
-                try:
-                    fast_ws = bitmatch.weighted_similarity(
-                        a, b, alpha, policy, unmasked=unmasked
-                    )
-                except EmptyJointMaskError:
-                    fast_ws = None
-                try:
-                    slow_ws = naive_weighted_similarity(
-                        a, b, alpha, policy, unmasked=unmasked
-                    )
-                except EmptyJointMaskError:
-                    slow_ws = None
-                ok &= fast_ws == slow_ws
+                ok = hd is None and ws is None
+            else:
+                ok = (fast.hamming, fast.best_shift, fast.joint_valid) == hd and (
+                    fast.ws_score, fast.ws_shift
+                ) == ws
+            full = bitmatch.match_pair(a, b, alpha, policy, unmasked=True)
+            ok &= (full.ws_score, full.ws_shift) == naive_weighted_similarity(
+                a, b, alpha, policy, unmasked=True
+            )
             for fast_fn, slow_fn in (
                 (bitmatch.white_match_rate, naive_white_match_rate),
                 (bitmatch.black_match_rate, naive_black_match_rate),
             ):
-                try:
-                    fast_rate = fast_fn(a, b)
-                except ValueError:
-                    fast_rate = None
-                try:
-                    slow_rate = slow_fn(a, b)
-                except ValueError:
-                    slow_rate = None
-                ok &= fast_rate == slow_rate
+                ok &= _outcome(ValueError, fast_fn, a, b) == _outcome(
+                    ValueError, slow_fn, a, b
+                )
             ok &= bitmatch.mask_rate(a, b) == naive_mask_rate(a, b)
             checked += 1
             if not ok:

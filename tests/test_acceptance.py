@@ -79,11 +79,10 @@ def test_ws_hamming_reduction_at_alpha_one():
                 (rng.random((h, w)) < 0.5).astype(np.uint8), mask_b, h, w
             )
         try:
-            ws, _ = bitmatch.weighted_similarity(a, b, 1.0, policy)
-            hd, _, _ = bitmatch.masked_hamming(a, b, policy)
+            result = bitmatch.match_pair(a, b, 1.0, policy)
         except bitmatch.EmptyJointMaskError:
             continue
-        worst = max(worst, abs(ws + hd - 1.0))
+        worst = max(worst, abs(result.ws_score + result.hamming - 1.0))
         checked += 1
     ok = worst < 1e-12
     report(

@@ -15,11 +15,9 @@ from irisfuse.bitmatch import (
     ShiftPolicy,
     black_match_rate,
     mask_rate,
-    masked_hamming,
     match_pair,
     PairScores,
     match_pairs,
-    weighted_similarity,
     white_match_rate,
 )
 from irisfuse.templates import pack_template
@@ -54,22 +52,25 @@ class TestMaskedHamming:
         rng = np.random.default_rng(0)
         bits = (rng.random((8, 32)) < 0.5).astype(np.uint8)
         t = full_mask_template(bits)
-        assert masked_hamming(t, t, ShiftPolicy(4, 1)) == (0.0, 0, 8 * 32)
+        result = match_pair(t, t, policy=ShiftPolicy(4, 1))
+        assert (result.hamming, result.best_shift, result.joint_valid) == (0.0, 0, 8 * 32)
 
     def test_complement_gives_one(self):
         rng = np.random.default_rng(1)
         bits = (rng.random((8, 32)) < 0.5).astype(np.uint8)
         a = full_mask_template(bits)
         b = full_mask_template(1 - bits)
-        assert masked_hamming(a, b, ShiftPolicy(0, 1)) == (1.0, 0, 8 * 32)
+        result = match_pair(a, b, policy=ShiftPolicy(0, 1))
+        assert (result.hamming, result.best_shift, result.joint_valid) == (1.0, 0, 8 * 32)
 
     def test_rotation_recovered_by_shift_search(self):
         rng = np.random.default_rng(2)
         bits = (rng.random((8, 32)) < 0.5).astype(np.uint8)
         a = full_mask_template(bits)
         b = full_mask_template(np.roll(bits, 2, axis=1))
-        distance, best_shift, joint = masked_hamming(a, b, ShiftPolicy(4, 1))
-        assert (distance, best_shift, joint) == (0.0, 2, 8 * 32)
+        result = match_pair(a, b, policy=ShiftPolicy(4, 1))
+        assert (result.hamming, result.best_shift, result.joint_valid) == (0.0, 2, 8 * 32)
+        assert result.ws_shift == 2
         # and the naive route agrees on the whole search
         assert reference.naive_masked_hamming(a, b, ShiftPolicy(4, 1)) == (
             0.0,
@@ -81,7 +82,7 @@ class TestMaskedHamming:
         a = full_mask_template(np.zeros((2, 4), np.uint8))
         b = full_mask_template(np.zeros((2, 8), np.uint8))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            masked_hamming(a, b)
+            match_pair(a, b)
 
     def test_empty_joint_mask_raises(self):
         bits = np.zeros((2, 4), np.uint8)
@@ -91,7 +92,7 @@ class TestMaskedHamming:
         a = pack_template(bits, top, 2, 4)
         b = pack_template(bits, bottom, 2, 4)
         with pytest.raises(EmptyJointMaskError):
-            masked_hamming(a, b, ShiftPolicy(2, 1))
+            match_pair(a, b, policy=ShiftPolicy(2, 1))
 
     def test_masked_region_is_ignored(self):
         # disagreements placed only under an invalid row cannot count
@@ -102,17 +103,17 @@ class TestMaskedHamming:
         mask[0] = 0
         a = pack_template(bits_a, mask, 4, 8)
         b = pack_template(bits_b, mask, 4, 8)
-        distance, _, joint = masked_hamming(a, b, ShiftPolicy(0, 1))
-        assert distance == 0.0
-        assert joint == 24
+        result = match_pair(a, b, policy=ShiftPolicy(0, 1))
+        assert result.hamming == 0.0
+        assert result.joint_valid == 24
 
     def test_shift_search_dominance(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b = random_pair(rng, 8, 32)
             try:
-                wide = masked_hamming(a, b, ShiftPolicy(8, 1))[0]
-                narrow = masked_hamming(a, b, ShiftPolicy(0, 1))[0]
+                wide = match_pair(a, b, policy=ShiftPolicy(8, 1)).hamming
+                narrow = match_pair(a, b, policy=ShiftPolicy(0, 1)).hamming
             except EmptyJointMaskError:
                 continue
             assert wide <= narrow
@@ -122,8 +123,8 @@ class TestMaskedHamming:
         for _ in range(50):
             a, b = random_pair(rng, 6, 24)
             try:
-                d_ab = masked_hamming(a, b, ShiftPolicy(4, 1))[0]
-                d_ba = masked_hamming(b, a, ShiftPolicy(4, 1))[0]
+                d_ab = match_pair(a, b, policy=ShiftPolicy(4, 1)).hamming
+                d_ba = match_pair(b, a, policy=ShiftPolicy(4, 1)).hamming
             except EmptyJointMaskError:
                 continue
             assert d_ab == d_ba
@@ -132,40 +133,38 @@ class TestMaskedHamming:
 class TestWeightedSimilarity:
     def test_identical_all_ones_scores_two_minus_alpha(self):
         t = full_mask_template(np.ones((4, 8), np.uint8))
-        score, shift = weighted_similarity(t, t, alpha=0.3)
-        assert score == pytest.approx(1.7, abs=1e-15)
-        assert shift == 0
+        result = match_pair(t, t, alpha=0.3)
+        assert result.ws_score == pytest.approx(1.7, abs=1e-15)
+        assert result.ws_shift == 0
 
     def test_identical_all_zeros_scores_alpha(self):
         t = full_mask_template(np.zeros((4, 8), np.uint8))
-        score, _ = weighted_similarity(t, t, alpha=0.3)
-        assert score == pytest.approx(0.3, abs=1e-15)
+        assert match_pair(t, t, alpha=0.3).ws_score == pytest.approx(0.3, abs=1e-15)
 
     def test_hand_worked_four_pixel_case(self):
         # agreements: one 1-1 and two 0-0, one disagreement:
         # ((2 - 0.3)*1 + 0.3*2 + 0) / 4 = 0.575
         a = pack_template([1, 1, 0, 0], [1, 1, 1, 1], 2, 2)
         b = pack_template([1, 0, 0, 0], [1, 1, 1, 1], 2, 2)
-        score, shift = weighted_similarity(a, b, alpha=0.3, policy=ShiftPolicy(0, 1))
-        assert score == pytest.approx(0.575, abs=1e-15)
-        assert shift == 0
+        result = match_pair(a, b, alpha=0.3, policy=ShiftPolicy(0, 1))
+        assert result.ws_score == pytest.approx(0.575, abs=1e-15)
+        assert result.ws_shift == 0
 
     def test_alpha_one_reduces_to_one_minus_hamming(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             a, b = random_pair(rng, 8, 32)
             try:
-                ws, _ = weighted_similarity(a, b, alpha=1.0, policy=ShiftPolicy(4, 1))
-                hd, _, _ = masked_hamming(a, b, ShiftPolicy(4, 1))
+                result = match_pair(a, b, alpha=1.0, policy=ShiftPolicy(4, 1))
             except EmptyJointMaskError:
                 continue
-            assert ws + hd == pytest.approx(1.0, abs=1e-12)
+            assert result.ws_score + result.hamming == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_out_of_range(self):
         t = full_mask_template(np.ones((2, 4), np.uint8))
         for bad in (0.0, 2.0, -0.3, 2.5):
             with pytest.raises(ValueError, match="alpha"):
-                weighted_similarity(t, t, alpha=bad)
+                match_pair(t, t, alpha=bad)
 
     def test_identity_extremes_match_pixel_fractions(self):
         rng = np.random.default_rng(6)
@@ -174,8 +173,7 @@ class TestWeightedSimilarity:
             t = full_mask_template(bits)
             f_white = bits.mean()
             f_black = 1.0 - f_white
-            score, _ = weighted_similarity(t, t, alpha=alpha)
-            assert score == pytest.approx(
+            assert match_pair(t, t, alpha=alpha).ws_score == pytest.approx(
                 alpha * f_black + (2.0 - alpha) * f_white, abs=1e-12
             )
 
@@ -185,20 +183,21 @@ class TestWeightedSimilarity:
         mask = np.array([[1, 0, 0, 1]], np.uint8)  # would hide the disagreements
         a = pack_template(bits_a, mask, 1, 4)
         b = pack_template(bits_b, mask, 1, 4)
-        score, _ = weighted_similarity(
-            a, b, alpha=0.3, policy=ShiftPolicy(0, 1), unmasked=True
-        )
-        assert score == pytest.approx(0.575, abs=1e-15)
-        masked_score, _ = weighted_similarity(a, b, alpha=0.3, policy=ShiftPolicy(0, 1))
-        assert masked_score == pytest.approx((1.7 + 0.3) / 2, abs=1e-15)
+        unmasked = match_pair(a, b, alpha=0.3, policy=ShiftPolicy(0, 1), unmasked=True)
+        assert unmasked.ws_score == pytest.approx(0.575, abs=1e-15)
+        assert (unmasked.hamming, unmasked.joint_valid) == (0.25, 4)
+        assert (unmasked.mask_rate_a, unmasked.mask_rate_b) == (0.5, 0.5)
+        masked = match_pair(a, b, alpha=0.3, policy=ShiftPolicy(0, 1))
+        assert masked.ws_score == pytest.approx((1.7 + 0.3) / 2, abs=1e-15)
+        assert (masked.hamming, masked.joint_valid) == (0.0, 2)
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             a, b = random_pair(rng, 6, 24)
             try:
-                s_ab = weighted_similarity(a, b, 0.3, ShiftPolicy(4, 1))[0]
-                s_ba = weighted_similarity(b, a, 0.3, ShiftPolicy(4, 1))[0]
+                s_ab = match_pair(a, b, 0.3, ShiftPolicy(4, 1)).ws_score
+                s_ba = match_pair(b, a, 0.3, ShiftPolicy(4, 1)).ws_score
             except EmptyJointMaskError:
                 continue
             assert s_ab == s_ba
@@ -283,24 +282,28 @@ class TestMatchPair:
         rng = np.random.default_rng(9)
         a, b = random_pair(rng, 8, 32)
         policy = ShiftPolicy(4, 1)
-        result = match_pair(a, b, alpha=0.3, policy=policy)
-        hd, shift, joint = masked_hamming(a, b, policy)
-        ws, _ = weighted_similarity(a, b, 0.3, policy)
         _, rate_a, rate_b = mask_rate(a, b)
-        assert result == IrisMatchResult(
-            hamming=hd,
-            ws_score=ws,
-            best_shift=shift,
-            joint_valid=joint,
-            mask_rate_a=rate_a,
-            mask_rate_b=rate_b,
-        )
+        for unmasked in (False, True):
+            result = match_pair(a, b, alpha=0.3, policy=policy, unmasked=unmasked)
+            scores = match_pairs([a, b], [0], [1], 0.3, policy, unmasked)
+            assert result == IrisMatchResult(
+                hamming=scores.hamming[0],
+                ws_score=scores.ws[0],
+                best_shift=scores.best_shift[0],
+                joint_valid=scores.joint_valid[0],
+                mask_rate_a=rate_a,
+                mask_rate_b=rate_b,
+                ws_shift=scores.ws_shift[0],
+            )
+            assert [type(getattr(result, f.name)) for f in fields(result)] == [
+                float, float, int, int, float, float, int
+            ]
 
     def test_result_validation(self):
         with pytest.raises(ValueError, match="hamming"):
-            IrisMatchResult(1.5, 0.5, 0, 10, 0.5, 0.5)
+            IrisMatchResult(1.5, 0.5, 0, 10, 0.5, 0.5, 0)
         with pytest.raises(ValueError, match="joint_valid"):
-            IrisMatchResult(0.5, 0.5, 0, 0, 0.5, 0.5)
+            IrisMatchResult(0.5, 0.5, 0, 0, 0.5, 0.5, 0)
 
 
 class TestKernelInvariants:
@@ -320,20 +323,18 @@ class TestKernelInvariants:
         b = reference._random_template(rng, height, width, 0.85)
         policy = ShiftPolicy(max_shift, 1)
         try:
-            hd_ab = masked_hamming(a, b, policy)[0]
-            hd_ba = masked_hamming(b, a, policy)[0]
-            ws_ab = weighted_similarity(a, b, alpha, policy)[0]
-            ws_ba = weighted_similarity(b, a, alpha, policy)[0]
-            hd_zero = masked_hamming(a, b, ShiftPolicy(0, 1))[0]
+            ab = match_pair(a, b, alpha, policy)
+            ba = match_pair(b, a, alpha, policy)
+            hd_zero = match_pair(a, b, alpha, ShiftPolicy(0, 1)).hamming
         except EmptyJointMaskError:
             return
-        assert hd_ab == hd_ba
-        assert ws_ab == ws_ba
-        assert hd_ab <= hd_zero
-        assert 0.0 <= hd_ab <= 1.0
-        assert 0.0 <= ws_ab <= max(alpha, 2.0 - alpha)
-        ws_unit = weighted_similarity(a, b, 1.0, policy)[0]
-        assert ws_unit + hd_ab == pytest.approx(1.0, abs=1e-12)
+        assert ab.hamming == ba.hamming
+        assert ab.ws_score == ba.ws_score
+        assert ab.hamming <= hd_zero
+        assert 0.0 <= ab.hamming <= 1.0
+        assert 0.0 <= ab.ws_score <= max(alpha, 2.0 - alpha)
+        ws_unit = match_pair(a, b, 1.0, policy).ws_score
+        assert ws_unit + ab.hamming == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOracleEquivalence:
@@ -344,37 +345,30 @@ class TestOracleEquivalence:
         policy = ShiftPolicy(4, 1)
         for _ in range(40):
             a, b = random_pair(rng, 8, 16, density=0.7)
-            try:
-                fast = masked_hamming(a, b, policy)
-            except EmptyJointMaskError:
-                fast = "empty"
-            try:
-                slow = reference.naive_masked_hamming(a, b, policy)
-            except EmptyJointMaskError:
-                slow = "empty"
-            assert fast == slow
             for alpha in (0.3, 1.0):
-                try:
-                    fast_ws = weighted_similarity(a, b, alpha, policy)
-                except EmptyJointMaskError:
-                    fast_ws = "empty"
-                try:
-                    slow_ws = reference.naive_weighted_similarity(a, b, alpha, policy)
-                except EmptyJointMaskError:
-                    slow_ws = "empty"
-                assert fast_ws == slow_ws
+                result = or_none(match_pair, a, b, alpha, policy)
+                hd = or_none(reference.naive_masked_hamming, a, b, policy)
+                ws = or_none(
+                    reference.naive_weighted_similarity, a, b, alpha, policy
+                )
+                if result is None:
+                    assert hd is None and ws is None
+                else:
+                    assert (result.hamming, result.best_shift, result.joint_valid) == hd
+                    assert (result.ws_score, result.ws_shift) == ws
             assert mask_rate(a, b) == reference.naive_mask_rate(a, b)
 
     def test_tie_breaking_prefers_small_then_negative_shift(self):
         # constant templates: every shift ties, smallest |s| must win
         t = full_mask_template(np.ones((2, 8), np.uint8))
-        assert masked_hamming(t, t, ShiftPolicy(4, 1))[1] == 0
+        result = match_pair(t, t, policy=ShiftPolicy(4, 1))
+        assert (result.best_shift, result.ws_shift) == (0, 0)
         # period-2 stripes: shifts -1 and +1 both reach distance 0 while
         # shift 0 disagrees everywhere; negative is searched first
         a = full_mask_template(np.array([[1, 0, 1, 0]], np.uint8))
         b = full_mask_template(np.array([[0, 1, 0, 1]], np.uint8))
-        distance, shift, _ = masked_hamming(a, b, ShiftPolicy(2, 1))
-        assert (distance, shift) == (0.0, -1)
+        result = match_pair(a, b, policy=ShiftPolicy(2, 1))
+        assert (result.hamming, result.best_shift, result.ws_shift) == (0.0, -1, -1)
         assert reference.naive_masked_hamming(a, b, ShiftPolicy(2, 1))[:2] == (0.0, -1)
 
 
@@ -397,7 +391,7 @@ def batch_templates(rng, h, w):
     ]
 
 
-def naive_or_none(fn, *args, **kwargs):
+def or_none(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except EmptyJointMaskError:
@@ -410,8 +404,8 @@ def assert_rows_equal_reference(templates, ia, ib, alpha, policy, masked, unmask
     assert not masked.usable.all() and masked.usable.any()
     for k, (i, j) in enumerate(zip(ia, ib)):
         a, b = templates[i], templates[j]
-        hd = naive_or_none(reference.naive_masked_hamming, a, b, policy)
-        ws = naive_or_none(reference.naive_weighted_similarity, a, b, alpha, policy)
+        hd = or_none(reference.naive_masked_hamming, a, b, policy)
+        ws = or_none(reference.naive_weighted_similarity, a, b, alpha, policy)
         assert masked.usable[k] == (hd is not None)
         if hd is not None:
             assert (

@@ -119,10 +119,10 @@ class TestMatchCommand:
                 )
                 for c in ("a_id", "b_id")
             )
-            expected, _ = bitmatch.weighted_similarity(
+            expected = bitmatch.match_pair(
                 a, b, 0.3, bitmatch.ShiftPolicy(2, 1), unmasked=True
             )
-            assert rows["ws"][k] == expected
+            assert rows["ws"][k] == expected.ws_score
 
     def match_args(self, population_dir, out, *extra):
         return (

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,23 @@ class TestFeatureCsv:
         path.write_text("id,eye_area,brow_area,f0\n" + "\n".join(rows) + "\n")
         with pytest.raises(fileio.ParseError, match=rf":{n - 1}: duplicate id 'id5'"):
             fileio.read_feature_csv(path)
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("id,eye_area,brow_area,f0\nx,0.1,0.1,1.0\n" + "y" * 200_000 + ",0.1,0.1,1.0\n")
+        with pytest.raises(fileio.ParseError, match=r"features\.csv:3: field larger than field limit"):
+            fileio.read_feature_csv(path)
+
+    @pytest.mark.parametrize("ref", ["x\0", "a\0b"])
+    def test_nul_in_id_rejected_both_ways(self, tmp_path, ref):
+        path = tmp_path / "features.csv"
+        path.write_text(f"id,eye_area,brow_area,f0\ny,0.1,0.1,1.0\n{ref},0.1,0.1,1.0\n")
+        with pytest.raises(fileio.ParseError, match=r"features\.csv:3: column 'id': NUL character"):
+            fileio.read_feature_csv(path)
+        records = self.make_records(np.random.default_rng(13), n=2, dim=2)
+        records[ref] = records.pop("id01")
+        with pytest.raises(ValueError, match="column 'id': text holds a NUL character"):
+            fileio.write_feature_csv(tmp_path / "written.csv", records)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -442,6 +460,39 @@ class TestMatchCsv:
         assert path.read_bytes().split(b"\n")[1].startswith(b'"a\rb",S0:L:1,')
         assert_tables_equal(fileio.read_match_csv(path), table)
 
+    @pytest.mark.parametrize("text", ["x\0", "a\0b"])
+    def test_nul_in_str_field_rejected_when_read(self, tmp_path, text):
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, match_table())
+        replace_field(path, 3, 1, text)
+        with pytest.raises(fileio.ParseError, match=r"match\.csv:3: column 'b_id': NUL character"):
+            fileio.read_match_csv(path)
+
+    @pytest.mark.parametrize(
+        "side",
+        [["L", "x\0"], ["L", "a\0b"], np.array(["L", "a\0b"])],  # <U keeps an inner NUL
+        ids=["trailing", "inner", "inner-array"],
+    )
+    def test_nul_in_str_field_rejected_when_written(self, tmp_path, side):
+        table = match_table()
+        table["side"] = side
+        with pytest.raises(ValueError, match="column 'side': text holds a NUL character"):
+            fileio.write_match_csv(tmp_path / "match.csv", table)
+
+    def test_read_peak_memory_stays_near_the_arrays(self, tmp_path):
+        n = 100_000
+        table = {name: np.resize(np.asarray(v), n) for name, v in match_table().items()}
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, table)
+        tracemalloc.start()
+        try:
+            got = fileio.read_match_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_tables_equal(got, table)
+        assert peak < 1.5 * sum(values.nbytes for values in got.values())
+
     def test_first_fault_in_file_order_across_blocks(self, tmp_path):
         n = fileio.BLOCK_ROWS + 7
         table = {name: values[:1] * n for name, values in match_table().items()}
@@ -535,6 +586,12 @@ class TestRocCsv:
         assert (again.thresholds == curve.thresholds).all()
         assert (again.far == curve.far).all()
         assert (again.tar == curve.tar).all()
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "roc.csv"
+        path.write_text("threshold,far,tar\n0.5,0.1,0.2\n" + "1" * 200_000 + ",0.1,0.2\n")
+        with pytest.raises(fileio.ParseError, match=r"roc\.csv:3: field larger than field limit"):
+            fileio.read_roc_csv(path)
 
 
 class TestCheckpoint:

@@ -107,6 +107,7 @@ class TestAssembleCues:
             joint_valid=10,
             mask_rate_a=rate_a,
             mask_rate_b=rate_b,
+            ws_shift=1,
         )
 
     def cues(self, *args, norm=None):

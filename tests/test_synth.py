@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irisfuse.bitmatch import ShiftPolicy, masked_hamming, black_match_rate, white_match_rate
+from irisfuse.bitmatch import ShiftPolicy, black_match_rate, match_pair, white_match_rate
 from irisfuse.evaluation import eer, protocol_pairs, roc_curve
 from irisfuse.synth import SynthConfig, degraded_scenario, gen_population, gen_score_scenario
 
@@ -57,8 +57,7 @@ class TestStatisticalShape:
         )
         population = gen_population(config)
         for a, b in within_class_pairs(population):
-            d, _, _ = masked_hamming(a, b, ShiftPolicy(0, 1))
-            assert d == 0.0
+            assert match_pair(a, b, policy=ShiftPolicy(0, 1)).hamming == 0.0
 
     def test_genuine_hamming_matches_flip_expectation(self):
         # two independent flips of the same prototype disagree with
@@ -69,7 +68,7 @@ class TestStatisticalShape:
         )
         population = gen_population(config)
         distances = [
-            masked_hamming(a, b, ShiftPolicy(0, 1))[0]
+            match_pair(a, b, policy=ShiftPolicy(0, 1)).hamming
             for a, b in within_class_pairs(population)
         ]
         assert np.mean(distances) == pytest.approx(2 * 0.1 * 0.9, abs=0.02)
@@ -81,7 +80,7 @@ class TestStatisticalShape:
         )
         population = gen_population(config)
         distances = [
-            masked_hamming(a, b, ShiftPolicy(0, 1))[0]
+            match_pair(a, b, policy=ShiftPolicy(0, 1)).hamming
             for a, b in cross_class_pairs(population)
         ]
         assert np.mean(distances) == pytest.approx(0.5, abs=0.02)
