@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,14 @@ from irisfuse.evaluation import Manifest, ManifestEntry, ScoreSet, roc_curve
 from irisfuse.fusion import NormalizationParams, cue_matrix
 from irisfuse.mlp import MlpParams, TrainConfig
 from irisfuse.templates import PeriocularRecord, pack_template
+
+
+def nul_read_message(column: str) -> str:
+    """What a read NUL raises after ``file:line:``.  Before Python 3.11,
+    ``csv.reader`` rejects the whole line before any column is split."""
+    if sys.version_info < (3, 11):
+        return "line contains NUL"
+    return f"column '{column}': NUL character"
 
 
 def random_template(rng, h=64, w=512):
@@ -183,7 +192,7 @@ class TestFeatureCsv:
     def test_nul_in_id_rejected_both_ways(self, tmp_path, ref):
         path = tmp_path / "features.csv"
         path.write_text(f"id,eye_area,brow_area,f0\ny,0.1,0.1,1.0\n{ref},0.1,0.1,1.0\n")
-        with pytest.raises(fileio.ParseError, match=r"features\.csv:3: column 'id': NUL character"):
+        with pytest.raises(fileio.ParseError, match=r"features\.csv:3: " + nul_read_message("id")):
             fileio.read_feature_csv(path)
         records = self.make_records(np.random.default_rng(13), n=2, dim=2)
         records[ref] = records.pop("id01")
@@ -465,7 +474,7 @@ class TestMatchCsv:
         path = tmp_path / "match.csv"
         fileio.write_match_csv(path, match_table())
         replace_field(path, 3, 1, text)
-        with pytest.raises(fileio.ParseError, match=r"match\.csv:3: column 'b_id': NUL character"):
+        with pytest.raises(fileio.ParseError, match=r"match\.csv:3: " + nul_read_message("b_id")):
             fileio.read_match_csv(path)
 
     @pytest.mark.parametrize(
