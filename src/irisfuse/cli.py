@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +270,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_fuse_train(args) -> int:
-    matches = fileio.read_match_csv(args.match_csv)
+    matches = fileio.read_match_csv(args.match_csv, ("label", *fusion.CUE_COLUMNS))
     use = matches["iris_valid"]
     n_usable = int(np.count_nonzero(use))
     if use.size > n_usable:
@@ -296,24 +297,38 @@ def cmd_fuse_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    matches = fileio.read_match_csv(args.match_csv)
     params, norm, _ = fileio.read_checkpoint(args.checkpoint)
-    use = matches["iris_valid"]
-    cues = fusion.cue_matrix(matches, norm)
-    # validates --alpha and --static-weight even when no row is usable
-    iris01, perioc01 = fusion.static_inputs(cues[:, 0], args.alpha, cues[:, 1])
-    static = fusion.static_fuse(iris01, perioc01, args.static_weight)
-    scores = {name: matches[name] for name, _ in fileio.SCORE_SCHEMA if name in matches}
-    for name, values in (
-        ("iris_score", cues[:, 0]),
-        ("perioc_norm", cues[:, 1]),
-        ("static", static),
-        ("dynamic", fusion.dynamic_fuse(params, cues)),
-    ):
-        scores[name] = np.full(use.size, np.nan)
-        scores[name][use] = values
-    fileio.write_score_csv(args.out, scores)
-    print(f"wrote {use.size} scored comparisons to {args.out}")
+    # rejects a bad --alpha or --static-weight before the output is opened
+    fusion.static_fuse(*fusion.static_inputs(np.empty(0), args.alpha, np.empty(0)),
+                       args.static_weight)
+    copied = [name for name, _ in fileio.SCORE_SCHEMA if name in dict(fileio.MATCH_SCHEMA)]
+    waiting = deque()  # (score columns, usable rows) of blocks awaiting `dynamic`
+
+    def cue_blocks():
+        for matches in fileio.read_match_blocks(args.match_csv, (*copied, *fusion.CUE_COLUMNS)):
+            use = matches["iris_valid"]
+            cues = fusion.cue_matrix(matches, norm)
+            iris01, perioc01 = fusion.static_inputs(cues[:, 0], args.alpha, cues[:, 1])
+            scores = {name: matches[name] for name in copied}
+            for name, values in (
+                ("iris_score", cues[:, 0]),
+                ("perioc_norm", cues[:, 1]),
+                ("static", fusion.static_fuse(iris01, perioc01, args.static_weight)),
+            ):
+                scores[name] = np.full(use.size, np.nan)
+                scores[name][use] = values
+            waiting.append((scores, use))
+            yield cues
+
+    n = 0
+    with fileio.score_csv_writer(args.out) as append:
+        for dynamic in fusion.dynamic_fuse_blocks(params, cue_blocks()):
+            scores, use = waiting.popleft()
+            scores["dynamic"] = np.full(use.size, np.nan)
+            scores["dynamic"][use] = dynamic
+            append(scores)
+            n += use.size
+    print(f"wrote {n} scored comparisons to {args.out}")
     return 0
 
 
@@ -378,8 +393,11 @@ def _collect_scores(
 
 
 def cmd_eval(args) -> int:
+    columns = ("label", _EVAL_COLUMNS[args.column][0])
+    if args.sum_rule:
+        columns += ("a_id", "b_id", "side")
     scores, skipped = _collect_scores(
-        fileio.read_score_csv(args.scores), args.column, args.sum_rule
+        fileio.read_score_csv(args.scores, columns), args.column, args.sum_rule
     )
     if skipped:
         print(f"skipped {skipped} comparisons without a {args.column} score",

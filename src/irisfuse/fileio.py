@@ -18,7 +18,14 @@ schema lists each column's name and kind in file order:
     int?     empty, or an integer, |v| < 2**53  float64, NaN if empty
 
 Readers and writers stream blocks of at most :data:`BLOCK_ROWS` rows
-and :data:`BLOCK_FIELDS` fields.  A text field holding ``,``, ``"``,
+and :data:`BLOCK_FIELDS` fields.  A reader can be asked for some of a
+table's columns (``columns=``) and can hand them over one block at a
+time (:func:`read_match_blocks`); it still checks the whole header and
+every row's field count, but parses only the columns asked for.  A
+writer can append a table block by block (:func:`score_csv_writer`); it
+writes to a temporary file beside its path that replaces the path only
+once the whole table is written, and it rejects a number that would
+not read back.  A text field holding ``,``, ``"``,
 ``\\r`` or ``\\n`` is written inside ``"`` with each inner ``"``
 doubled, a row whose only field is empty as ``""``, and any other
 field bare.  A text field holding a NUL is rejected by both readers
@@ -26,8 +33,8 @@ and writers, because numpy text arrays drop a trailing NUL.  Floats
 are parsed by one numpy cast per column, which applies Python's
 ``float()`` to each text, so the codec accepts the same texts as
 ``float()`` (and ``int()`` for int?).  A parse error names the first
-bad field in file order; a ``csv`` error (such as a field over its
-size limit) names its line.  The match CSV
+bad field of the columns read, in file order; a ``csv`` error (such
+as a field over its size limit) names its line.  The match CSV
 (:data:`MATCH_SCHEMA`) leaves the iris fields empty for unusable
 pairs; the score CSV (:data:`SCORE_SCHEMA`) leaves the cue and fused
 fields empty there.
@@ -50,6 +57,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import struct
 from pathlib import Path
@@ -138,8 +146,8 @@ def _csv_reader(path):
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-def _open_writer(path):
-    return open(path, "w", newline="", encoding="utf-8")
+def _open_writer(path, mode="w"):
+    return open(path, mode, newline="", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +270,23 @@ def _field_error(kind: str, text: str) -> str | None:
     return None if math.isfinite(value) else "non-finite value"
 
 
-def _parse_block(rows: list[list[str]], schema, source: str, first_line: int):
-    """Column arrays of a block of data rows; the first bad field in file
-    order raises a :class:`ParseError` naming its line and column."""
+def _parse_block(rows: list[list[str]], schema, source: str, first_line: int, picks):
+    """The arrays of columns ``picks`` (schema indices) of a block of data
+    rows.  Every row's field count is checked; the first bad field of a
+    picked column, in file order, raises a :class:`ParseError` naming its
+    line and column."""
     width = len(schema)
     if all(len(row) == width for row in rows):
         texts = list(zip(*rows)) or [()] * width
-        columns = [_column(kind, t) for (_, kind), t in zip(schema, texts)]
+        columns = [_column(schema[i][1], texts[i]) for i in picks]
         if all(c is not None for c in columns):
             return columns
     for line, row in enumerate(rows, start=first_line):
         if len(row) != width:
             raise ParseError(f"{source}:{line}: expected {width} fields, got {len(row)}")
-        for (name, kind), text in zip(schema, row):
-            error = _field_error(kind, text)
+        for i in picks:
+            name, kind = schema[i]
+            error = _field_error(kind, row[i])
             if error:
                 raise ParseError(f"{source}:{line}: column {name!r}: {error}")
     raise AssertionError("_column and _field_error disagree")
@@ -286,26 +297,57 @@ def _block_rows(schema) -> int:
 
 
 def _row_blocks(reader, schema):
-    """``(first line, rows)`` of each block of a table's data rows."""
-    line = 2
-    while rows := list(itertools.islice(reader, _block_rows(schema))):
+    """``(first line, rows)`` of each block of a table's data rows; a
+    table without data rows gives one empty block."""
+    line, step = 2, _block_rows(schema)
+    rows = list(itertools.islice(reader, step))
+    while True:
         yield line, rows
         line += len(rows)
+        if not (rows := list(itertools.islice(reader, step))):
+            return
 
 
-def _read_table(path, schema, what: str) -> dict[str, np.ndarray]:
-    source = str(path)
-    parts = [[] for _ in schema]  # each column's block arrays
-    with _csv_reader(path) as reader:
-        if next(reader, None) != [name for name, _ in schema]:
-            raise ParseError(f"{source}:1: bad {what} header")
-        for n, rows in _row_blocks(reader, schema):
-            for column, values in zip(parts, _parse_block(rows, schema, source, n)):
-                column.append(values)
-    if not parts[0]:
-        parts = [[values] for values in _parse_block([], schema, source, 2)]
+def _picks(schema, columns) -> list[int]:
+    """Schema indices of the named columns in file order, or of all columns
+    for None; an unknown name raises ``ValueError``."""
+    names = [name for name, _ in schema]
+    if columns is None:
+        return list(range(len(names)))
+    unknown = [name for name in columns if name not in names]
+    if unknown:
+        raise ValueError(f"no column {unknown[0]!r} in {names}")
+    return [i for i, name in enumerate(names) if name in columns]
+
+
+def _table_blocks(path, schema, what: str, columns=None):
+    """The requested columns (all for None) of each block of a table's data
+    rows, as a dict of arrays in file order.  The header is checked in full
+    and every row's field count, but only the requested columns are parsed,
+    so a bad field in another column goes unreported.  A table without data
+    rows gives one block of empty arrays.  An unknown column name raises
+    ``ValueError`` before the file is opened."""
+    picks = _picks(schema, columns)
+    names = [schema[i][0] for i in picks]
+
+    def blocks():
+        source = str(path)
+        with _csv_reader(path) as reader:
+            if next(reader, None) != [name for name, _ in schema]:
+                raise ParseError(f"{source}:1: bad {what} header")
+            for n, rows in _row_blocks(reader, schema):
+                yield dict(zip(names, _parse_block(rows, schema, source, n, picks)))
+
+    return blocks()
+
+
+def _read_table(path, schema, what: str, columns=None) -> dict[str, np.ndarray]:
+    parts: dict[str, list[np.ndarray]] = {}  # each column's block arrays
+    for block in _table_blocks(path, schema, what, columns):
+        for name, values in block.items():
+            parts.setdefault(name, []).append(values)
     table = {}
-    for (name, _), column in zip(schema, parts):
+    for name, column in parts.items():
         table[name] = np.concatenate(column)
         column.clear()  # drop its blocks before the next column is joined
     return table
@@ -350,35 +392,98 @@ def _as_column(name: str, kind: str, values) -> np.ndarray:
     return np.asarray(values, dtype=_DTYPES[kind])
 
 
-def _write_table(path, schema, table: Mapping[str, np.ndarray]) -> None:
-    columns = [(name, kind, _as_column(name, kind, table[name])) for name, kind in schema]
-    n = len(columns[0][2])
-    if any(len(values) != n for _, _, values in columns):
-        raise ValueError("table columns differ in length")
-    with _open_writer(path) as fh:
-        fh.write(",".join(name for name, _ in schema) + "\n")
-        step = _block_rows(schema)
+def _unreadable(kind: str, values: np.ndarray) -> np.ndarray | None:
+    """Which numbers would not read back: a non-finite float, an infinite
+    float?, and an int? that is not an integer below 2**53 in magnitude
+    (NaN marks an empty float? or int? field); None for a text or flag
+    column."""
+    if kind == FLOAT:
+        return ~np.isfinite(values)
+    if kind == OPT_FLOAT:
+        return np.isinf(values)
+    if kind == OPT_INT:
+        exact = (np.abs(values) < _INT_LIMIT) & (np.trunc(values) == values)
+        return ~(exact | np.isnan(values))
+    return None
+
+
+@contextlib.contextmanager
+def _table_writer(path, schema):
+    """Write a table block by block: yields ``append(table)``, which checks a
+    block's columns and adds its rows.  A column holding a NUL, or a number
+    that would not read back, raises ``ValueError`` naming the column (and
+    the row, counted from 0 over all blocks).  The rows go to a temporary
+    file beside ``path``, which replaces ``path`` only when the ``with``
+    block exits without error, so a fault leaves no partial table and an
+    existing ``path`` untouched."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    step = _block_rows(schema)
+    rows_written = 0
+
+    def append(table: Mapping[str, np.ndarray]) -> None:
+        nonlocal rows_written
+        columns = [(name, kind, _as_column(name, kind, table[name])) for name, kind in schema]
+        n = len(columns[0][2])
+        if any(len(values) != n for _, _, values in columns):
+            raise ValueError("table columns differ in length")
+        for name, kind, values in columns:
+            bad = _unreadable(kind, values)
+            if bad is not None and bad.any():
+                row = int(bad.argmax())
+                raise ValueError(f"column {name!r}: row {rows_written + row}: "
+                                 f"{float(values[row])!r} would not read back as {kind}")
         for start in range(0, n, step):
             fields = [_format(name, kind, v[start : start + step]) for name, kind, v in columns]
             if len(fields) == 1:  # an empty line would read back as no fields
                 fields = [[t or '""' for t in fields[0]]]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        rows_written += n
+
+    fh = _open_writer(tmp, "x")  # exclusive, so a clash never clobbers another writer's file
+    try:
+        with fh:
+            fh.write(",".join(name for name, _ in schema) + "\n")
+            yield append
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_table(path, schema, table: Mapping[str, np.ndarray]) -> None:
+    with _table_writer(path, schema) as append:
+        append(table)
 
 
 def write_match_csv(path, table: Mapping[str, np.ndarray]) -> None:
     _write_table(path, MATCH_SCHEMA, table)
 
 
-def read_match_csv(path) -> dict[str, np.ndarray]:
-    return _read_table(path, MATCH_SCHEMA, "match-table")
+def read_match_csv(path, columns=None) -> dict[str, np.ndarray]:
+    """The named columns (all for None) of a match CSV; see :func:`_table_blocks`."""
+    return _read_table(path, MATCH_SCHEMA, "match-table", columns)
+
+
+def read_match_blocks(path, columns=None):
+    """The named columns (all for None) of each block of a match CSV's
+    rows, as dicts of arrays; see :func:`_table_blocks`."""
+    return _table_blocks(path, MATCH_SCHEMA, "match-table", columns)
 
 
 def write_score_csv(path, table: Mapping[str, np.ndarray]) -> None:
     _write_table(path, SCORE_SCHEMA, table)
 
 
-def read_score_csv(path) -> dict[str, np.ndarray]:
-    return _read_table(path, SCORE_SCHEMA, "score-table")
+def score_csv_writer(path):
+    """A context manager that writes a score CSV block by block: it yields
+    ``append(table)``; see :func:`_table_writer`."""
+    return _table_writer(path, SCORE_SCHEMA)
+
+
+def read_score_csv(path, columns=None) -> dict[str, np.ndarray]:
+    """The named columns (all for None) of a score CSV; see :func:`_table_blocks`."""
+    return _read_table(path, SCORE_SCHEMA, "score-table", columns)
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
@@ -421,7 +526,8 @@ def _add_records(records: dict, rows, schema, source: str, first_line: int) -> N
     """Add a block of feature rows to ``records``; the first bad field,
     duplicate id or invalid record in file order raises a :class:`ParseError`."""
     try:
-        ids, eye, brow, *features = _parse_block(rows, schema, source, first_line)
+        every = range(len(schema))
+        ids, eye, brow, *features = _parse_block(rows, schema, source, first_line, every)
     except ParseError:
         if len(rows) > 1:  # one row at a time, so that an earlier duplicate id or record wins
             for k, row in enumerate(rows):

@@ -3,10 +3,14 @@
 Combines the iris matcher output, the periocular feature distance and
 the segmentation-derived quality cues into the eight-element vector fed
 to the fusion network, and provides the fixed weighted-sum baseline.
+The network scores a whole cue matrix (:func:`dynamic_fuse`) or a
+stream of cue blocks (:func:`dynamic_fuse_blocks`) over the same fixed
+windows of :data:`BLOCK_ROWS` rows, so both give the same bytes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -17,6 +21,8 @@ from .mlp import MlpParams, mlp_logits, softmax
 from .templates import CUE_NAMES, PeriocularRecord, check_cues
 
 BLOCK_ROWS = 1024  # cue rows per forward pass of the fusion network
+# The match-table columns that cue_matrix reads.
+CUE_COLUMNS = ("iris_valid", "ws", "perioc_dist", *CUE_NAMES[2:])
 # Feature differences per block of perioc_distances.  1 MiB blocks left the
 # peak RSS of later stages in the same process about 3 MB higher at 64x512.
 PERIOC_BLOCK_BYTES = 1 << 16
@@ -83,7 +89,8 @@ def normalized_distance(distance, norm: NormalizationParams):
 def cue_matrix(matches, norm: NormalizationParams) -> np.ndarray:
     """The ``(n, 8)`` fusion inputs of a match table's usable rows.
 
-    ``matches`` maps match-CSV column names to arrays.  All rows are
+    ``matches`` maps match-CSV column names (at least :data:`CUE_COLUMNS`)
+    to arrays, of a whole table or of one block of its rows.  All rows are
     checked at once with :func:`~irisfuse.templates.check_cues`, so a
     bad cue raises a ``ValueError`` naming it.
     """
@@ -123,11 +130,45 @@ def dynamic_fuse(params: MlpParams, cues) -> np.ndarray:
     :data:`BLOCK_ROWS` rows at a time, so its activations stay small
     however many rows are scored.
     """
-    x = np.asarray(cues, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"cues must be an (n, 8) matrix, got shape {x.shape}")
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        out[block] = softmax(mlp_logits(params, x[block]))[:, 0]
-    return out
+    (scores,) = dynamic_fuse_blocks(params, [cues])
+    return scores
+
+
+def dynamic_fuse_blocks(params: MlpParams, cue_blocks):
+    """:func:`dynamic_fuse` of a stream of ``(n_k, 8)`` cue blocks: yields
+    each block's scores, in order.
+
+    The network runs over windows of :data:`BLOCK_ROWS` consecutive rows of
+    all blocks taken together, whatever the block sizes, so every score is
+    bit-identical to :func:`dynamic_fuse` of the rows stacked at once (a
+    window's matrix product sums in an order set by its row count; a 1-row
+    window is a matrix-vector product).  A block's scores are yielded once
+    the window holding its last row has run, so the rows of at most one
+    unfinished window wait, and the blocks that hold them.
+    """
+    waiting = deque()  # row counts of the blocks whose scores are not yet yielded
+    ready = np.empty(0)  # the scores of their rows that have been computed
+    pending = np.empty((0, len(CUE_NAMES)))  # rows of the unfinished window
+
+    def run(rows) -> np.ndarray:
+        return softmax(mlp_logits(params, rows))[:, 0]
+
+    for cues in cue_blocks:
+        x = np.asarray(cues, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"cues must be an (n, 8) matrix, got shape {x.shape}")
+        waiting.append(len(x))
+        if len(pending):
+            x = np.concatenate([pending, x])
+        full = len(x) - len(x) % BLOCK_ROWS
+        ready = np.concatenate(
+            [ready, *(run(x[start : start + BLOCK_ROWS]) for start in range(0, full, BLOCK_ROWS))])
+        pending = x[full:]
+        while waiting and waiting[0] <= len(ready):
+            yield ready[: waiting[0]]
+            ready = ready[waiting.popleft() :]
+    if len(pending):
+        ready = np.concatenate([ready, run(pending)])
+    for size in waiting:
+        yield ready[:size]
+        ready = ready[size:]

@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from irisfuse import fileio
+from irisfuse import fileio, fusion
 from irisfuse.cli import main
-from irisfuse.fusion import NormalizationParams, cue_matrix, static_fuse, static_inputs
+from irisfuse.fusion import (
+    NormalizationParams,
+    cue_matrix,
+    dynamic_fuse,
+    static_fuse,
+    static_inputs,
+)
 from irisfuse.mlp import MlpParams, mlp_forward
 from irisfuse.templates import CUE_NAMES, check_cues
 
@@ -407,6 +413,138 @@ class TestScoreCommand:
         have = np.array([float(row[-1]) for row in got[1:] if row[-1]])
         ref = np.array([float(row[-1]) for row in want if row[-1]])
         np.testing.assert_allclose(have, ref, rtol=0, atol=1e-14)
+
+
+def replace_field(path, line, name, text, schema=fileio.MATCH_SCHEMA):
+    """Rewrite field ``name`` of 1-based ``line`` of a CSV written without quotes."""
+    lines = path.read_text().split("\n")
+    fields = lines[line - 1].split(",")
+    fields[[n for n, _ in schema].index(name)] = text
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines))
+
+
+def reference_score_csv(match_csv, checkpoint, out, alpha=0.3, weight=0.5):
+    """The score CSV computed over the whole match table at once."""
+    params, norm, _ = fileio.read_checkpoint(checkpoint)
+    matches = fileio.read_match_csv(match_csv)
+    use = matches["iris_valid"]
+    cues = cue_matrix(matches, norm)
+    iris01, perioc01 = static_inputs(cues[:, 0], alpha, cues[:, 1])
+    scores = {name: matches[name] for name, _ in fileio.SCORE_SCHEMA if name in matches}
+    for name, values in (
+        ("iris_score", cues[:, 0]),
+        ("perioc_norm", cues[:, 1]),
+        ("static", static_fuse(iris01, perioc01, weight)),
+        ("dynamic", dynamic_fuse(params, cues)),
+    ):
+        scores[name] = np.full(use.size, np.nan)
+        scores[name][use] = values
+    fileio.write_score_csv(out, scores)
+
+
+def small_blocks_match_csv(path, monkeypatch, unusable=()):
+    """A 45-row match CSV read 7 rows and fused 5 rows at a time."""
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(fusion, "BLOCK_ROWS", 5)
+    table = random_match_table(np.random.default_rng(23), 45, 0)
+    rows = list(unusable)
+    table["iris_valid"][rows] = False
+    for name in ("hamming", "ws", "best_shift", "joint_valid"):
+        table[name][rows] = np.nan
+    fileio.write_match_csv(path, table)
+
+
+class TestStreamingScore:
+    def test_scores_equal_the_whole_table_reference(self, tmp_path, checkpoint, monkeypatch):
+        # rows 6/7, 13/14 and 20 sit at read-block edges, rows 21-27 fill a
+        # read block, and the 31 usable rows end in a 1-row window
+        unusable = [6, 7, 13, 14, 20, *range(21, 28), 30, 44]
+        match_csv = tmp_path / "match.csv"
+        small_blocks_match_csv(match_csv, monkeypatch, unusable)
+        out = tmp_path / "scores.csv"
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", out, "--alpha", 0.4, "--static-weight", 0.3) == 0
+        reference_score_csv(match_csv, checkpoint, tmp_path / "ref.csv", 0.4, 0.3)
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ckpt.json", "match.csv", "ref.csv", "scores.csv"]
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("cue", "ValueError", r"mask_rate_b must lie in [0, 1], got 1.5"),
+        ("parse", "ParseError", "match.csv:45: column 'ws': not a number: 'abc'"),
+        ("both", "ValueError", r"mask_rate_b must lie in [0, 1], got 1.5"),
+    ])
+    def test_fault_in_a_later_block_leaves_out_untouched(
+        self, tmp_path, checkpoint, monkeypatch, capsys, fault, error, message
+    ):
+        match_csv = tmp_path / "match.csv"
+        small_blocks_match_csv(match_csv, monkeypatch)
+        # a cue fault in the last read block, or (for "both") in the first
+        # one, which wins over a parse fault in the last block
+        cue_line = 3 if fault == "both" else 45
+        if fault != "parse":
+            replace_field(match_csv, cue_line, "mask_rate_b", "1.5")
+        if fault != "cue":
+            replace_field(match_csv, 45, "ws", "abc")
+        out = tmp_path / "scores.csv"
+        out.write_bytes(b"previous scores\n")
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", out) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert message in err["message"]
+        assert out.read_bytes() == b"previous scores\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "match.csv", "scores.csv"]
+
+
+class TestNarrowReads:
+    def test_eval_ignores_a_bad_field_it_does_not_read(self, tmp_path, checkpoint, capsys):
+        match_csv = tmp_path / "match.csv"
+        fileio.write_match_csv(match_csv, random_match_table(np.random.default_rng(2), 40, 4))
+        clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+        reference_score_csv(match_csv, checkpoint, clean)
+        bad.write_bytes(clean.read_bytes())
+        replace_field(bad, 5, "static", "x", fileio.SCORE_SCHEMA)
+        replace_field(bad, 9, "mask_rate_a", "", fileio.SCORE_SCHEMA)
+        for scores, prefix in ((clean, "c"), (bad, "b")):
+            assert run_cli("eval", "--scores", scores, "--column", "dynamic",
+                           "--out-prefix", tmp_path / prefix, "--far-target", 0.1) == 0
+        for name in ("summary.json", "roc.csv"):
+            assert (tmp_path / f"b-{name}").read_bytes() == (tmp_path / f"c-{name}").read_bytes()
+        capsys.readouterr()
+        assert run_cli("eval", "--scores", bad, "--column", "static",
+                       "--out-prefix", tmp_path / "s", "--far-target", 0.1) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "bad.csv:5: column 'static': not a number: 'x'" in err["message"]
+        # a ragged row is reported whichever columns are read
+        lines = clean.read_text().split("\n")
+        lines[2] += ",extra"
+        bad.write_text("\n".join(lines))
+        assert run_cli("eval", "--scores", bad, "--column", "dynamic",
+                       "--out-prefix", tmp_path / "r") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "bad.csv:3: expected 16 fields, got 17" in err["message"]
+
+    def test_fuse_train_ignores_a_bad_field_it_does_not_read(self, tmp_path, capsys):
+        table = random_match_table(np.random.default_rng(8), 60, 6)
+        clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+        fileio.write_match_csv(clean, table)
+        fileio.write_match_csv(bad, table)
+        for line, name in ((4, "hamming"), (6, "best_shift"), (8, "joint_valid")):
+            replace_field(bad, line, name, "x")
+        for match_csv, ckpt in ((clean, "c.json"), (bad, "b.json")):
+            assert run_cli("fuse-train", "--match-csv", match_csv, "--out", tmp_path / ckpt,
+                           "--epochs", 3) == 0
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+        capsys.readouterr()
+        replace_field(bad, 7, "eye_sum", "nan")
+        assert run_cli("fuse-train", "--match-csv", bad, "--out", tmp_path / "x.json") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "bad.csv:7: column 'eye_sum': non-finite value" in err["message"]
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestFuseTrainCues:

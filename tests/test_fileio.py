@@ -382,6 +382,44 @@ class TestTableCodec:
         got = fileio._read_table(path, schema, "test")["x"]
         assert got.tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize(
+        "kind, value",
+        [(fileio.FLOAT, np.inf), (fileio.FLOAT, np.nan), (fileio.FLOAT, -np.inf),
+         (fileio.OPT_FLOAT, np.inf), (fileio.OPT_FLOAT, -np.inf),
+         (fileio.OPT_INT, 2.0**60), (fileio.OPT_INT, -(2.0**53)), (fileio.OPT_INT, 2.5),
+         (fileio.OPT_INT, np.inf)],
+    )
+    def test_writer_rejects_numbers_the_reader_rejects(self, tmp_path, kind, value):
+        schema = (("s", fileio.STR), ("x", kind))
+        values = [1.0, 2.0, 3.0, value, value]
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=re.escape(f"column 'x': row 3: {value!r}")):
+            fileio._write_table(path, schema, {"s": ["a"] * 5, "x": values})
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"before")
+        with pytest.raises(ValueError, match="column 'x': row 3"):
+            fileio._write_table(path, schema, {"s": ["a"] * 5, "x": values})
+        assert path.read_bytes() == b"before"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_block_leaves_an_existing_table_untouched(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"old table")
+        with pytest.raises(RuntimeError, match="later block"):
+            with fileio._table_writer(path, fileio.MATCH_SCHEMA) as append:
+                append(match_table())
+                raise RuntimeError("later block")
+        assert path.read_bytes() == b"old table"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_bad_row_is_counted_over_all_blocks(self, tmp_path):
+        schema = (("x", fileio.FLOAT),)
+        with pytest.raises(ValueError, match="column 'x': row 4: nan"):
+            with fileio._table_writer(tmp_path / "t.csv", schema) as append:
+                append({"x": [0.5, 1.5, 2.5]})
+                append({"x": [3.5, np.nan]})
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind", [fileio.FLOAT, fileio.OPT_FLOAT, fileio.OPT_INT])
     @pytest.mark.parametrize("text", EDGE_TEXTS)
     def test_reader_accepts_what_python_accepts(self, tmp_path, kind, text):
@@ -460,6 +498,16 @@ class TestMatchCsv:
         replace_field(path, line, column, text)
         with pytest.raises(fileio.ParseError, match=r"match\.csv" + message):
             fileio.read_match_csv(path)
+        name = fileio.MATCH_SCHEMA[column][0]
+        with pytest.raises(fileio.ParseError, match=r"match\.csv" + message):
+            fileio.read_match_csv(path, ("a_id", name))
+        others = [n for n, _ in fileio.MATCH_SCHEMA if n != name]
+        if "expected 16 fields" in message:  # every row's field count is checked
+            with pytest.raises(fileio.ParseError, match=r"match\.csv" + message):
+                fileio.read_match_csv(path, others)
+        else:  # a column that is not read is not parsed
+            got = fileio.read_match_csv(path, others)
+            assert_tables_equal(got, {n: v for n, v in match_table().items() if n != name})
 
     def test_carriage_return_in_str_field_round_trips(self, tmp_path):
         table = match_table()
@@ -526,6 +574,48 @@ class TestMatchCsv:
         path.write_text("a,b\n")
         with pytest.raises(fileio.ParseError, match=r"match\.csv:1: bad match-table header"):
             fileio.read_match_csv(path)
+
+    def test_narrow_read_checks_the_whole_header(self, tmp_path):
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, match_table())
+        path.write_text(path.read_text().replace("best_shift", "best_shft", 1))
+        with pytest.raises(fileio.ParseError, match=r"match\.csv:1: bad match-table header"):
+            fileio.read_match_csv(path, ("label", "ws"))
+
+    def test_narrow_reads_equal_the_full_read(self, tmp_path):
+        n = 3 * fileio.BLOCK_ROWS + 5
+        rng = np.random.default_rng(4)
+        table = {name: np.resize(np.asarray(v), n) for name, v in match_table().items()}
+        table["ws"] = np.where(table["iris_valid"], rng.uniform(0, 2, n), np.nan)
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, table)
+        full = fileio.read_match_csv(path)
+        assert_tables_equal(full, table)
+        assert_tables_equal(fileio.read_match_csv(path, None), table)
+        names = [name for name, _ in fileio.MATCH_SCHEMA]
+        assert_tables_equal(fileio.read_match_csv(path, names[::-1]), table)
+        narrow = fileio.read_match_csv(path, ("ws", "label", "ws"))
+        assert_tables_equal(narrow, {"label": table["label"], "ws": table["ws"]})
+        blocks = list(fileio.read_match_blocks(path, ("side", "ws")))
+        assert [len(b["ws"]) for b in blocks] == [fileio.BLOCK_ROWS] * 3 + [5]
+        assert_tables_equal(
+            {name: np.concatenate([b[name] for b in blocks]) for name in ("side", "ws")},
+            {"side": table["side"], "ws": table["ws"]},
+        )
+
+    def test_header_only_gives_one_empty_block(self, tmp_path):
+        path = tmp_path / "match.csv"
+        fileio.write_match_csv(path, {name: [] for name, _ in fileio.MATCH_SCHEMA})
+        (block,) = fileio.read_match_blocks(path, ("iris_valid", "ws"))
+        assert list(block) == ["iris_valid", "ws"]
+        assert block["iris_valid"].dtype == bool and block["ws"].size == 0
+
+    @pytest.mark.parametrize("read", [fileio.read_match_csv, fileio.read_match_blocks])
+    def test_unknown_column_name_raises(self, tmp_path, read):
+        with pytest.raises(ValueError, match="no column 'score'"):
+            read(tmp_path / "never-opened.csv", ("label", "score"))
+        with pytest.raises(ValueError, match="no column 'perioc_dist'"):  # a match column
+            fileio.read_score_csv(tmp_path / "never-opened.csv", ("dynamic", "perioc_dist"))
 
     def test_header_only_gives_empty_columns(self, tmp_path):
         path = tmp_path / "match.csv"

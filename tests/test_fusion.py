@@ -8,13 +8,15 @@ from irisfuse.fusion import (
     NormalizationParams,
     cue_matrix,
     dynamic_fuse,
+    dynamic_fuse_blocks,
     normalized_distance,
     PERIOC_BLOCK_BYTES,
     perioc_distances,
     static_fuse,
     static_inputs,
 )
-from irisfuse.mlp import N_PARAMS, MlpParams, TrainConfig, train_mlp
+from irisfuse import fusion
+from irisfuse.mlp import N_PARAMS, MlpParams, TrainConfig, mlp_logits, softmax, train_mlp
 from irisfuse.templates import CUE_NAMES, PeriocularRecord, check_cues, pack_template
 
 
@@ -259,3 +261,37 @@ class TestDynamicFuse:
                         genuine_impostor_ratio=None),
         )
         assert dynamic_fuse(params, genuine).mean() > dynamic_fuse(params, impostor).mean()
+
+    @pytest.mark.parametrize("sizes", [[0, 3, 12, 1, 0, 7, 3, 0], [11], [5, 5], [2, 0], [0]])
+    def test_blocks_run_the_network_over_fixed_windows(self, monkeypatch, sizes):
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 5)
+        rng = np.random.default_rng(6)
+        params = MlpParams.init_random(rng)
+        low = [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, -1.0]
+        high = [2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 1.0]
+        cues = rng.uniform(low, high, size=(sum(sizes), 8))
+        # the windows as one forward pass each: 5 rows, and the rest at the end
+        want = np.concatenate([np.empty(0)] + [
+            softmax(mlp_logits(params, cues[start : start + 5]))[:, 0]
+            for start in range(0, len(cues), 5)
+        ])
+        blocks = np.split(cues, np.cumsum(sizes)[:-1])
+        got = list(dynamic_fuse_blocks(params, iter(blocks)))
+        assert [len(scores) for scores in got] == sizes
+        assert np.concatenate(got).tobytes() == want.tobytes()
+        assert dynamic_fuse(params, cues).tobytes() == want.tobytes()
+
+    def test_block_scores_come_once_their_windows_ran(self, monkeypatch):
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 4)
+        params = MlpParams.init_random(np.random.default_rng(1))
+        fed = []
+
+        def blocks():
+            for n in (3, 0, 2, 4, 1):
+                fed.append(n)
+                yield np.full((n, 8), 0.5)
+
+        seen = [(len(scores), list(fed)) for scores in dynamic_fuse_blocks(params, blocks())]
+        # the 3-, 0- and 2-row blocks wait for the 2-row block to fill the first window
+        assert seen == [(3, [3, 0, 2]), (0, [3, 0, 2]), (2, [3, 0, 2, 4]),
+                        (4, [3, 0, 2, 4, 1]), (1, [3, 0, 2, 4, 1])]
