@@ -244,7 +244,9 @@ def cmd_match(args) -> int:
     ws = scores.ws
     if args.unmasked_ws:
         ws = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy, unmasked=True).ws
-    mask_rates = np.array([t.valid_fraction() for t in templates])
+    # per-template texts, gathered per comparison as references to the same strings
+    mask_rates = fileio.field_texts(
+        "mask_rate", fileio.FLOAT, [t.valid_fraction() for t in templates]).texts
     usable = scores.usable
     fileio.write_match_csv(args.out, {
         "a_id": pairs["a_id"],
@@ -256,8 +258,8 @@ def cmd_match(args) -> int:
         "ws": np.where(usable, ws, np.nan),
         "best_shift": np.where(usable, scores.best_shift, np.nan),
         "joint_valid": np.where(usable, scores.joint_valid, np.nan),
-        "mask_rate_a": mask_rates[ia],
-        "mask_rate_b": mask_rates[ib],
+        "mask_rate_a": fileio.FieldTexts(fileio.FLOAT, mask_rates[ia]),
+        "mask_rate_b": fileio.FieldTexts(fileio.FLOAT, mask_rates[ib]),
         "perioc_dist": fusion.perioc_distances(records, a, b),
         "eye_sum": eye[a] + eye[b],
         "eye_diff": eye[a] - eye[b],
@@ -301,17 +303,21 @@ def cmd_score(args) -> int:
     # rejects a bad --alpha or --static-weight before the output is opened
     fusion.static_fuse(*fusion.static_inputs(np.empty(0), args.alpha, np.empty(0)),
                        args.static_weight)
+    # match columns that the score CSV copies are written as the texts they were read as
     copied = [name for name, _ in fileio.SCORE_SCHEMA if name in dict(fileio.MATCH_SCHEMA)]
     waiting = deque()  # (score columns, usable rows) of blocks awaiting `dynamic`
 
     def cue_blocks():
-        for matches in fileio.read_match_blocks(args.match_csv, (*copied, *fusion.CUE_COLUMNS)):
+        for matches, texts in fileio.read_match_blocks(
+                args.match_csv, (*copied, *fusion.CUE_COLUMNS)):
             use = matches["iris_valid"]
             cues = fusion.cue_matrix(matches, norm)
             iris01, perioc01 = fusion.static_inputs(cues[:, 0], args.alpha, cues[:, 1])
-            scores = {name: matches[name] for name in copied}
+            scores = {name: texts[name] for name in copied}
+            # iris_score is cues[:, 0], the ws of the usable rows
+            scores["iris_score"] = fileio.FieldTexts(
+                fileio.OPT_FLOAT, np.where(use, texts["ws"].texts, ""))
             for name, values in (
-                ("iris_score", cues[:, 0]),
                 ("perioc_norm", cues[:, 1]),
                 ("static", fusion.static_fuse(iris01, perioc01, args.static_weight)),
             ):

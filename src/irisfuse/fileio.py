@@ -25,19 +25,31 @@ every row's field count, but parses only the columns asked for.  A
 writer can append a table block by block (:func:`score_csv_writer`); it
 writes to a temporary file beside its path that replaces the path only
 once the whole table is written, and it rejects a number that would
-not read back.  A text field holding ``,``, ``"``,
-``\\r`` or ``\\n`` is written inside ``"`` with each inner ``"``
-doubled, a row whose only field is empty as ``""``, and any other
-field bare.  A text field holding a NUL is rejected by both readers
-and writers, because numpy text arrays drop a trailing NUL.  Floats
-are parsed by one numpy cast per column, which applies Python's
-``float()`` to each text, so the codec accepts the same texts as
-``float()`` (and ``int()`` for int?).  A parse error names the first
-bad field of the columns read, in file order; a ``csv`` error (such
-as a field over its size limit) names its line.  The match CSV
-(:data:`MATCH_SCHEMA`) leaves the iris fields empty for unusable
-pairs; the score CSV (:data:`SCORE_SCHEMA`) leaves the cue and fused
-fields empty there.
+not read back.
+
+A column can also be handed over, and written, as its field texts
+(:class:`FieldTexts`), so that a stage which only copies a column never
+formats it again.  :func:`read_match_blocks` gives the texts of every
+column it parses, as read, and :func:`field_texts` gives the texts a
+writer would write for checked values.  Only these two make field
+texts (a stage may gather their rows, or blank an optional field):
+a writer takes a column's texts when their kind is the column's kind
+and writes them without checking them again, so a number keeps the
+text it was read with (``1e-3`` stays ``1e-3``).
+
+A text field, or a field text of any kind (``float()`` accepts a line
+break around the digits), holding ``,``, ``"``, ``\\r`` or ``\\n`` is
+written inside ``"`` with each inner ``"`` doubled, a row whose only
+field is empty as ``""``, and any other field bare.  A text field
+holding a NUL is rejected by both readers and writers, because numpy
+text arrays drop a trailing NUL.  Floats are parsed by one numpy cast
+per column, which applies Python's ``float()`` to each text, so the
+codec accepts the same texts as ``float()`` (and ``int()`` for int?).
+A parse error names the first bad field of the columns read, in file
+order; a ``csv`` error (such as a field over its size limit) names its
+line.  The match CSV (:data:`MATCH_SCHEMA`) leaves the iris fields
+empty for unusable pairs; the score CSV (:data:`SCORE_SCHEMA`) leaves
+the cue and fused fields empty there.
 
 Template container layout (little-endian):
 
@@ -80,6 +92,16 @@ CHECKPOINT_VERSION = 1
 
 class ParseError(ValueError):
     """Malformed input; the message names the source and offending position."""
+
+
+@dataclasses.dataclass(frozen=True)
+class FieldTexts:
+    """A table column given as the texts of its fields, unquoted: a 1-D
+    object array of ``str`` of a column ``kind`` (see the module docstring
+    for who makes them)."""
+
+    kind: str
+    texts: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +227,8 @@ _DTYPES = {
 _INT_LIMIT = 2**53  # optional ints live in float64 columns, exact below this
 BLOCK_ROWS = 256  # at most this many rows are parsed or formatted at a time,
 BLOCK_FIELDS = 16 * BLOCK_ROWS  # and this many fields: a wide table gets fewer rows
-_NEEDS_QUOTES = re.compile('[,"\r\n\0]')  # text fields holding one are quoted, or a NUL rejected
+_QUOTE_CHARS = tuple(',"\r\n\0')  # text fields holding one are quoted, or a NUL rejected
+_NEEDS_QUOTES = re.compile(f"[{''.join(_QUOTE_CHARS)}]")  # per field; `in` scans a block faster
 
 _AREA_CUES = (
     ("eye_sum", FLOAT), ("eye_diff", FLOAT), ("brow_sum", FLOAT), ("brow_diff", FLOAT),
@@ -271,16 +294,16 @@ def _field_error(kind: str, text: str) -> str | None:
 
 
 def _parse_block(rows: list[list[str]], schema, source: str, first_line: int, picks):
-    """The arrays of columns ``picks`` (schema indices) of a block of data
-    rows.  Every row's field count is checked; the first bad field of a
-    picked column, in file order, raises a :class:`ParseError` naming its
-    line and column."""
+    """The arrays, and the tuples of field texts, of columns ``picks``
+    (schema indices) of a block of data rows.  Every row's field count is
+    checked; the first bad field of a picked column, in file order, raises
+    a :class:`ParseError` naming its line and column."""
     width = len(schema)
     if all(len(row) == width for row in rows):
         texts = list(zip(*rows)) or [()] * width
         columns = [_column(schema[i][1], texts[i]) for i in picks]
         if all(c is not None for c in columns):
-            return columns
+            return columns, [texts[i] for i in picks]
     for line, row in enumerate(rows, start=first_line):
         if len(row) != width:
             raise ParseError(f"{source}:{line}: expected {width} fields, got {len(row)}")
@@ -322,7 +345,8 @@ def _picks(schema, columns) -> list[int]:
 
 def _table_blocks(path, schema, what: str, columns=None):
     """The requested columns (all for None) of each block of a table's data
-    rows, as a dict of arrays in file order.  The header is checked in full
+    rows, as a pair of dicts in file order: the parsed arrays and the
+    tuples of field texts they were parsed from.  The header is checked in full
     and every row's field count, but only the requested columns are parsed,
     so a bad field in another column goes unreported.  A table without data
     rows gives one block of empty arrays.  An unknown column name raises
@@ -336,14 +360,15 @@ def _table_blocks(path, schema, what: str, columns=None):
             if next(reader, None) != [name for name, _ in schema]:
                 raise ParseError(f"{source}:1: bad {what} header")
             for n, rows in _row_blocks(reader, schema):
-                yield dict(zip(names, _parse_block(rows, schema, source, n, picks)))
+                arrays, texts = _parse_block(rows, schema, source, n, picks)
+                yield dict(zip(names, arrays)), dict(zip(names, texts))
 
     return blocks()
 
 
 def _read_table(path, schema, what: str, columns=None) -> dict[str, np.ndarray]:
     parts: dict[str, list[np.ndarray]] = {}  # each column's block arrays
-    for block in _table_blocks(path, schema, what, columns):
+    for block, _ in _table_blocks(path, schema, what, columns):
         for name, values in block.items():
             parts.setdefault(name, []).append(values)
     table = {}
@@ -358,9 +383,9 @@ def _nul_error(name: str) -> ValueError:
 
 
 def _quoted(name: str, texts: list[str]) -> list[str]:
-    """Text fields as written (see :data:`_NEEDS_QUOTES`)."""
+    """Text fields as written (see :data:`_QUOTE_CHARS`)."""
     joined = "".join(texts)
-    if not _NEEDS_QUOTES.search(joined):
+    if not any(c in joined for c in _QUOTE_CHARS):
         return texts
     if "\0" in joined:
         raise _nul_error(name)
@@ -368,9 +393,18 @@ def _quoted(name: str, texts: list[str]) -> list[str]:
 
 
 def _format(name: str, kind: str, values: np.ndarray) -> list[str]:
-    """One column's fields as written."""
-    if kind in (STR, LABEL):
+    """One column's fields as written; an object array holds field texts,
+    which are quoted as text fields are (a number may hold ``\\r`` or ``\\n``
+    around its digits)."""
+    if kind in (STR, LABEL) or values.dtype == object:
         return _quoted(name, values.tolist())
+    return _texts(kind, values)
+
+
+def _texts(kind: str, values: np.ndarray) -> list[str]:
+    """The unquoted field texts of a column's checked array."""
+    if kind in (STR, LABEL):
+        return values.tolist()
     if kind == FLAG:
         return ["1" if v else "0" for v in values.tolist()]
     if kind == FLOAT:
@@ -384,38 +418,60 @@ def _format(name: str, kind: str, values: np.ndarray) -> list[str]:
 
 
 def _as_column(name: str, kind: str, values) -> np.ndarray:
-    """``values`` as the column's array; Python strings are checked for a
-    NUL first, since a ``<U`` array drops a trailing one."""
+    """``values`` as the column's array, or the object array of its
+    :class:`FieldTexts` when their kind is the column's; Python strings are
+    checked for a NUL first, since a ``<U`` array drops a trailing one."""
+    if isinstance(values, FieldTexts):
+        if values.kind != kind:
+            raise ValueError(
+                f"column {name!r}: {values.kind} field texts given for a {kind} column")
+        return values.texts
     if _DTYPES[kind] is str and not isinstance(values, np.ndarray):
         if "\0" in "".join(map(str, values)):
             raise _nul_error(name)
     return np.asarray(values, dtype=_DTYPES[kind])
 
 
-def _unreadable(kind: str, values: np.ndarray) -> np.ndarray | None:
-    """Which numbers would not read back: a non-finite float, an infinite
-    float?, and an int? that is not an integer below 2**53 in magnitude
-    (NaN marks an empty float? or int? field); None for a text or flag
-    column."""
+def _check_readable(name: str, kind: str, values: np.ndarray, first_row: int) -> None:
+    """Raise ``ValueError`` naming the column and row (counted from
+    ``first_row``) of the first number that would not read back: a
+    non-finite float, an infinite float?, or an int? that is not an
+    integer below 2**53 in magnitude (NaN marks an empty float? or int?
+    field).  Text and flag columns always read back."""
     if kind == FLOAT:
-        return ~np.isfinite(values)
-    if kind == OPT_FLOAT:
-        return np.isinf(values)
-    if kind == OPT_INT:
+        bad = ~np.isfinite(values)
+    elif kind == OPT_FLOAT:
+        bad = np.isinf(values)
+    elif kind == OPT_INT:
         exact = (np.abs(values) < _INT_LIMIT) & (np.trunc(values) == values)
-        return ~(exact | np.isnan(values))
-    return None
+        bad = ~(exact | np.isnan(values))
+    else:
+        return
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(f"column {name!r}: row {first_row + row}: "
+                         f"{float(values[row])!r} would not read back as {kind}")
+
+
+def field_texts(name: str, kind: str, values) -> FieldTexts:
+    """The field texts a writer would write for ``values`` as column
+    ``name`` of ``kind``, unquoted; a NUL, or a number that would not read
+    back, raises ``ValueError`` as the writer does."""
+    values = _as_column(name, kind, values)
+    _check_readable(name, kind, values, 0)
+    return FieldTexts(kind, np.array(_texts(kind, values), dtype=object))
 
 
 @contextlib.contextmanager
 def _table_writer(path, schema):
     """Write a table block by block: yields ``append(table)``, which checks a
-    block's columns and adds its rows.  A column holding a NUL, or a number
-    that would not read back, raises ``ValueError`` naming the column (and
-    the row, counted from 0 over all blocks).  The rows go to a temporary
-    file beside ``path``, which replaces ``path`` only when the ``with``
-    block exits without error, so a fault leaves no partial table and an
-    existing ``path`` untouched."""
+    block's columns and adds its rows.  A column holding a NUL, a number
+    that would not read back, or :class:`FieldTexts` of another kind,
+    raises ``ValueError`` naming the column (and the row, counted from 0
+    over all blocks); field texts are written unchecked.  The rows go to a
+    temporary file beside ``path``, which replaces ``path`` only when the
+    ``with`` block exits without error, so a fault leaves no partial table
+    and an existing ``path`` untouched."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     step = _block_rows(schema)
@@ -428,11 +484,8 @@ def _table_writer(path, schema):
         if any(len(values) != n for _, _, values in columns):
             raise ValueError("table columns differ in length")
         for name, kind, values in columns:
-            bad = _unreadable(kind, values)
-            if bad is not None and bad.any():
-                row = int(bad.argmax())
-                raise ValueError(f"column {name!r}: row {rows_written + row}: "
-                                 f"{float(values[row])!r} would not read back as {kind}")
+            if values.dtype != object:  # field texts were checked when they were made
+                _check_readable(name, kind, values, rows_written)
         for start in range(0, n, step):
             fields = [_format(name, kind, v[start : start + step]) for name, kind, v in columns]
             if len(fields) == 1:  # an empty line would read back as no fields
@@ -467,8 +520,15 @@ def read_match_csv(path, columns=None) -> dict[str, np.ndarray]:
 
 def read_match_blocks(path, columns=None):
     """The named columns (all for None) of each block of a match CSV's
-    rows, as dicts of arrays; see :func:`_table_blocks`."""
-    return _table_blocks(path, MATCH_SCHEMA, "match-table", columns)
+    rows, as a pair of dicts by column name: the parsed arrays, and the
+    :class:`FieldTexts` of the fields they were parsed from; see
+    :func:`_table_blocks`."""
+    kinds = dict(MATCH_SCHEMA)
+    return (
+        (arrays, {name: FieldTexts(kinds[name], np.array(t, dtype=object))
+                  for name, t in texts.items()})
+        for arrays, texts in _table_blocks(path, MATCH_SCHEMA, "match-table", columns)
+    )
 
 
 def write_score_csv(path, table: Mapping[str, np.ndarray]) -> None:
@@ -527,7 +587,7 @@ def _add_records(records: dict, rows, schema, source: str, first_line: int) -> N
     duplicate id or invalid record in file order raises a :class:`ParseError`."""
     try:
         every = range(len(schema))
-        ids, eye, brow, *features = _parse_block(rows, schema, source, first_line, every)
+        (ids, eye, brow, *features), _ = _parse_block(rows, schema, source, first_line, every)
     except ParseError:
         if len(rows) > 1:  # one row at a time, so that an earlier duplicate id or record wins
             for k, row in enumerate(rows):

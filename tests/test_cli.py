@@ -90,6 +90,25 @@ class TestMatchCommand:
         # 8 subjects x 3 samples: 8*3 genuine + C(8,2)*9 impostor
         assert all(len(v) == 8 * 3 + math.comb(8, 2) * 9 for v in rows.values())
 
+    def test_mask_rates_are_each_template_valid_fraction_as_repr(self, population_dir, tmp_path):
+        out = tmp_path / "match.csv"
+        assert run_cli(
+            "match", "--manifest", population_dir / "manifest.jsonl",
+            "--templates-dir", population_dir / "templates",
+            "--features", population_dir / "features.csv",
+            "--out", out, "--max-shift", 4,
+        ) == 0
+        rate = {
+            f"{e.subject_id}:{e.eye_side}:{e.sample_index}": repr(fileio.read_template(
+                population_dir / "templates" / f"{e.template_ref}.irt").valid_fraction())
+            for e in fileio.read_manifest(population_dir / "manifest.jsonl").entries
+        }
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(set(rate.values())) > 1
+        assert [(r["mask_rate_a"], r["mask_rate_b"]) for r in rows] == [
+            (rate[r["a_id"]], rate[r["b_id"]]) for r in rows]
+
     def test_alpha_one_makes_ws_complement_hamming(self, population_dir, tmp_path):
         out = tmp_path / "match.csv"
         assert run_cli(
@@ -496,6 +515,60 @@ class TestStreamingScore:
         assert message in err["message"]
         assert out.read_bytes() == b"previous scores\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "match.csv", "scores.csv"]
+
+
+def score_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCopiedColumns:
+    """``score`` writes the match columns it copies as the texts it read."""
+
+    def test_non_canonical_numbers_reach_the_score_csv_verbatim(self, tmp_path, checkpoint):
+        match_csv = tmp_path / "match.csv"
+        fileio.write_match_csv(match_csv, random_match_table(np.random.default_rng(5), 6, 0))
+        edits = {"mask_rate_a": "1e-3", "eye_sum": "0.10", "ws": "+0.5", "hamming": "7"}
+        for name, text in edits.items():
+            replace_field(match_csv, 3, name, text)
+        out, ref = tmp_path / "scores.csv", tmp_path / "ref.csv"
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", out) == 0
+        reference_score_csv(match_csv, checkpoint, ref)  # parses and formats every column
+        names = [name for name, _ in fileio.SCORE_SCHEMA]
+        want = score_rows(ref)
+        assert [want[2][names.index(name)] for name in edits] == ["0.001", "0.1", "0.5", "7.0"]
+        for name, text in {**edits, "iris_score": "+0.5"}.items():
+            want[2][names.index(name)] = text
+        assert score_rows(out) == want
+        np.testing.assert_array_equal(fileio.read_score_csv(out)["ws"],
+                                      fileio.read_score_csv(ref)["ws"])
+
+    def test_ids_that_need_quotes_are_quoted_again(self, tmp_path, checkpoint):
+        table = random_match_table(np.random.default_rng(6), 8, 2)
+        table["a_id"] = [f'S{k},"L":0' for k in range(10)]
+        table["b_id"] = [f'S"{k}"' for k in range(10)]
+        match_csv, out, ref = tmp_path / "match.csv", tmp_path / "scores.csv", tmp_path / "ref.csv"
+        fileio.write_match_csv(match_csv, table)
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", out) == 0
+        reference_score_csv(match_csv, checkpoint, ref)
+        assert out.read_bytes() == ref.read_bytes()
+        assert [row[:2] for row in score_rows(out)[1:]] == [
+            list(ids) for ids in zip(table["a_id"], table["b_id"])]
+
+    def test_unusable_row_keeps_its_ws_text_without_an_iris_score(self, tmp_path, checkpoint):
+        match_csv = tmp_path / "match.csv"
+        write_match_text(match_csv, n_unusable=2, n_usable=2)
+        replace_field(match_csv, 2, "ws", "0.75")
+        out = tmp_path / "scores.csv"
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", out) == 0
+        names = [name for name, _ in fileio.SCORE_SCHEMA]
+        rows = score_rows(out)
+        assert rows[1][names.index("ws")] == "0.75"
+        assert rows[1][names.index("iris_score")] == ""
+        assert [row[names.index("iris_score")] for row in rows[1:]] == ["", "", "1.25", "1.25"]
 
 
 class TestNarrowReads:

@@ -435,6 +435,88 @@ class TestTableCodec:
                 fileio._read_table(path, schema, "test")
 
 
+class TestFieldTexts:
+    SCHEMA = (("s", fileio.STR), ("x", fileio.FLOAT), ("y", fileio.OPT_FLOAT),
+              ("k", fileio.OPT_INT), ("f", fileio.FLAG), ("g", fileio.LABEL))
+
+    @staticmethod
+    def texts(kind, texts):
+        return fileio.FieldTexts(kind, np.array(texts, dtype=object))
+
+    def test_texts_are_written_as_given_and_text_fields_quoted(self, tmp_path):
+        fields = {
+            "s": ["a,b", 'q"uote', "plain", ""],
+            "x": ["1e-3", "0.10", "+0.5", "7"],
+            "y": ["", "1_000", " 2.5", "-0.0"],
+            "k": ["007", "", "+3", "-2"],
+            "f": ["1", "0", "0", "1"],
+            "g": ["genuine", "impostor", "impostor", "genuine"],
+        }
+        path = tmp_path / "t.csv"
+        fileio._write_table(path, self.SCHEMA, {
+            name: self.texts(kind, fields[name]) for name, kind in self.SCHEMA})
+        rows = [list(fields)] + [list(row) for row in zip(*fields.values())]
+        assert path.read_bytes() == csv_writer_text(rows).encode()
+        got = fileio._read_table(path, self.SCHEMA, "test")
+        np.testing.assert_array_equal(got["x"], [1e-3, 0.1, 0.5, 7.0])
+        np.testing.assert_array_equal(got["k"], [7.0, np.nan, 3.0, -2.0])
+
+    def test_number_text_holding_a_line_break_is_quoted(self, tmp_path):
+        schema = (("x", fileio.FLOAT), ("s", fileio.STR))
+        source = tmp_path / "in.csv"
+        source.write_text('x,s\n"0.5\n",a\n1.5,b\n')
+        ((_, texts),) = fileio._table_blocks(source, schema, "test")
+        assert texts["x"] == ("0.5\n", "1.5")  # float() accepts the line break
+        path = tmp_path / "t.csv"
+        fileio._write_table(path, schema, {"x": self.texts(fileio.FLOAT, texts["x"]),
+                                           "s": ["a", "b"]})
+        assert path.read_text() == 'x,s\n"0.5\n",a\n1.5,b\n'
+        np.testing.assert_array_equal(fileio._read_table(path, schema, "test")["x"], [0.5, 1.5])
+
+    @pytest.mark.parametrize("given, kind", [
+        (fileio.OPT_FLOAT, fileio.FLOAT), (fileio.FLOAT, fileio.OPT_FLOAT),
+        (fileio.STR, fileio.LABEL), (fileio.OPT_INT, fileio.FLAG),
+    ])
+    def test_texts_of_another_kind_are_rejected(self, tmp_path, given, kind):
+        schema = (("s", fileio.STR), ("x", kind))
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"before")
+        table = {"s": ["a"], "x": self.texts(given, ["1"])}
+        with pytest.raises(ValueError, match=re.escape(
+                f"column 'x': {given} field texts given for a {kind} column")):
+            fileio._write_table(path, schema, table)
+        assert path.read_bytes() == b"before"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("kind", [fileio.FLOAT, fileio.OPT_FLOAT, fileio.OPT_INT,
+                                      fileio.FLAG, fileio.STR, fileio.LABEL])
+    def test_field_texts_are_the_texts_a_writer_writes(self, tmp_path, kind):
+        values = {
+            fileio.FLOAT: [0.1, -0.0, 1e-3, 5e-324, 1e16],
+            fileio.OPT_FLOAT: [0.1, np.nan, 1e-3, np.nan, 2.5],
+            fileio.OPT_INT: [7.0, np.nan, -2.0, 0.0, 2.0**52],
+            fileio.FLAG: [True, False, False, True, True],
+            fileio.STR: ["a,b", 'q"', "", "plain", "x"],
+            fileio.LABEL: ["genuine", "impostor", "genuine", "genuine", "impostor"],
+        }[kind]
+        given = fileio.field_texts("x", kind, values)
+        assert given.kind == kind and given.texts.dtype == object
+        schema = (("x", kind), ("n", fileio.FLOAT))
+        for name, column in (("formatted", values), ("given", given)):
+            fileio._write_table(tmp_path / name, schema, {"x": column, "n": [0.0] * 5})
+        assert (tmp_path / "given").read_bytes() == (tmp_path / "formatted").read_bytes()
+        with open(tmp_path / "given", newline="") as fh:
+            assert given.texts.tolist() == [row[0] for row in list(csv.reader(fh))[1:]]
+
+    @pytest.mark.parametrize("kind, value", [
+        (fileio.FLOAT, np.nan), (fileio.OPT_FLOAT, np.inf), (fileio.OPT_INT, 2.5)])
+    def test_field_texts_reject_what_the_writer_rejects(self, kind, value):
+        with pytest.raises(ValueError, match=re.escape(f"column 'x': row 2: {value!r}")):
+            fileio.field_texts("x", kind, [1.0, 2.0, value])
+        with pytest.raises(ValueError, match="column 's': text holds a NUL"):
+            fileio.field_texts("s", fileio.STR, ["a", "b\0"])
+
+
 class TestMatchCsv:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "match.csv"
@@ -597,18 +679,27 @@ class TestMatchCsv:
         narrow = fileio.read_match_csv(path, ("ws", "label", "ws"))
         assert_tables_equal(narrow, {"label": table["label"], "ws": table["ws"]})
         blocks = list(fileio.read_match_blocks(path, ("side", "ws")))
-        assert [len(b["ws"]) for b in blocks] == [fileio.BLOCK_ROWS] * 3 + [5]
+        assert [len(b["ws"]) for b, _ in blocks] == [fileio.BLOCK_ROWS] * 3 + [5]
         assert_tables_equal(
-            {name: np.concatenate([b[name] for b in blocks]) for name in ("side", "ws")},
+            {name: np.concatenate([b[name] for b, _ in blocks]) for name in ("side", "ws")},
             {"side": table["side"], "ws": table["ws"]},
         )
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for name, kind in (("side", fileio.STR), ("ws", fileio.OPT_FLOAT)):
+            assert all(t[name].kind == kind for _, t in blocks)
+            texts = np.concatenate([t[name].texts for _, t in blocks])
+            assert texts.dtype == object
+            assert texts.tolist() == [row[names.index(name)] for row in rows]
 
     def test_header_only_gives_one_empty_block(self, tmp_path):
         path = tmp_path / "match.csv"
         fileio.write_match_csv(path, {name: [] for name, _ in fileio.MATCH_SCHEMA})
-        (block,) = fileio.read_match_blocks(path, ("iris_valid", "ws"))
-        assert list(block) == ["iris_valid", "ws"]
+        ((block, texts),) = fileio.read_match_blocks(path, ("iris_valid", "ws"))
+        assert list(block) == list(texts) == ["iris_valid", "ws"]
         assert block["iris_valid"].dtype == bool and block["ws"].size == 0
+        assert texts["ws"].kind == fileio.OPT_FLOAT
+        assert texts["ws"].texts.dtype == object and texts["ws"].texts.size == 0
 
     @pytest.mark.parametrize("read", [fileio.read_match_csv, fileio.read_match_blocks])
     def test_unknown_column_name_raises(self, tmp_path, read):
