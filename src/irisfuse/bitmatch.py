@@ -25,16 +25,28 @@ scores every pair ``(templates[ia[k]], templates[ib[k]])``.  It rotates
 the probe (the ``ia`` side) instead of the gallery: comparing ``a``
 rotated by ``-s`` with an unrotated ``b`` pairs pixel ``(i, j)`` of
 ``a`` with pixel ``(i, (j + s) mod W)`` of ``b``, exactly the pixels
-that shift ``s`` pairs, so the ``(ones, disagree, valid)`` counts are
-identical.  Gallery templates stay unrotated.  Probe runs are split
-round-robin across CPU threads when the call has enough work; each
-worker holds one probe's ``n_shifts`` rotated planes at a time, in
-scratch buffers allocated once per call within one byte budget shared
-by all workers.  Planes are read as ``uint64`` words, zero-padded to a
-multiple of 8 bytes (padding bits are zero on both sides and change no
-count), and each block of gallery templates is reduced straight to
-per-pair values.  :func:`match_pair` is the one-pair form: both
-scores, both shifts and the mask rates of one comparison.
+that shift ``s`` pairs, so the counts are identical.
+
+Each count is one AND and one popcount.  With ``P = bits & mask`` and
+``Z = mask & ~bits``, a pair's jointly valid pixels number
+``pop(mask & mask')``, its 1-1 agreements ``pop(P & P')`` and its 0-0
+agreements ``pop(Z & Z')``; every other jointly valid pixel disagrees.
+So each probe shift carries three planes (``P``, mask, ``Z``), while
+the gallery stays unrotated with two planes per template (``P`` and
+mask) and its ``Z`` is formed per block of gallery templates.  Planes
+are read as ``uint64`` words, zero-padded to a multiple of 8 bytes
+(padding bits are zero on both sides and change no count).
+
+Probe runs are split round-robin across CPU threads when the call has
+enough work.  Each worker holds one probe's ``3 * n_shifts`` rotated
+planes at a time, one ``(n_shifts, block, words)`` word plane with its
+popcounts, and the counts of its current probe run.  These scratch
+buffers are allocated once per call, within one byte budget shared by
+all workers.  A block only writes its counts into the run's buffer;
+the scores, the ``(|s|, s)`` first-extremum shift choice and the
+scatter into the output rows then run once per probe run.
+:func:`match_pair` is the one-pair form: both scores, both shifts and
+the mask rates of one comparison.
 
 Everything here operates on the packed planes via XOR/AND plus popcount
 and never touches individual pixels; :mod:`irisfuse.reference` holds
@@ -190,15 +202,16 @@ def _gallery_planes(
 
 
 def _worker_scratch(
-    h: int, w: int, n_shifts: int, words: int, block: int, budget: int
+    h: int, w: int, n_shifts: int, words: int, block: int, run: int, count_dtype,
+    budget: int,
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """One worker's probe and block buffers, reused for every probe.
 
     The probe buffers are the doubled ``(2, H, 2W)`` unpacked planes, a
     rotation buffer of as many shifts as fit ``budget`` and the packed
-    ``(2, n_shifts, words)`` planes, whose padding stays zero.  The block
-    buffers are two ``(n_shifts, block, words)`` word planes and their
-    popcounts.
+    ``(3, n_shifts, words)`` planes, whose padding stays zero.  The block
+    buffers are one ``(n_shifts, block, words)`` word plane, its
+    popcounts and the ``(3, n_shifts, run)`` counts of a probe run.
     """
     chunk = max(1, min(n_shifts, budget // (2 * h * w)))
     shape = (n_shifts, block, words)
@@ -206,12 +219,12 @@ def _worker_scratch(
         (
             np.empty((2, h, 2 * w), dtype=np.uint8),
             np.empty((2, chunk, h, w), dtype=np.uint8),
-            np.zeros((2, n_shifts, words), dtype=np.uint64),
+            np.zeros((3, n_shifts, words), dtype=np.uint64),
         ),
         (
             np.empty(shape, dtype=np.uint64),
-            np.empty(shape, dtype=np.uint64),
             np.empty(shape, dtype=np.uint8),
+            np.empty((3, n_shifts, run), dtype=count_dtype),
         ),
     )
 
@@ -219,11 +232,12 @@ def _worker_scratch(
 def _probe_planes(
     template: IrisTemplate, shifts: tuple[int, ...], unmasked: bool, scratch
 ) -> np.ndarray:
-    """``(bits & mask, mask)`` word planes of the probe rotated by ``-s``.
+    """``(P, mask, Z)`` word planes of the probe rotated by ``-s``, where
+    ``P = bits & mask`` and ``Z = mask & ~bits``.
 
     Row ``k`` holds the template rolled so that column ``j`` lands on
     column ``(j + s_k) mod W``; the result is the worker's
-    ``(2, n_shifts, words)`` probe buffer, filled a rotation chunk at a
+    ``(3, n_shifts, words)`` probe buffer, filled a rotation chunk at a
     time.
     """
     doubled, rotation, planes = scratch
@@ -240,50 +254,49 @@ def _probe_planes(
         for k, s in enumerate(part):
             start = -s % w
             rolled[:, k] = doubled[:, :, start:start + w]
-        packed[:, k0:k0 + len(part), :nbytes] = np.packbits(
+        packed[:2, k0:k0 + len(part), :nbytes] = np.packbits(
             rolled.reshape(2, len(part), h * w), axis=2
         )
     planes[0] &= planes[1]
+    np.bitwise_xor(planes[1], planes[0], out=planes[2])  # P lies inside the mask
     return planes
 
 
-def _count(plane: np.ndarray, popcounts: np.ndarray, count_dtype) -> np.ndarray:
-    """Set bits of each ``(shift, pair)`` row of ``plane``, as int64."""
-    return (
-        np.bitwise_count(plane, out=popcounts)
-        .sum(axis=-1, dtype=count_dtype)
-        .astype(np.int64)
-    )
+def _count_block(probe, gallery, counts, scratch) -> None:
+    """One probe's rotations against a gallery block, as counts.
 
-
-def _score_block(
-    probe, gallery, shifts: np.ndarray, alpha: float, count_dtype, scratch
-):
-    """One probe's rotations against a gallery block, reduced per pair.
-
-    Each plane is formed in the worker's scratch and counted at once; the
-    ``(n_shifts, block)`` counts live only inside this call.
+    ``gallery`` holds the block's gathered ``(P, mask)`` planes.  Writes
+    the ``(ones, valid, zeros)`` counts of every ``(shift, pair)`` into
+    ``counts``, the block's ``(3, n_shifts, pairs)`` view of the run's
+    counts:
+    ``ones = pop(P & P')``, ``valid = pop(mask & mask')`` and
+    ``zeros = pop(Z & Z')``, each plane formed in the worker's scratch
+    and counted at once.
     """
-    m = len(gallery[0])
-    joint, plane, popcounts = scratch[0][:, :m], scratch[1][:, :m], scratch[2][:, :m]
-    probe_bits, probe_mask = probe[0][:, None], probe[1][:, None]
-    gallery_bits, gallery_mask = gallery[0][None], gallery[1][None]
-    np.bitwise_and(probe_mask, gallery_mask, out=joint)
-    valid = _count(joint, popcounts, count_dtype)
-    np.bitwise_and(probe_bits, gallery_bits, out=plane)
-    ones = _count(plane, popcounts, count_dtype)
-    np.bitwise_xor(probe_bits, gallery_bits, out=plane)
-    plane &= joint
-    disagree = _count(plane, popcounts, count_dtype)
+    gallery_bits, gallery_mask = gallery
+    m = len(gallery_bits)
+    plane, popcounts = scratch[0][:, :m], scratch[1][:, :m]
+    gallery_zeros = gallery_mask ^ gallery_bits
+    for probe_plane, gallery_plane, out in zip(
+        probe, (gallery_bits, gallery_mask, gallery_zeros), counts
+    ):
+        np.bitwise_and(probe_plane[:, None], gallery_plane[None], out=plane)
+        np.bitwise_count(plane, out=popcounts).sum(axis=-1, dtype=out.dtype, out=out)
+
+
+def _score_run(counts: np.ndarray, shifts: np.ndarray, alpha: float):
+    """Per-pair values of one probe run from its ``(3, n_shifts, pairs)``
+    ``(ones, valid, zeros)`` counts."""
+    ones, valid, zeros = counts.astype(np.int64)
+    disagree = valid - ones - zeros
     usable = valid > 0
     safe = np.maximum(valid, 1)
     hd = np.where(usable, disagree / safe, np.inf)
-    zeros = valid - ones - disagree
     ws = np.where(usable, ((2.0 - alpha) * ones + alpha * zeros) / safe, -np.inf)
     # shifts are (|s|, s)-ordered: the first extremum wins ties
     k_hd = hd.argmin(axis=0)
     k_ws = ws.argmax(axis=0)
-    cols = np.arange(m)
+    cols = np.arange(counts.shape[2])
     return (
         usable.any(axis=0),
         hd[k_hd, cols],
@@ -353,14 +366,15 @@ def match_pairs(
     count_dtype = np.uint16 if words * 64 <= np.iinfo(np.uint16).max else np.int64
     cuts = np.array([0, *(np.flatnonzero(np.diff(probes)) + 1), n])
     runs = list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))  # one run per probe
+    longest = int(np.diff(cuts).max())
     plane_bytes = len(shifts) * words * 8
     n_workers = max(1, min(_cpu_count(), len(runs), n * plane_bytes // WORKER_BYTES))
     budget = BLOCK_BYTES // n_workers
     # a block holds no more templates than the longest probe run
-    block = max(1, min(budget // plane_bytes, int(np.diff(cuts).max())))
+    block = max(1, min(budget // plane_bytes, longest))
     h, w = templates[0].height, templates[0].width
     scratch = [
-        _worker_scratch(h, w, len(shifts), words, block, budget)
+        _worker_scratch(h, w, len(shifts), words, block, longest, count_dtype, budget)
         for _ in range(n_workers)
     ]
 
@@ -368,6 +382,7 @@ def match_pairs(
 
     def work(share: int) -> None:
         probe_scratch, block_scratch = scratch[share]
+        run_counts = block_scratch[2]
         try:
             for r0, r1 in runs[share::n_workers]:
                 if errors:  # another share failed: stop at the next probe
@@ -376,14 +391,16 @@ def match_pairs(
                     templates[probes[r0]], shifts, unmasked, probe_scratch
                 )
                 for b0 in range(r0, r1, block):
-                    rows = order[b0:min(b0 + block, r1)]
-                    g = ib[rows]
-                    values = _score_block(
-                        probe, (gallery_bits[g], gallery_mask[g]), shift_array,
-                        alpha, count_dtype, block_scratch,
+                    b1 = min(b0 + block, r1)
+                    g = ib[order[b0:b1]]
+                    _count_block(
+                        probe, (gallery_bits[g], gallery_mask[g]),
+                        run_counts[:, :, b0 - r0:b1 - r0], block_scratch,
                     )
-                    for column, value in zip(columns, values):
-                        column[rows] = value
+                rows = order[r0:r1]
+                values = _score_run(run_counts[:, :, :r1 - r0], shift_array, alpha)
+                for column, value in zip(columns, values):
+                    column[rows] = value
         except BaseException as error:  # raised again on the calling thread
             errors.append(error)
 

@@ -61,18 +61,25 @@ def _unmasked_counts_at_shift(bits_a, bits_b, shift: int, width: int):
     return ones, zeros, disagree
 
 
-def naive_masked_hamming(
-    a: IrisTemplate, b: IrisTemplate, policy: ShiftPolicy = DEFAULT_POLICY
-) -> tuple[float, int, int]:
-    """Per-pixel mirror of ``(hamming, best_shift, joint_valid)`` of
-    :func:`irisfuse.bitmatch.match_pair`."""
+def _shift_counts(a: IrisTemplate, b: IrisTemplate, policy: ShiftPolicy, unmasked=False):
+    """``(s, (ones_agree, zeros_agree, disagree, valid))`` at every
+    candidate shift; ``unmasked`` counts every pixel as valid."""
     bits_a, mask_a = _pixel_lists(a)
     bits_b, mask_b = _pixel_lists(b)
+    if unmasked:
+        return [
+            (s, (*_unmasked_counts_at_shift(bits_a, bits_b, s, a.width), a.n_pixels))
+            for s in policy.shifts()
+        ]
+    return [
+        (s, _counts_at_shift(bits_a, mask_a, bits_b, mask_b, s, a.width))
+        for s in policy.shifts()
+    ]
+
+
+def _min_hamming(shift_counts) -> tuple[float, int, int]:
     best = None
-    for s in policy.shifts():
-        _, _, disagree, valid = _counts_at_shift(
-            bits_a, mask_a, bits_b, mask_b, s, a.width
-        )
+    for s, (_, _, disagree, valid) in shift_counts:
         if valid == 0:
             continue
         hd = disagree / valid
@@ -81,6 +88,27 @@ def naive_masked_hamming(
     if best is None:
         raise EmptyJointMaskError("no jointly valid pixels at any candidate shift")
     return best
+
+
+def _max_ws(shift_counts, alpha: float) -> tuple[float, int]:
+    best = None
+    for s, (ones, zeros, _, valid) in shift_counts:
+        if valid == 0:
+            continue
+        score = ((2.0 - alpha) * ones + alpha * zeros) / valid
+        if best is None or score > best[0]:
+            best = (score, s)
+    if best is None:
+        raise EmptyJointMaskError("no jointly valid pixels at any candidate shift")
+    return best
+
+
+def naive_masked_hamming(
+    a: IrisTemplate, b: IrisTemplate, policy: ShiftPolicy = DEFAULT_POLICY
+) -> tuple[float, int, int]:
+    """Per-pixel mirror of ``(hamming, best_shift, joint_valid)`` of
+    :func:`irisfuse.bitmatch.match_pair`."""
+    return _min_hamming(_shift_counts(a, b, policy))
 
 
 def naive_weighted_similarity(
@@ -94,25 +122,7 @@ def naive_weighted_similarity(
     :func:`irisfuse.bitmatch.match_pair`, ``unmasked`` included."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie strictly inside (0, 2), got {alpha}")
-    bits_a, mask_a = _pixel_lists(a)
-    bits_b, mask_b = _pixel_lists(b)
-    best = None
-    for s in policy.shifts():
-        if unmasked:
-            ones, zeros, _ = _unmasked_counts_at_shift(bits_a, bits_b, s, a.width)
-            score = ((2.0 - alpha) * ones + alpha * zeros) / a.n_pixels
-        else:
-            ones, zeros, _, valid = _counts_at_shift(
-                bits_a, mask_a, bits_b, mask_b, s, a.width
-            )
-            if valid == 0:
-                continue
-            score = ((2.0 - alpha) * ones + alpha * zeros) / valid
-        if best is None or score > best[0]:
-            best = (score, s)
-    if best is None:
-        raise EmptyJointMaskError("no jointly valid pixels at any candidate shift")
-    return best
+    return _max_ws(_shift_counts(a, b, policy, unmasked), alpha)
 
 
 def _joint_pixel_counts(a: IrisTemplate, b: IrisTemplate):
@@ -182,6 +192,7 @@ _SUITE_BUCKETS = (
 )
 
 _SUITE_ALPHAS = (0.3, 1.0, 0.5, 1.7)
+_BATCH_TEMPLATES = 8  # a bucket's batched pass: 8 x 7 ordered pairs
 
 
 @dataclass(frozen=True)
@@ -210,6 +221,42 @@ def _outcome(error: type[Exception], fn, *args, **kwargs):
         return None
 
 
+def _naive_searches(a: IrisTemplate, b: IrisTemplate, alpha: float, policy: ShiftPolicy):
+    """What :func:`naive_masked_hamming` and masked
+    :func:`naive_weighted_similarity` return, each None where they raise
+    :class:`EmptyJointMaskError`, from one per-pixel count."""
+    counts = _shift_counts(a, b, policy)
+    return (
+        _outcome(EmptyJointMaskError, _min_hamming, counts),
+        _outcome(EmptyJointMaskError, _max_ws, counts, alpha),
+    )
+
+
+def _batched_rows(templates, alpha: float, policy: ShiftPolicy) -> tuple[int, int, int]:
+    """``(rows, mismatches, unusable)`` of one
+    :func:`irisfuse.bitmatch.match_pairs` call over every ordered pair of
+    distinct ``templates``, each row checked against
+    :func:`_naive_searches`.  The pairs are listed
+    gallery-major, so the call has to gather its probe runs."""
+    from . import bitmatch
+
+    n = len(templates)
+    ib, ia = np.divmod(np.arange(n * n), n)
+    ia, ib = ia[ia != ib], ib[ia != ib]
+    scores = bitmatch.match_pairs(templates, ia, ib, alpha, policy)
+    mismatches = 0
+    for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
+        hd, ws = _naive_searches(templates[i], templates[j], alpha, policy)
+        if scores.usable[k]:
+            ok = (
+                scores.hamming[k], scores.best_shift[k], scores.joint_valid[k]
+            ) == hd and (scores.ws[k], scores.ws_shift[k]) == ws
+        else:
+            ok = hd is None and ws is None
+        mismatches += not ok
+    return len(ia), mismatches, int(np.count_nonzero(~scores.usable))
+
+
 def run_equivalence_suite(seed: int = 0, scale: int = 1) -> EquivalenceReport:
     """Compare every kernel against its per-pixel mirror on random pairs.
 
@@ -218,24 +265,26 @@ def run_equivalence_suite(seed: int = 0, scale: int = 1) -> EquivalenceReport:
     unmasked), white/black match rates and mask rates for exact
     equality.  ``scale`` multiplies the per-bucket pair counts.  Unusable
     pairs (empty joint mask everywhere) must raise on both routes to
-    count as agreement.
+    count as agreement.  Each bucket then scores every ordered pair of
+    its first :data:`_BATCH_TEMPLATES` templates in one
+    :func:`irisfuse.bitmatch.match_pairs` call, so probe runs of many
+    pairs are checked too.
     """
     from . import bitmatch
 
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     checked = mismatches = unusable = 0
-    for h, w, max_shift, step, density, count in _SUITE_BUCKETS:
+    for bucket, (h, w, max_shift, step, density, count) in enumerate(_SUITE_BUCKETS):
         policy = ShiftPolicy(max_shift=max_shift, step=step)
+        batch = []
         for i in range(count * scale):
             a = _random_template(rng, h, w, density)
             b = _random_template(rng, h, w, density)
+            batch.extend([a, b][:_BATCH_TEMPLATES - len(batch)])
             alpha = _SUITE_ALPHAS[i % len(_SUITE_ALPHAS)]
             fast = _outcome(EmptyJointMaskError, bitmatch.match_pair, a, b, alpha, policy)
-            hd = _outcome(EmptyJointMaskError, naive_masked_hamming, a, b, policy)
-            ws = _outcome(
-                EmptyJointMaskError, naive_weighted_similarity, a, b, alpha, policy
-            )
+            hd, ws = _naive_searches(a, b, alpha, policy)
             if fast is None:
                 unusable += 1
                 ok = hd is None and ws is None
@@ -258,6 +307,11 @@ def run_equivalence_suite(seed: int = 0, scale: int = 1) -> EquivalenceReport:
             checked += 1
             if not ok:
                 mismatches += 1
+        alpha = _SUITE_ALPHAS[bucket % len(_SUITE_ALPHAS)]
+        rows, bad, empty = _batched_rows(batch, alpha, policy)
+        checked += rows
+        mismatches += bad
+        unusable += empty
     return EquivalenceReport(
         pairs_checked=checked,
         mismatches=mismatches,

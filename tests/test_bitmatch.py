@@ -463,6 +463,18 @@ class TestBatchedKernel:
         scores = match_pairs([a, b], [0], [1], 0.3, policy)
         assert_beyond_uint16_equal_reference(a, b, policy, scores, 0)
 
+    def test_counts_beyond_uint16_in_one_probe_run(self, monkeypatch):
+        # one probe against three gallery templates, a block each
+        monkeypatch.setattr(bitmatch, "BLOCK_BYTES", 1)
+        rng = np.random.default_rng(20)
+        templates = [reference._random_template(rng, 1, 70_000, 0.99) for _ in range(4)]
+        policy = ShiftPolicy(1, 1)
+        scores = match_pairs(templates, [0, 0, 0], [1, 2, 3], 0.3, policy)
+        for k in range(3):
+            assert_beyond_uint16_equal_reference(
+                templates[0], templates[k + 1], policy, scores, k
+            )
+
     def test_ties_resolve_to_smallest_then_negative_shift(self):
         templates = batch_templates(np.random.default_rng(12), 2, 8)
         scores = match_pairs(templates, [6, 7], [6, 8], 0.3, ShiftPolicy(2, 1))
@@ -614,7 +626,7 @@ class TestWorkerSplit:
             for buffers in (
                 [probe[1] for probe, _ in made],  # rotation buffers
                 [block[0] for _, block in made],  # word planes
-                [block[1] for _, block in made],
+                [block[1] for _, block in made],  # their popcounts
             ):
                 assert sum(b.nbytes for b in buffers) <= bitmatch.BLOCK_BYTES
 
@@ -638,15 +650,15 @@ class TestWorkerSplit:
     def test_worker_error_reaches_the_caller(self, monkeypatch, failing):
         monkeypatch.setattr(bitmatch, "WORKER_BYTES", 1)
         monkeypatch.setattr(bitmatch, "_cpu_count", lambda: 3)
-        score_block = bitmatch._score_block
+        count_block = bitmatch._count_block
         caller = threading.get_ident()
 
         def failing_on_one_thread(*args):
             if (threading.get_ident() == caller) == (failing == "caller"):
                 raise RuntimeError("probe failed")
-            return score_block(*args)
+            return count_block(*args)
 
-        monkeypatch.setattr(bitmatch, "_score_block", failing_on_one_thread)
+        monkeypatch.setattr(bitmatch, "_count_block", failing_on_one_thread)
         templates = batch_templates(np.random.default_rng(17), 4, 8)
         ia, ib = np.divmod(np.arange(81), 9)
         before = threading.active_count()

@@ -172,6 +172,25 @@ class TestFeatureCsv:
         with pytest.raises(fileio.ParseError, match=r"features\.csv" + message):
             fileio.read_feature_csv(path)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("abc", "not a number: 'abc'"),
+        ("inf", "non-finite value"),
+        ("", "not a number: ''"),
+    ])
+    def test_bad_field_in_a_wide_table_names_its_line_and_column(self, tmp_path, bad, message):
+        records = self.make_records(np.random.default_rng(14), n=20, dim=600)
+        path = tmp_path / "features.csv"
+        fileio.write_feature_csv(path, records)
+        assert fileio._block_rows(fileio._feature_schema(600)) < 20  # several blocks
+        lines = path.read_text().splitlines()
+        for line, column in [(12, 500), (13, 3)]:  # the later line has the earlier column
+            fields = lines[line - 1].split(",")
+            fields[3 + column] = bad
+            lines[line - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(fileio.ParseError, match=rf"features\.csv:12: column 'f500': {message}$"):
+            fileio.read_feature_csv(path)
+
     def test_duplicate_across_blocks_reported_before_later_bad_float(self, tmp_path):
         n = fileio.BLOCK_ROWS + 7
         rows = [f"id{k},0.1,0.1,1.0" for k in range(n)]
