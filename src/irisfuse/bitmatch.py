@@ -268,8 +268,7 @@ def _count_block(probe, gallery, counts, scratch) -> None:
     ``gallery`` holds the block's gathered ``(P, mask)`` planes.  Writes
     the ``(ones, valid, zeros)`` counts of every ``(shift, pair)`` into
     ``counts``, the block's ``(3, n_shifts, pairs)`` view of the run's
-    counts:
-    ``ones = pop(P & P')``, ``valid = pop(mask & mask')`` and
+    counts: ``ones = pop(P & P')``, ``valid = pop(mask & mask')`` and
     ``zeros = pop(Z & Z')``, each plane formed in the worker's scratch
     and counted at once.
     """
