@@ -15,6 +15,18 @@ initialisation, from a checkpoint (:meth:`MlpParams.from_layers` also
 checks each layer's shapes), once per training epoch for the full-set
 loss, and for the training result.  Mini-batch steps build none; they
 check the updated vector for finiteness directly.
+
+A mini-batch step is bound by the cost of numpy calls, not by its
+arithmetic, so the step and the optimiser updates are written to make few
+calls: products by ``np.dot`` (into the gradient's views with ``out=``),
+bias and ``tanh`` applied in place, the two-class log-softmax by columns,
+and the optimiser state updated in place.  They keep one rule: every
+element goes through the same floating-point operations, in the same
+order, as the plain forms (``a @ w + b``, ``logits.max(axis=1)``,
+``m = 0.9 * m + 0.1 * grad``, ...), on C-contiguous operands, so the
+checkpoints are the bytes the plain forms give.  Each activation is its
+own array, never a strided view into a shared buffer.  The plain forms
+live on in ``tests/test_neural.py`` as the reference for that rule.
 """
 
 from __future__ import annotations
@@ -117,22 +129,28 @@ def _as_input_matrix(inputs) -> np.ndarray:
     return x
 
 
-def _forward_trace(layers, x: np.ndarray):
-    """Logits plus per-layer activations (inputs included) for backprop;
-    ``layers`` are the ``(weight, bias)`` views of :func:`_layers`."""
-    activations = [x]
+def _forward(layers, x: np.ndarray, activations: list | None = None) -> np.ndarray:
+    """Logits of the network whose :func:`_layers` views are ``layers``.
+
+    Each layer's output is a new C-contiguous array: the product, then the
+    bias added and ``tanh`` applied in place.  When ``activations`` is a
+    list, each hidden layer's output is appended to it for backprop.
+    """
     a = x
     last = len(LAYER_SIZES) - 2
     for k, (w, b) in enumerate(layers):
-        z = a @ w + b
-        a = z if k == last else np.tanh(z)
-        activations.append(a)
-    return a, activations
+        a = np.dot(a, w)
+        a += b
+        if k < last:
+            np.tanh(a, out=a)
+            if activations is not None:
+                activations.append(a)
+    return a
 
 
 def mlp_logits(params: MlpParams, inputs) -> np.ndarray:
     """Raw pre-softmax outputs, shape (n, 2)."""
-    logits, _ = _forward_trace(_layers(params.vector), _as_input_matrix(inputs))
+    logits = _forward(_layers(params.vector), _as_input_matrix(inputs))
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite network output (exploded parameters?)")
     return logits
@@ -163,28 +181,37 @@ def softmax_xent(logits, label) -> float:
     return float(lse - z[int(label)])
 
 
-def _batch_loss_and_gradient(layers, grad_layers, x: np.ndarray, y: np.ndarray) -> float:
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of ``(n, 2)`` logits, computed by columns."""
+    shifted = logits - np.maximum(logits[:, 0], logits[:, 1])[:, None]
+    e = np.exp(shifted)
+    return shifted - np.log(e[:, 0] + e[:, 1])[:, None]
+
+
+def _batch_loss_and_gradient(layers, grad_layers, x: np.ndarray, hot: np.ndarray) -> float:
     """Mean cross-entropy over the batch; its gradient is written into
     ``grad_layers``, the :func:`_layers` views of a gradient vector laid
-    out like the parameters whose views are ``layers``."""
-    logits, activations = _forward_trace(layers, x)
+    out like the parameters whose views are ``layers``.  ``hot`` is the
+    ``(n, 2)`` boolean one-hot of the labels."""
     n = x.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(n), y].mean())
+    activations = [x]
+    log_probs = _log_softmax(_forward(layers, x, activations))
+    loss = -float(np.add.reduce(log_probs[hot])) / n
 
-    probs = np.exp(log_probs)
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
+    delta = np.exp(log_probs, out=log_probs)
+    delta -= hot  # 1.0 off each label's probability; x - 0.0 is x, even for -0.0
     delta /= n
 
     for k in reversed(range(len(layers))):
         (w, _), (grad_w, grad_b) = layers[k], grad_layers[k]
         a_k = activations[k]  # the layer's input: tanh output of layer k-1
-        grad_w[...] = a_k.T @ delta
-        grad_b[...] = delta.sum(axis=0)
+        np.dot(a_k.T, delta, out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
         if k > 0:
-            delta = (delta @ w.T) * (1.0 - a_k * a_k)
+            delta = np.dot(delta, w.T)
+            a_k *= a_k  # a_k is not read again: 1 - a_k**2 is built in place
+            np.subtract(1.0, a_k, out=a_k)
+            delta *= a_k
     return loss
 
 
@@ -194,17 +221,15 @@ def mlp_gradient(params: MlpParams, cues, label) -> np.ndarray:
     Returned as a flat vector laid out like ``params.vector``.
     """
     x = _as_input_matrix(cues)
-    y = np.array([int(label)])
+    hot = np.eye(LAYER_SIZES[-1], dtype=bool)[[int(label)]]
     grad = np.empty(N_PARAMS)
-    _batch_loss_and_gradient(_layers(params.vector), _layers(grad), x, y)
+    _batch_loss_and_gradient(_layers(params.vector), _layers(grad), x, hot)
     return grad
 
 
 def mean_loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     """Mean softmax cross-entropy of the network over a labelled set."""
-    logits = mlp_logits(params, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = _log_softmax(mlp_logits(params, x))
     return float(-log_probs[np.arange(x.shape[0]), np.asarray(y)].mean())
 
 
@@ -289,9 +314,16 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
     vec = best.vector.copy()
     grad = np.empty_like(vec)
     layers, grad_layers = _layers(vec), _layers(grad)
+    hot = np.eye(LAYER_SIZES[-1], dtype=bool)[y]
     velocity = np.zeros_like(vec)
-    adam_m = np.zeros_like(vec)
-    adam_v = np.zeros_like(vec)
+    # Adam's first and second moments as the rows of one array; decay and
+    # gain are full rows, as operands of the moments' own shape take numpy's
+    # fast path where a broadcast column does not
+    moments = np.zeros((2, N_PARAMS))
+    scratch = np.empty_like(moments)
+    (adam_m, adam_v), (m_hat, v_hat) = moments, scratch
+    decay = np.repeat([[0.9], [0.999]], N_PARAMS, axis=1)
+    gain = np.repeat([[0.1], [0.001]], N_PARAMS, axis=1)
     adam_t = 0
 
     best_loss = mean_loss(best, x, y)
@@ -300,29 +332,37 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
     n = x.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        x_epoch, y_epoch = x[order], y[order]
+        x_epoch, hot_epoch = x[order], hot[order]
         for start in range(0, n, config.batch_size):
             stop = start + config.batch_size
             loss = _batch_loss_and_gradient(
-                layers, grad_layers, x_epoch[start:stop], y_epoch[start:stop]
+                layers, grad_layers, x_epoch[start:stop], hot_epoch[start:stop]
             )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            # in place; each update does the operations of its out-of-place form
-            # (velocity = momentum * velocity - learning_rate * grad, ...) in order
+            # in place; each element goes through the operations of the
+            # textbook form, in its order:
+            #   velocity = momentum * velocity - learning_rate * grad
+            #   m = 0.9 * m + 0.1 * grad;  v = 0.999 * v + 0.001 * grad * grad
+            #   vec -= learning_rate * m_hat / (sqrt(v_hat) + 1e-8)
             if config.optimizer == "sgd-momentum":
                 velocity *= config.momentum
-                velocity -= config.learning_rate * grad
+                grad *= config.learning_rate
+                velocity -= grad
                 vec += velocity
             else:  # adam
                 adam_t += 1
-                adam_m *= 0.9
-                adam_m += 0.1 * grad
-                adam_v *= 0.999
-                adam_v += 0.001 * grad * grad
-                m_hat = adam_m / (1.0 - 0.9**adam_t)
-                v_hat = adam_v / (1.0 - 0.999**adam_t)
-                vec -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+                moments *= decay
+                np.multiply(gain, grad, out=scratch)
+                v_hat *= grad
+                moments += scratch
+                np.divide(adam_m, 1.0 - 0.9**adam_t, out=m_hat)
+                np.divide(adam_v, 1.0 - 0.999**adam_t, out=v_hat)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += 1e-8
+                m_hat *= config.learning_rate
+                m_hat /= v_hat
+                vec -= m_hat
             if not np.isfinite(vec).all():
                 raise TrainingDivergedError(epoch)
 

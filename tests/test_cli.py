@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from irisfuse import fileio, fusion
+from irisfuse import fileio, fusion, reference
 from irisfuse.cli import main
 from irisfuse.fusion import (
     NormalizationParams,
@@ -758,10 +758,26 @@ class TestCheckCommands:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 1
 
-    def test_oracle_suite_scaled_down_passes(self, capsys):
-        # full-size suite runs in the acceptance tests; here a sanity call
-        assert run_cli("oracle", "--seed", 1) == 0
-        assert "[PASS]" in capsys.readouterr().out
+    # the suite itself runs in test_acceptance; here only its wiring to the CLI
+    @pytest.mark.parametrize("mismatches, code", [(0, 0), (3, 1)], ids=["pass", "fail"])
+    def test_oracle_reports_the_suite(self, monkeypatch, capsys, mismatches, code):
+        report = reference.EquivalenceReport(
+            pairs_checked=40, mismatches=mismatches, unusable_pairs=2, elapsed_seconds=0.5
+        )
+        calls = []
+
+        def suite(seed, scale):
+            calls.append((seed, scale))
+            return report
+
+        monkeypatch.setattr(reference, "run_equivalence_suite", suite)
+        assert run_cli("oracle", "--seed", 4, "--scale", 2) == code
+        assert calls == [(4, 2)]
+        status = "[PASS]" if code == 0 else "[FAIL]"
+        assert capsys.readouterr().out == (
+            f"{status} packed kernels vs per-pixel reference: "
+            f"40 pairs, {mismatches} mismatches, 2 unusable, 0.50s\n"
+        )
 
 
 class TestErrorContract:

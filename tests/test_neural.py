@@ -10,6 +10,11 @@ from irisfuse.mlp import (
     MlpParams,
     TrainConfig,
     TrainingDivergedError,
+    _balanced_indices,
+    _batch_loss_and_gradient,
+    _coerce_dataset,
+    _layers,
+    mean_loss,
     mlp_forward,
     mlp_gradient,
     mlp_logits,
@@ -34,6 +39,94 @@ def scalar_forward_probs(params: MlpParams, x) -> list[float]:
     e = [math.exp(v - m) for v in a]
     total = sum(e)
     return [v / total for v in e]
+
+
+# The plain forms of the network, its mini-batch step and the optimiser
+# updates.  The library's step makes fewer numpy calls but must put every
+# element through these operations in this order, so the tests below compare
+# bytes, not values within a tolerance.  Both sides run in one process: BLAS
+# picks its kernel by CPU, so a recorded digest would not hold elsewhere.
+
+
+def plain_forward(vec: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits plus each layer's input, by ``a @ w + b`` and ``np.tanh``."""
+    activations = [x]
+    a = x
+    layers = _layers(vec)
+    for k, (w, b) in enumerate(layers):
+        z = a @ w + b
+        a = z if k == len(layers) - 1 else np.tanh(z)
+        activations.append(a)
+    return a, activations
+
+
+def plain_log_probs(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def plain_step(vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of a batch and its gradient vector."""
+    logits, activations = plain_forward(vec, x)
+    n = x.shape[0]
+    log_probs = plain_log_probs(logits)
+    loss = float(-log_probs[np.arange(n), y].mean())
+    delta = np.exp(log_probs)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad = np.empty(N_PARAMS)
+    layers, grad_layers = _layers(vec), _layers(grad)
+    for k in reversed(range(len(layers))):
+        (w, _), (grad_w, grad_b) = layers[k], grad_layers[k]
+        a_k = activations[k]
+        grad_w[...] = a_k.T @ delta
+        grad_b[...] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ w.T) * (1.0 - a_k * a_k)
+    return loss, grad
+
+
+def plain_mean_loss(vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    log_probs = plain_log_probs(plain_forward(vec, x)[0])
+    return float(-log_probs[np.arange(x.shape[0]), y].mean())
+
+
+def plain_train(features, labels, config: TrainConfig) -> np.ndarray:
+    """``train_mlp``'s schedule, with the plain step and optimiser updates."""
+    x, y = _coerce_dataset(features, labels)
+    rng = np.random.default_rng(config.seed)
+    keep = _balanced_indices(y, config.genuine_impostor_ratio, rng)
+    x, y = x[keep], y[keep]
+    best = MlpParams.init_random(rng).vector
+    vec = best.copy()
+    velocity, adam_m, adam_v = (np.zeros(N_PARAMS) for _ in range(3))
+    best_loss, stale, t = plain_mean_loss(vec, x, y), 0, 0
+    for _ in range(config.epochs):
+        order = rng.permutation(y.size)
+        x_epoch, y_epoch = x[order], y[order]
+        for start in range(0, y.size, config.batch_size):
+            stop = start + config.batch_size
+            _, grad = plain_step(vec, x_epoch[start:stop], y_epoch[start:stop])
+            if config.optimizer == "sgd-momentum":
+                velocity = config.momentum * velocity - config.learning_rate * grad
+                vec = vec + velocity
+            else:
+                t += 1
+                adam_m = 0.9 * adam_m + 0.1 * grad
+                adam_v = 0.999 * adam_v + 0.001 * grad * grad
+                m_hat = adam_m / (1.0 - 0.9**t)
+                v_hat = adam_v / (1.0 - 0.999**t)
+                vec = vec - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        loss = plain_mean_loss(vec, x, y)
+        if loss < best_loss * (1.0 - config.plateau_rel_tol):
+            best_loss, best, stale = loss, vec, 0
+        else:
+            if loss < best_loss:
+                best_loss, best = loss, vec
+            stale += 1
+            if stale >= config.plateau_patience:
+                break
+    return best
 
 
 class TestForward:
@@ -273,8 +366,6 @@ class TestTraining:
         assert info.value.epoch == 0
 
     def test_final_loss_not_worse_than_initial(self):
-        from irisfuse.mlp import mean_loss
-
         rng = np.random.default_rng(10)
         features, labels = self.separable_cues(rng, n=50)
         config = TrainConfig(learning_rate=1e-2, epochs=40, seed=11,
@@ -291,8 +382,45 @@ class TestTraining:
         # 60 genuine vs 60 impostor; ratio 1:2 keeps everything, 2:1 halves
         keep_all = TrainConfig(epochs=1, seed=0, genuine_impostor_ratio=(1, 2))
         train_mlp(features, labels, keep_all)  # just must not raise
-        from irisfuse.mlp import _balanced_indices
-
         idx = _balanced_indices(labels, (2, 1), np.random.default_rng(0))
         assert (labels[idx] == 0).sum() == 60
         assert (labels[idx] == 1).sum() == 30
+
+
+def same_bytes(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+class TestMatchesPlainForms:
+    @pytest.mark.parametrize("rows", [64, 7, 1])  # a full batch, a tail, one sample
+    @pytest.mark.parametrize("scale", [1.0, 4.0])  # 4x saturates many tanh units
+    def test_step(self, rows, scale):
+        rng = np.random.default_rng(rows)
+        vec = MlpParams.init_random(rng).vector * scale
+        x = rng.normal(size=(rows, LAYER_SIZES[0]))
+        y = rng.integers(0, 2, rows)
+        expected_loss, expected = plain_step(vec, x, y)
+        grad = np.empty(N_PARAMS)
+        hot = np.eye(LAYER_SIZES[-1], dtype=bool)[y]
+        loss = _batch_loss_and_gradient(_layers(vec), _layers(grad), x, hot)
+        assert same_bytes(loss, expected_loss)
+        assert same_bytes(grad, expected)
+        if rows == 1:
+            assert same_bytes(mlp_gradient(MlpParams(vec), x[0], y[0]), expected)
+
+    def test_logits_and_mean_loss_on_a_score_block(self):
+        rng = np.random.default_rng(16)
+        params = MlpParams.init_random(rng)
+        x = rng.normal(size=(1024, LAYER_SIZES[0]))
+        y = rng.integers(0, 2, 1024)
+        assert same_bytes(mlp_logits(params, x), plain_forward(params.vector, x)[0])
+        assert same_bytes(mean_loss(params, x, y), plain_mean_loss(params.vector, x, y))
+
+    @pytest.mark.parametrize("optimizer", ["sgd-momentum", "adam"])
+    def test_training(self, optimizer):
+        rng = np.random.default_rng(17)
+        # 300 rows: four 64-row batches and a 44-row tail per epoch
+        features, labels = TestTraining.separable_cues(rng, n=150)
+        config = TrainConfig(learning_rate=3e-3, epochs=8, seed=3, optimizer=optimizer)
+        trained = train_mlp(features, labels, config)
+        assert same_bytes(trained.vector, plain_train(features, labels, config))
