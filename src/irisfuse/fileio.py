@@ -18,14 +18,18 @@ schema lists each column's name and kind in file order:
     int?     empty, or an integer, |v| < 2**53  float64, NaN if empty
 
 Readers and writers stream blocks of at most :data:`BLOCK_ROWS` rows
-and :data:`BLOCK_FIELDS` fields.  A reader can be asked for some of a
-table's columns (``columns=``) and can hand them over one block at a
-time (:func:`read_match_blocks`); it still checks the whole header and
-every row's field count, but parses only the columns asked for.  A
-writer can append a table block by block (:func:`score_csv_writer`); it
-writes to a temporary file beside its path that replaces the path only
-once the whole table is written, and it rejects a number that would
-not read back.
+and :data:`BLOCK_FIELDS` fields.  A reader splits each line at ``,``
+with ``str.split`` up to the first block holding a ``"``, ``\r``, NUL
+or a line longer than ``csv.field_size_limit()``; from there a
+``csv.reader`` parses every line, so the rows and the errors are the
+``csv`` module's (see :func:`_row_blocks`).  A reader can be asked for
+some of a table's columns (``columns=``) and can hand them over one
+block at a time (:func:`read_match_blocks`); it still checks the whole
+header and every row's field count, but parses only the columns asked
+for.  A writer can append a table block by block
+(:func:`score_csv_writer`); it writes to a temporary file beside its
+path that replaces the path only once the whole table is written, and
+it rejects a number that would not read back.
 
 A column can also be handed over, and written, as its field texts
 (:class:`FieldTexts`), so that a stage which only copies a column never
@@ -154,18 +158,6 @@ def read_template(path) -> IrisTemplate:
 
 def _open_reader(path):
     return open(path, "r", newline="", encoding="utf-8")
-
-
-@contextlib.contextmanager
-def _csv_reader(path):
-    """A ``csv.reader`` of ``path`` whose ``csv.Error`` (an oversized
-    field, or a NUL before Python 3.11) is a :class:`ParseError` at its line."""
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            yield reader
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _open_writer(path, mode="w"):
@@ -334,16 +326,46 @@ def _block_rows(schema) -> int:
     return max(1, min(BLOCK_ROWS, BLOCK_FIELDS // len(schema)))
 
 
-def _row_blocks(reader, schema):
-    """``(first line, rows)`` of each block of a table's data rows; a
-    table without data rows gives one empty block."""
-    line, step = 2, _block_rows(schema)
-    rows = list(itertools.islice(reader, step))
-    while True:
-        yield line, rows
-        line += len(rows)
-        if not (rows := list(itertools.islice(reader, step))):
-            return
+def _row_blocks(path, schema_of):
+    """The schema that ``schema_of`` gives for the header row of the table
+    at ``path`` (None for an empty file), then ``(first line, rows)`` of
+    each block of its data rows; a table without data rows gives one
+    empty block.  Rows are lines split at ``,`` up to the first block
+    holding a ``"``, ``\\r``, NUL or a line longer than
+    ``csv.field_size_limit()``; from there a ``csv.reader`` parses every
+    line, since a quoted field may span lines and blocks.  A ``csv.Error``
+    (an oversized field, or a NUL before Python 3.11) is a
+    :class:`ParseError` at its line."""
+    with _open_reader(path) as fh:
+        reader, lines_split = None, 0
+
+        def take(n: int) -> list[list[str]]:
+            nonlocal reader, lines_split
+            if reader is None:
+                lines = list(itertools.islice(fh, n))
+                text, limit = "".join(lines), csv.field_size_limit()
+                if not ('"' in text or "\r" in text or "\0" in text
+                        or len(text) > limit and max(map(len, lines)) > limit):
+                    lines_split += len(lines)
+                    lines = text.split("\n")
+                    if not lines[-1]:  # after a final \n
+                        lines.pop()
+                    return [line.split(",") if line else [] for line in lines]  # as csv reads it
+                reader = csv.reader(itertools.chain(lines, fh))
+            try:
+                return list(itertools.islice(reader, n))
+            except csv.Error as exc:
+                raise ParseError(f"{path}:{lines_split + reader.line_num}: {exc}") from exc
+
+        schema = schema_of((take(1) or [None])[0])
+        yield schema
+        line, step = 2, _block_rows(schema)
+        rows = take(step)
+        while True:
+            yield line, rows
+            line += len(rows)
+            if not (rows := take(step)):
+                return
 
 
 def _picks(schema, columns) -> list[int]:
@@ -371,12 +393,17 @@ def _table_blocks(path, schema, what: str, columns=None):
 
     def blocks():
         source = str(path)
-        with _csv_reader(path) as reader:
-            if next(reader, None) != [name for name, _ in schema]:
+
+        def checked(header):
+            if header != [name for name, _ in schema]:
                 raise ParseError(f"{source}:1: bad {what} header")
-            for n, rows in _row_blocks(reader, schema):
-                arrays, texts = _parse_block(rows, schema, source, n, picks)
-                yield dict(zip(names, arrays)), dict(zip(names, texts))
+            return schema
+
+        row_blocks = _row_blocks(path, checked)
+        next(row_blocks)  # the schema
+        for n, rows in row_blocks:
+            arrays, texts = _parse_block(rows, schema, source, n, picks)
+            yield dict(zip(names, arrays)), dict(zip(names, texts))
 
     return blocks()
 
@@ -562,9 +589,15 @@ def read_score_csv(path, columns=None) -> dict[str, np.ndarray]:
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
+    tar = np.asarray(curve.tar, dtype=np.float64)
+    _check_readable("tar", FLOAT, tar, 0)  # naming the row as the writer would
+    # tar takes at most n_genuine + 1 values: each distinct one (by its bits,
+    # so 0.0 and -0.0 stay apart) is formatted once
+    bits, rows = np.unique(tar.view(np.uint64), return_inverse=True)
+    texts = field_texts("tar", FLOAT, bits.view(np.float64)).texts[rows]
     _write_table(
         path, ROC_SCHEMA,
-        {"threshold": curve.thresholds, "far": curve.far, "tar": curve.tar},
+        {"threshold": curve.thresholds, "far": curve.far, "tar": FieldTexts(FLOAT, texts)},
     )
 
 
@@ -610,7 +643,9 @@ def _add_records(records: dict, rows, schema, source: str, first_line: int) -> N
         elif len(rows[0]) == len(schema) and rows[0][0] in records:
             raise ParseError(f"{source}:{first_line}: duplicate id {rows[0][0]!r}") from None
         raise
-    parsed = zip(ids.tolist(), eye.tolist(), brow.tolist(), np.stack(features, axis=1))
+    # one row per record, contiguous, so that each record keeps a view of it
+    vectors = np.array(features, order="F").T
+    parsed = zip(ids.tolist(), eye.tolist(), brow.tolist(), vectors)
     for line, (ref, eye_area, brow_area, vector) in enumerate(parsed, start=first_line):
         if ref in records:
             raise ParseError(f"{source}:{line}: duplicate id {ref!r}")
@@ -623,15 +658,19 @@ def _add_records(records: dict, rows, schema, source: str, first_line: int) -> N
 def read_feature_csv(path) -> dict[str, PeriocularRecord]:
     source = str(path)
     records: dict[str, PeriocularRecord] = {}
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
+
+    def schema_of(header):
         if header is None or header[:3] != ["id", "eye_area", "brow_area"]:
             raise ParseError(f"{source}:1: bad feature-table header")
         schema = _feature_schema(len(header) - 3)
         if len(schema) < 4 or header != [name for name, _ in schema]:
             raise ParseError(f"{source}:1: bad feature column names")
-        for line, rows in _row_blocks(reader, schema):
-            _add_records(records, rows, schema, source, line)
+        return schema
+
+    blocks = _row_blocks(path, schema_of)
+    schema = next(blocks)
+    for line, rows in blocks:
+        _add_records(records, rows, schema, source, line)
     if not records:
         raise ParseError(f"{source}: no data rows")
     return records

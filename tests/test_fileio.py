@@ -1,9 +1,11 @@
 import csv
 import io
+import itertools
 import json
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irisfuse import fileio
-from irisfuse.evaluation import Manifest, ManifestEntry, ScoreSet, roc_curve
+from irisfuse.evaluation import Manifest, ManifestEntry, RocCurve, ScoreSet, roc_curve
 from irisfuse.fusion import NormalizationParams, cue_matrix
 from irisfuse.mlp import MlpParams, TrainConfig
 from irisfuse.templates import PeriocularRecord, pack_template
@@ -801,6 +803,136 @@ class TestRocCsv:
         path.write_text("threshold,far,tar\n0.5,0.1,0.2\n" + "1" * 200_000 + ",0.1,0.2\n")
         with pytest.raises(fileio.ParseError, match=r"roc\.csv:3: field larger than field limit"):
             fileio.read_roc_csv(path)
+
+    def test_written_bytes_equal_formatting_every_row(self, tmp_path):
+        rng = np.random.default_rng(8)
+        scores = ScoreSet(genuine=rng.normal(1, 1, 40), impostor=rng.normal(0, 1, 300))
+        curve = roc_curve(scores)
+        curve = RocCurve(curve.thresholds, curve.far, np.where(curve.tar == 0, -0.0, curve.tar))
+        assert np.unique(curve.tar).size < curve.tar.size / 4  # tar repeats its values
+        path = tmp_path / "roc.csv"
+        fileio.write_roc_csv(path, curve)
+        columns = (curve.thresholds.tolist(), curve.far.tolist(), curve.tar.tolist())
+        rows = [["threshold", "far", "tar"]] + [list(map(repr, row)) for row in zip(*columns)]
+        assert path.read_bytes() == csv_writer_text(rows).encode()
+        assert "-0.0" in path.read_text()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tar_names_its_row(self, tmp_path, bad):
+        tar = np.linspace(0.0, 1.0, 9)
+        tar[6] = bad
+        curve = RocCurve(np.linspace(1.0, 0.0, 9), np.linspace(0.0, 1.0, 9), tar)
+        with pytest.raises(ValueError, match=f"column 'tar': row 6: {bad!r} would not read back"):
+            fileio.write_roc_csv(tmp_path / "roc.csv", curve)
+
+
+def csv_only_row_blocks(path, schema_of):
+    """:func:`fileio._row_blocks` with every line parsed by ``csv.reader``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            schema = schema_of(next(reader, None))
+            yield schema
+            line, step = 2, fileio._block_rows(schema)
+            rows = list(itertools.islice(reader, step))
+            while True:
+                yield line, rows
+                line += len(rows)
+                if not (rows := list(itertools.islice(reader, step))):
+                    return
+        except csv.Error as exc:
+            raise fileio.ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def read_outcome(read):
+    """What ``read()`` gives, as comparable values: every array as its dtype
+    and bytes, every record as its fields, and a ParseError as its message."""
+    def comparable(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, PeriocularRecord):
+            return value.eye_area, value.brow_area, comparable(value.features)
+        if isinstance(value, dict):
+            return [(k, comparable(v)) for k, v in value.items()]
+        if isinstance(value, (list, tuple)):
+            return [comparable(v) for v in value]
+        return value
+
+    try:
+        return comparable(read())
+    except fileio.ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestRowSource:
+    """Lines split at ``,`` read as ``csv.reader`` reads them."""
+
+    HEADER = "id,eye_area,brow_area,f0"
+    IDS = ["a", "b", "a1", "", " b"]
+    ODD_IDS = ["a,b", 'q"t', '"', "x\0", "l\nb", "c\rr", "y" * 40]
+    NUMBERS = ["0.5", "1e-3", "-0.0", "0.25", " 1", "0"]  # each a valid area
+    number = st.one_of(st.sampled_from(NUMBERS), st.sampled_from(NUMBERS + ["", "abc", "2", "inf"]))
+    # (fields, whether csv.writer writes them or they are joined bare)
+    plain_row = st.tuples(st.tuples(st.sampled_from(IDS), number, number, number), st.just(False))
+    ragged_row = st.tuples(st.lists(st.sampled_from(IDS + NUMBERS), max_size=6), st.just(False))
+    odd_row = st.tuples(st.tuples(st.sampled_from(ODD_IDS), number, number, number), st.booleans())
+
+    @staticmethod
+    def line(fields, quoted):
+        return csv_writer_text([fields])[:-1] if quoted else ",".join(fields)
+
+    @given(
+        rows=st.lists(st.one_of(plain_row, plain_row, ragged_row, odd_row), max_size=14),
+        header=st.sampled_from([HEADER, '"id",eye_area,brow_area,f0', "id,eye_area,brow_area"]),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        trailing=st.booleans(),
+        field_limit=st.sampled_from([csv.field_size_limit(), 30]),  # 30: the header fits
+        block_fields=st.sampled_from([4, 12, fileio.BLOCK_FIELDS]),
+        columns=st.sampled_from([None, ("f0",), ("id", "brow_area")]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_reads_equal_csv_reader_reads(
+        self, tmp_path_factory, rows, header, newline, trailing, field_limit, block_fields, columns
+    ):
+        lines = [header] + [self.line(*row) for row in rows]
+        text = newline.join(lines) + (newline if trailing else "")
+        path = tmp_path_factory.mktemp("rows") / "features.csv"
+        path.write_bytes(text.encode())
+        schema = fileio._feature_schema(1)
+        reads = {
+            "table": lambda: list(fileio._table_blocks(path, schema, "feature", columns)),
+            "features": lambda: fileio.read_feature_csv(path),
+        }
+        default_limit = csv.field_size_limit(field_limit)
+        try:
+            with mock.patch.object(fileio, "BLOCK_FIELDS", block_fields):
+                for read in reads.values():
+                    got = read_outcome(read)
+                    with mock.patch.object(fileio, "_row_blocks", csv_only_row_blocks):
+                        assert got == read_outcome(read)
+        finally:
+            csv.field_size_limit(default_limit)
+
+    @pytest.mark.parametrize("later, message", [
+        ('"a,b"', None),
+        ('"a\nb"', None),
+        ("a\rb", ":5: expected 4 fields, got 1"),  # csv ends a row at a bare CR
+        ("y" * 200_000, ":5: field larger than field limit"),
+        ("x\0", ":5: " + nul_read_message("id")),
+    ])
+    def test_odd_line_in_a_later_block(self, tmp_path, monkeypatch, later, message):
+        monkeypatch.setattr(fileio, "BLOCK_FIELDS", 8)  # two rows a block
+        rows = ["a,0.5,0.5,1.0", "b,0.5,0.5,1.0", "c,0.5,0.5,1.0", f"{later},0.5,0.5,2.0",
+                "d,0.5,0.5,1.0", "e,0.5,0.5,1.0"]
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join([self.HEADER, *rows]) + "\n")
+        if message is None:
+            records = fileio.read_feature_csv(path)
+            assert list(records) == ["a", "b", "c", later[1:-1], "d", "e"]
+            assert records[later[1:-1]].features.tolist() == [2.0]
+        else:
+            with pytest.raises(fileio.ParseError, match=re.escape(f"features.csv{message}")):
+                fileio.read_feature_csv(path)
 
 
 class TestCheckpoint:
