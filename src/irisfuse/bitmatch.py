@@ -37,14 +37,24 @@ mask) and its ``Z`` is formed per block of gallery templates.  Planes
 are read as ``uint64`` words, zero-padded to a multiple of 8 bytes
 (padding bits are zero on both sides and change no count).
 
+A probe is counted over its live words only: the words where some
+rotation of its mask has a valid pixel.  ``P`` and ``Z`` lie inside the
+mask, so every other word adds nothing to any count at any shift.
+Occluded templates leave many words dead, while ``unmasked`` finds
+every word live.  A probe run cuts its planes and each gallery block to
+its ``K`` live words, so a block of the same scratch holds
+``words / K`` times as many gallery templates.  Each block AND runs on
+``uint8`` views of the words (the same bits; numpy's ``uint8`` loop is
+the faster one) and each popcount on the ``uint64`` words.
+
 Probe runs are split round-robin across CPU threads when the call has
 enough work.  Each worker holds one probe's ``3 * n_shifts`` rotated
-planes at a time, one ``(n_shifts, block, words)`` word plane with its
-popcounts, and the counts of its current probe run.  These scratch
-buffers are allocated once per call, within one byte budget shared by
-all workers.  A block only writes its counts into the run's buffer;
-the scores, the ``(|s|, s)`` first-extremum shift choice and the
-scatter into the output rows then run once per probe run.
+planes at a time, one word plane of ``n_shifts * block * words`` words
+with its popcounts, and the counts of its current probe run.  These
+scratch buffers are allocated once per call, within one byte budget
+shared by all workers.  A block only writes its counts into the run's
+buffer; the scores, the ``(|s|, s)`` first-extremum shift choice and
+the scatter into the output rows then run once per probe run.
 :func:`match_pair` is the one-pair form: both scores, both shifts and
 the mask rates of one comparison.
 
@@ -144,9 +154,10 @@ def _popcount(packed: np.ndarray) -> int:
 
 
 # Scratch byte budget of one match_pairs call, split evenly between its
-# workers: a gallery block holds as many templates as fit one
-# (n_shifts, block, words) uint64 array in a worker's share, and the
-# probe rotations are unpacked as many shifts at a time as fit in it.
+# workers: a worker's word plane holds n_shifts * block * words uint64
+# words in its share, a gallery block of a probe with K live words takes
+# block * words // K templates, and the probe rotations are unpacked as
+# many shifts at a time as fit in the share.
 BLOCK_BYTES = 1 << 20
 
 # Kernel work (pairs x shifts x words x 8 bytes) per worker thread: a
@@ -208,22 +219,26 @@ def _worker_scratch(
     """One worker's probe and block buffers, reused for every probe.
 
     The probe buffers are the doubled ``(2, H, 2W)`` unpacked planes, a
-    rotation buffer of as many shifts as fit ``budget`` and the packed
-    ``(3, n_shifts, words)`` planes, whose padding stays zero.  The block
-    buffers are one ``(n_shifts, block, words)`` word plane, its
-    popcounts and the ``(3, n_shifts, run)`` counts of a probe run.
+    rotation buffer of as many shifts as fit ``budget``, each rotation
+    zero-padded to ``64 * words`` pixels, and ``3 * n_shifts * words``
+    words for the packed planes: the rotated bits and mask over every
+    word, then the ``(3, n_shifts, K)`` planes of the ``K`` live words.
+    The block buffers hold one ``(n_shifts, m, K)`` word plane of
+    ``m * K <= block * words``, its popcounts and the
+    ``(3, n_shifts, run)`` counts of a probe run.
     """
-    chunk = max(1, min(n_shifts, budget // (2 * h * w)))
-    shape = (n_shifts, block, words)
+    padded = 64 * words
+    chunk = max(1, min(n_shifts, budget // (2 * padded)))
+    size = n_shifts * block * words
     return (
         (
             np.empty((2, h, 2 * w), dtype=np.uint8),
-            np.empty((2, chunk, h, w), dtype=np.uint8),
-            np.zeros((3, n_shifts, words), dtype=np.uint64),
+            np.zeros((2, chunk, padded), dtype=np.uint8),  # padding stays zero
+            np.empty(3 * n_shifts * words, dtype=np.uint64),
         ),
         (
-            np.empty(shape, dtype=np.uint64),
-            np.empty(shape, dtype=np.uint8),
+            np.empty(size, dtype=np.uint64),
+            np.empty(size, dtype=np.uint8),
             np.empty((3, n_shifts, run), dtype=count_dtype),
         ),
     )
@@ -231,55 +246,71 @@ def _worker_scratch(
 
 def _probe_planes(
     template: IrisTemplate, shifts: tuple[int, ...], unmasked: bool, scratch
-) -> np.ndarray:
-    """``(P, mask, Z)`` word planes of the probe rotated by ``-s``, where
-    ``P = bits & mask`` and ``Z = mask & ~bits``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's live words and its ``(P, mask, Z)`` planes over them,
+    rotated by ``-s``, where ``P = bits & mask`` and ``Z = mask & ~bits``.
 
-    Row ``k`` holds the template rolled so that column ``j`` lands on
-    column ``(j + s_k) mod W``; the result is the worker's
-    ``(3, n_shifts, words)`` probe buffer, filled a rotation chunk at a
-    time.
+    Row ``k`` of a plane holds the template rolled so that column ``j``
+    lands on column ``(j + s_k) mod W``.  A word is live when some
+    rotated mask has a valid pixel in it; every other word counts zero
+    at every shift.  The rotated bits and mask are packed a rotation
+    chunk at a time into the last two thirds of the worker's probe
+    buffer, then cut to the ``K`` live words in its first
+    ``(3, n_shifts, K)`` elements.
     """
-    doubled, rotation, planes = scratch
+    doubled, rotation, buffer = scratch
     h, w = template.height, template.width
+    n = len(shifts)
     doubled[0, :, :w] = template.unpack_bits()
     doubled[1, :, :w] = 1 if unmasked else template.unpack_mask()
     doubled[:, :, w:] = doubled[:, :, :w]
-    packed = planes.view(np.uint8)
-    nbytes = -(-h * w // 8)
     chunk = rotation.shape[1]
-    for k0 in range(0, len(shifts), chunk):
+    rolled = rotation[:, :, :h * w].reshape(2, chunk, h, w)
+    full = buffer[buffer.size // 3:].reshape(2, n, -1)
+    for k0 in range(0, n, chunk):
         part = shifts[k0:k0 + chunk]
-        rolled = rotation[:, :len(part)]
         for k, s in enumerate(part):
             start = -s % w
             rolled[:, k] = doubled[:, :, start:start + w]
-        packed[:2, k0:k0 + len(part), :nbytes] = np.packbits(
-            rolled.reshape(2, len(part), h * w), axis=2
+        full.view(np.uint8)[:, k0:k0 + len(part)] = np.packbits(
+            rotation[:, :len(part)], axis=2
         )
+    live = np.flatnonzero(np.bitwise_or.reduce(full[1], axis=0))
+    planes = buffer[:3 * n * live.size].reshape(3, n, live.size)
+    # each compact plane ends before the full planes still to be read
+    for compact, plane in zip(planes, full):
+        np.take(plane, live, axis=1, out=compact, mode="clip")
     planes[0] &= planes[1]
     np.bitwise_xor(planes[1], planes[0], out=planes[2])  # P lies inside the mask
-    return planes
+    return live, planes
 
 
 def _count_block(probe, gallery, counts, scratch) -> None:
     """One probe's rotations against a gallery block, as counts.
 
-    ``gallery`` holds the block's gathered ``(P, mask)`` planes.  Writes
-    the ``(ones, valid, zeros)`` counts of every ``(shift, pair)`` into
-    ``counts``, the block's ``(3, n_shifts, pairs)`` view of the run's
-    counts: ``ones = pop(P & P')``, ``valid = pop(mask & mask')`` and
+    ``probe`` holds the ``(P, mask, Z)`` planes of the probe's live
+    words and ``gallery`` the block's ``(P, mask)`` planes cut to the
+    same words.  Writes the ``(ones, valid, zeros)`` counts of every
+    ``(shift, pair)`` into ``counts``, the block's
+    ``(3, n_shifts, pairs)`` view of the run's counts:
+    ``ones = pop(P & P')``, ``valid = pop(mask & mask')`` and
     ``zeros = pop(Z & Z')``, each plane formed in the worker's scratch
     and counted at once.
     """
     gallery_bits, gallery_mask = gallery
-    m = len(gallery_bits)
-    plane, popcounts = scratch[0][:, :m], scratch[1][:, :m]
+    size = probe[0].size * len(gallery_bits)
+    shape = (probe.shape[1], len(gallery_bits), probe.shape[2])
+    plane = scratch[0][:size].reshape(shape)
+    popcounts = scratch[1][:size].reshape(shape)
     gallery_zeros = gallery_mask ^ gallery_bits
     for probe_plane, gallery_plane, out in zip(
         probe, (gallery_bits, gallery_mask, gallery_zeros), counts
     ):
-        np.bitwise_and(probe_plane[:, None], gallery_plane[None], out=plane)
+        # the same bits ANDed as bytes: numpy's uint8 loop is the faster one
+        np.bitwise_and(
+            probe_plane.view(np.uint8)[:, None], gallery_plane.view(np.uint8)[None],
+            out=plane.view(np.uint8),
+        )
         np.bitwise_count(plane, out=popcounts).sum(axis=-1, dtype=out.dtype, out=out)
 
 
@@ -386,12 +417,17 @@ def match_pairs(
             for r0, r1 in runs[share::n_workers]:
                 if errors:  # another share failed: stop at the next probe
                     return
-                probe = _probe_planes(
+                live, probe = _probe_planes(
                     templates[probes[r0]], shifts, unmasked, probe_scratch
                 )
-                for b0 in range(r0, r1, block):
-                    b1 = min(b0 + block, r1)
+                # a block takes as many templates as its live words leave
+                # room for; a probe without one counts zero everywhere
+                step = block * words // max(live.size, 1)
+                for b0 in range(r0, r1, step):
+                    b1 = min(b0 + step, r1)
                     g = ib[order[b0:b1]]
+                    if live.size < words:  # the block's rows, cut to the live words
+                        g = g[:, None], live
                     _count_block(
                         probe, (gallery_bits[g], gallery_mask[g]),
                         run_counts[:, :, b0 - r0:b1 - r0], block_scratch,

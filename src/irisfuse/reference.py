@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmatch import DEFAULT_ALPHA, DEFAULT_POLICY, EmptyJointMaskError, ShiftPolicy
+from .synth import _band_mask
 from .templates import IrisTemplate, pack_template
 
 
@@ -177,8 +178,12 @@ def naive_mask_rate(a: IrisTemplate, b: IrisTemplate) -> tuple[float, float, flo
 # ---------------------------------------------------------------------------
 # Equivalence suite: packed kernels vs this module on seeded random pairs.
 
-# (height, width, max_shift, step, mask density) buckets; the big
+# (height, width, max_shift, step, mask, pairs) buckets; the big
 # 64 x 512 rows keep the per-pixel side affordable via coarser shifts.
+# ``mask`` is the valid density of i.i.d. masks, which leave no word
+# without a valid pixel, or the (lo, hi) coverage of one contiguous
+# occlusion band as synth draws it, long enough to leave words dead at
+# every shift; a band bucket's first template has no valid pixel.
 _SUITE_BUCKETS = (
     (4, 4, 1, 1, 0.15, 60),  # sparse masks: exercises empty-joint handling
     (4, 4, 2, 1, 0.9, 324),
@@ -189,7 +194,9 @@ _SUITE_BUCKETS = (
     (32, 128, 8, 4, 0.8, 64),
     (64, 512, 8, 4, 0.85, 12),
     (64, 512, 16, 1, 0.9, 4),
+    (6, 96, 8, 1, (0.3, 0.7), 48),  # 96-pixel rows straddle the 64-bit words
 )
+_NO_VALID_PIXEL = (0.0, 0.0)  # a band covering the whole template
 
 _SUITE_ALPHAS = (0.3, 1.0, 0.5, 1.7)
 _BATCH_TEMPLATES = 8  # a bucket's batched pass: 8 x 7 ordered pairs
@@ -207,10 +214,15 @@ class EquivalenceReport:
         return self.mismatches == 0 and self.pairs_checked > 0
 
 
-def _random_template(rng: np.random.Generator, h: int, w: int, density: float):
+def _random_template(rng: np.random.Generator, h: int, w: int, mask):
+    """Random bits under an i.i.d. mask of density ``mask``, or under one
+    occlusion band covering a fraction in the ``mask`` range (lo, hi)."""
     bits = (rng.random((h, w)) < 0.5).astype(np.uint8)
-    mask = (rng.random((h, w)) < density).astype(np.uint8)
-    return pack_template(bits, mask, h, w)
+    if isinstance(mask, tuple):
+        valid = _band_mask(rng, h, w, mask)
+    else:
+        valid = (rng.random((h, w)) < mask).astype(np.uint8)
+    return pack_template(bits, valid, h, w)
 
 
 def _outcome(error: type[Exception], fn, *args, **kwargs):
@@ -275,12 +287,13 @@ def run_equivalence_suite(seed: int = 0, scale: int = 1) -> EquivalenceReport:
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     checked = mismatches = unusable = 0
-    for bucket, (h, w, max_shift, step, density, count) in enumerate(_SUITE_BUCKETS):
+    for bucket, (h, w, max_shift, step, mask, count) in enumerate(_SUITE_BUCKETS):
         policy = ShiftPolicy(max_shift=max_shift, step=step)
+        band = isinstance(mask, tuple)
         batch = []
         for i in range(count * scale):
-            a = _random_template(rng, h, w, density)
-            b = _random_template(rng, h, w, density)
+            a = _random_template(rng, h, w, _NO_VALID_PIXEL if band and i == 0 else mask)
+            b = _random_template(rng, h, w, mask)
             batch.extend([a, b][:_BATCH_TEMPLATES - len(batch)])
             alpha = _SUITE_ALPHAS[i % len(_SUITE_ALPHAS)]
             fast = _outcome(EmptyJointMaskError, bitmatch.match_pair, a, b, alpha, policy)

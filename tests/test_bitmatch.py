@@ -372,8 +372,22 @@ class TestOracleEquivalence:
         assert reference.naive_masked_hamming(a, b, ShiftPolicy(2, 1))[:2] == (0.0, -1)
 
 
+def edge_band(h, w):
+    """A mask invalid from pixel 64, the start of the second word, for
+    two rows or up to the end.
+
+    With rows of 96 or 128 pixels, a word within the band's full row has
+    no valid pixel at any shift, while the second word, all invalid at
+    shift 0, takes valid pixels from its row at the first nonzero shift.
+    """
+    mask = np.ones(h * w, np.uint8)
+    mask[64:64 + 2 * w] = 0
+    return mask.reshape(h, w)
+
+
 def batch_templates(rng, h, w):
-    """Random templates plus edge cases: disjoint, empty and constant ones."""
+    """Random templates plus edge cases: disjoint, empty, banded and
+    constant ones."""
     top = np.zeros((h, w), np.uint8)
     top[0] = 1
     stripes = np.tile(np.arange(w) % 2, (h, 1)).astype(np.uint8)
@@ -388,6 +402,9 @@ def batch_templates(rng, h, w):
         pack_template(ones, ones, h, w),  # every shift ties
         pack_template(stripes, ones, h, w),  # ties between -1 and +1
         pack_template(1 - stripes, ones, h, w),
+        reference._random_template(rng, h, w, (0.3, 0.7)),  # one occlusion band
+        reference._random_template(rng, h, w, (0.3, 0.7)),
+        pack_template(rng.random((h, w)) < 0.5, edge_band(h, w), h, w),
     ]
 
 
@@ -439,6 +456,8 @@ class TestBatchedKernel:
         (3, 7, 3, 1),  # 21-bit planes: 3 bytes, padded to one word
         (5, 13, 4, 2),  # 65-bit planes: 9 bytes, padded to two words
         (8, 16, 6, 3),
+        (3, 96, 4, 1),  # rows straddle words; 4.5 words, padded to five
+        (2, 128, 6, 2),  # two words a row
     ])
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
     @pytest.mark.parametrize("block_bytes", [1, bitmatch.BLOCK_BYTES])
@@ -454,6 +473,23 @@ class TestBatchedKernel:
         masked = match_pairs(templates, ia, ib, alpha, policy)
         unmasked = match_pairs(templates, ia, ib, alpha, policy, unmasked=True)
         assert_rows_equal_reference(templates, ia, ib, alpha, policy, masked, unmasked)
+
+    @pytest.mark.parametrize("h, w, max_shift, step", [(3, 96, 4, 1), (2, 128, 6, 2)])
+    def test_band_masks_leave_dead_words(self, h, w, max_shift, step):
+        # the premise of the banded rows above: some word of the edge band
+        # holds no valid pixel at any shift, and some word with none at
+        # shift 0 gains one at another shift
+        words = -(-h * w // 64)
+        shifts = ShiftPolicy(max_shift, step).shifts()
+        mask = edge_band(h, w)
+
+        def live(shifted):
+            reach = np.zeros(words * 64, bool)
+            reach[:h * w] = np.any([np.roll(mask, s, axis=1) for s in shifted], axis=0).ravel()
+            return reach.reshape(words, 64).any(axis=1)
+
+        assert not live(shifts).all()
+        assert (live(shifts) & ~live([0])).any()
 
     def test_counts_beyond_uint16(self):
         # 1 x 70000 pixels: more valid pixels than a uint16 count can hold
@@ -609,26 +645,41 @@ class TestWorkerSplit:
     def test_workers_share_one_scratch_budget(self, monkeypatch, split):
         monkeypatch.setattr(bitmatch, "BLOCK_BYTES", 1 << 14)
         worker_scratch = bitmatch._worker_scratch
-        made = []
+        count_block = bitmatch._count_block
+        made, blocks = [], []
 
         def recording(*args):
             made.append(worker_scratch(*args))
             return made[-1]
 
+        def counting(probe, gallery, counts, scratch):
+            n_shifts, live = probe.shape[1:]
+            blocks.append((n_shifts, len(gallery[0]), live, scratch[0].size))
+            return count_block(probe, gallery, counts, scratch)
+
         monkeypatch.setattr(bitmatch, "_worker_scratch", recording)
+        monkeypatch.setattr(bitmatch, "_count_block", counting)
         templates = batch_templates(np.random.default_rng(19), 8, 64) * 4
-        n = len(templates)
+        n, words = len(templates), 8
         ia, ib = np.divmod(np.arange(n * n), n)
         for cpus in (1, 2, 3):
             made.clear()
+            blocks.clear()
             split(cpus, templates, ia, ib, 0.3, ShiftPolicy(4, 1))
             assert len(made) == cpus
             for buffers in (
-                [probe[1] for probe, _ in made],  # rotation buffers
+                [probe[1] for probe, _ in made],  # padded rotation buffers
                 [block[0] for _, block in made],  # word planes
                 [block[1] for _, block in made],  # their popcounts
             ):
                 assert sum(b.nbytes for b in buffers) <= bitmatch.BLOCK_BYTES
+            for probe, _ in made:  # probe planes: every word's, whatever K is
+                assert probe[2].nbytes == 3 * 9 * words * 8
+            # a block of K live words holds block * words // K templates:
+            # it fills no more than the word plane, and more templates than
+            # a block of every word when words are dead
+            assert all(s * m * k <= size for s, m, k, size in blocks)
+            assert any(m > size // (s * words) for s, m, k, size in blocks if k < words)
 
     def test_many_workers_under_fast_thread_switching(self, split):
         templates = batch_templates(np.random.default_rng(18), 4, 8) * 4
