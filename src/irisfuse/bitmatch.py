@@ -22,10 +22,16 @@ Scoring rules:
 One batched count kernel does all shift-searched scoring.
 :func:`match_pairs` takes a template list and two index arrays and
 scores every pair ``(templates[ia[k]], templates[ib[k]])``.  It rotates
-the probe (the ``ia`` side) instead of the gallery: comparing ``a``
-rotated by ``-s`` with an unrotated ``b`` pairs pixel ``(i, j)`` of
-``a`` with pixel ``(i, (j + s) mod W)`` of ``b``, exactly the pixels
-that shift ``s`` pairs, so the counts are identical.
+one template of each pair, the probe, and leaves the other, the gallery
+template, unrotated: comparing ``a`` rotated by ``-s`` with an
+unrotated ``b`` pairs pixel ``(i, j)`` of ``a`` with pixel
+``(i, (j + s) mod W)`` of ``b``, exactly the pixels that shift ``s``
+pairs, so the counts are identical.  The probe is the template with
+fewer nonzero 64-bit mask words, the ``ia`` one on a tie; a pair whose
+probe is its ``ib`` template is counted as ``(b, a)``, whose counts at
+``-s`` are those of ``(a, b)`` at ``s``.  Its count rows are put back
+in ``(|s|, s)`` order before a shift is chosen, so ties resolve as for
+the pair as given.
 
 Each count is one AND and one popcount.  With ``P = bits & mask`` and
 ``Z = mask & ~bits``, a pair's jointly valid pixels number
@@ -41,11 +47,13 @@ A probe is counted over its live words only: the words where some
 rotation of its mask has a valid pixel.  ``P`` and ``Z`` lie inside the
 mask, so every other word adds nothing to any count at any shift.
 Occluded templates leave many words dead, while ``unmasked`` finds
-every word live.  A probe run cuts its planes and each gallery block to
-its ``K`` live words, so a block of the same scratch holds
-``words / K`` times as many gallery templates.  Each block AND runs on
-``uint8`` views of the words (the same bits; numpy's ``uint8`` loop is
-the faster one) and each popcount on the ``uint64`` words.
+every word live.  Rotating the sparser template of each pair keeps a
+dense probe from paying for words its degraded partner cannot use.  A
+probe run cuts its planes and each gallery block to its ``K`` live
+words, so a block of the same scratch holds ``words / K`` times as many
+gallery templates.  Each block AND runs on ``uint8`` views of the
+words (the same bits; numpy's ``uint8`` loop is the faster one) and
+each popcount on the ``uint64`` words.
 
 Probe runs are split round-robin across CPU threads when the call has
 enough work.  Each worker holds one probe's ``3 * n_shifts`` rotated
@@ -53,8 +61,9 @@ planes at a time, one word plane of ``n_shifts * block * words`` words
 with its popcounts, and the counts of its current probe run.  These
 scratch buffers are allocated once per call, within one byte budget
 shared by all workers.  A block only writes its counts into the run's
-buffer; the scores, the ``(|s|, s)`` first-extremum shift choice and
-the scatter into the output rows then run once per probe run.
+buffer; the scores and the ``(|s|, s)`` first-extremum shift choice
+then run once per probe run, writing the run's slice of probe-major
+outputs, which are scattered to the pairs' rows once per call.
 :func:`match_pair` is the one-pair form: both scores, both shifts and
 the mask rates of one comparison.
 
@@ -314,27 +323,45 @@ def _count_block(probe, gallery, counts, scratch) -> None:
         np.bitwise_count(plane, out=popcounts).sum(axis=-1, dtype=out.dtype, out=out)
 
 
-def _score_run(counts: np.ndarray, shifts: np.ndarray, alpha: float):
+def _score_run(counts: np.ndarray, alpha: float, cols: np.ndarray, out) -> None:
     """Per-pair values of one probe run from its ``(3, n_shifts, pairs)``
-    ``(ones, valid, zeros)`` counts."""
-    ones, valid, zeros = counts.astype(np.int64)
-    disagree = valid - ones - zeros
+    ``(ones, valid, zeros)`` counts, written into the ``out`` slices:
+    Hamming distance, its shift index, joint valid count, WS and its
+    shift index.  ``cols`` is ``arange(pairs)``.
+
+    The counts are exact integers far below ``2**53``, so their float64
+    differences and products are those of the integers."""
+    hd_out, k_hd, valid_out, ws_out, k_ws = out
+    ones, valid, zeros = counts.astype(np.float64)
     usable = valid > 0
-    safe = np.maximum(valid, 1)
-    hd = np.where(usable, disagree / safe, np.inf)
-    ws = np.where(usable, ((2.0 - alpha) * ones + alpha * zeros) / safe, -np.inf)
+    hd = np.full(valid.shape, np.inf)
+    np.divide(valid - ones - zeros, valid, out=hd, where=usable)
+    ws = np.full(valid.shape, -np.inf)
+    np.divide((2.0 - alpha) * ones + alpha * zeros, valid, out=ws, where=usable)
     # shifts are (|s|, s)-ordered: the first extremum wins ties
-    k_hd = hd.argmin(axis=0)
-    k_ws = ws.argmax(axis=0)
-    cols = np.arange(counts.shape[2])
-    return (
-        usable.any(axis=0),
-        hd[k_hd, cols],
-        shifts[k_hd],
-        valid[k_hd, cols],
-        ws[k_ws, cols],
-        shifts[k_ws],
-    )
+    hd.argmin(axis=0, out=k_hd)
+    ws.argmax(axis=0, out=k_ws)
+    hd_out[:] = hd[k_hd, cols]
+    valid_out[:] = counts[1][k_hd, cols]
+    ws_out[:] = ws[k_ws, cols]
+
+
+def _probe_runs(ia: np.ndarray, swapped: np.ndarray):
+    """Probe-major pair positions and the runs ``(probe, start, stop,
+    first swapped)`` over them, one run per probe with its swapped pairs
+    last."""
+    key = ia * 2
+    key += swapped
+    order = np.argsort(key, kind="stable")
+    del key
+    probes = ia[order]
+    starts = np.flatnonzero(np.diff(probes, prepend=-1))
+    stops = np.append(starts[1:], ia.size)
+    flipped = np.add.reduceat(swapped[order], starts, dtype=np.intp)
+    return order, list(zip(
+        probes[starts].tolist(), starts.tolist(), stops.tolist(),
+        (stops - flipped).tolist(),
+    ))
 
 
 def match_pairs(
@@ -347,17 +374,19 @@ def match_pairs(
 ) -> PairScores:
     """Score the pairs ``(templates[ia[k]], templates[ib[k]])`` in one pass.
 
-    Pairs are processed probe-major: each distinct ``ia`` template is
-    rotated once and compared against its gallery templates in blocks.
-    The probe runs are dealt round-robin to up to one worker thread per
-    CPU, one per :data:`WORKER_BYTES` of work; the calling thread takes
-    the first share.  Workers write disjoint rows of the output, so the
-    scores do not depend on their number, and they split one scratch
-    budget of :data:`BLOCK_BYTES`.  ``unmasked=True`` scores with
-    all-valid masks, so WS is the all-pixel form and every pair is
-    usable.  Alpha, template dimensions and the indices (integers in
-    ``[0, len(templates))``) are checked once, up front, for every
-    template in ``templates``.
+    Pairs are processed probe-major: the sparser template of each pair
+    (fewer nonzero mask words; ``ia`` on a tie) is its probe, and each
+    distinct probe is rotated once and compared against its gallery
+    templates in blocks.  The probe runs are dealt round-robin to up to
+    one worker thread per CPU, one per :data:`WORKER_BYTES` of work; the
+    calling thread takes the first share.  Workers write disjoint slices
+    of probe-major outputs, scattered to the pairs' rows once all are
+    done, so the scores do not depend on their number, and they split
+    one scratch budget of :data:`BLOCK_BYTES`.  ``unmasked=True`` scores
+    with all-valid masks, so WS is the all-pixel form, every pair is
+    usable and every probe is its ``ia`` template.  Alpha, template
+    dimensions and the indices (integers in ``[0, len(templates))``) are
+    checked once, up front, for every template in ``templates``.
     """
     _check_alpha(alpha)
     for template in templates[1:]:
@@ -378,7 +407,7 @@ def match_pairs(
             )
     ia, ib = ia.astype(np.intp), ib.astype(np.intp)
     columns = (
-        np.zeros(n, dtype=bool),
+        np.empty(n, dtype=bool),
         np.empty(n),
         np.empty(n, dtype=np.int64),
         np.empty(n, dtype=np.int64),
@@ -387,16 +416,25 @@ def match_pairs(
     )
     if n == 0:
         return PairScores(*columns)
-    order = np.argsort(ia, kind="stable")  # probe-major pair positions
-    probes = ia[order]
     shifts = policy.shifts()
-    shift_array = np.array(shifts, dtype=np.int64)
+    shift_array = np.array(shifts, dtype=np.intp)
+    negated = np.array([shifts.index(-s) for s in shifts])  # shifts are symmetric
     gallery_bits, gallery_mask = _gallery_planes(templates, unmasked)
+    # ia becomes each pair's probe, the template with fewer nonzero mask
+    # words (ties keep the pair's order): an XOR swap in place
+    nonzero = np.count_nonzero(gallery_mask, axis=1)
+    swapped = nonzero[ib] < nonzero[ia]
+    for x, y in ((ia, ib), (ib, ia), (ia, ib)):
+        np.bitwise_xor(x, y, out=x, where=swapped)
+    order, runs = _probe_runs(ia, swapped)
+    del ia, swapped
+    # probe-major Hamming, shift index, joint valid, WS and shift index
+    outputs = [np.empty(n), np.empty(n, np.intp), np.empty(n, np.int64),
+               np.empty(n), np.empty(n, np.intp)]
     words = gallery_bits.shape[1]
     count_dtype = np.uint16 if words * 64 <= np.iinfo(np.uint16).max else np.int64
-    cuts = np.array([0, *(np.flatnonzero(np.diff(probes)) + 1), n])
-    runs = list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))  # one run per probe
-    longest = int(np.diff(cuts).max())
+    longest = max(r1 - r0 for _, r0, r1, _ in runs)
+    cols = np.arange(longest)
     plane_bytes = len(shifts) * words * 8
     n_workers = max(1, min(_cpu_count(), len(runs), n * plane_bytes // WORKER_BYTES))
     budget = BLOCK_BYTES // n_workers
@@ -414,11 +452,11 @@ def match_pairs(
         probe_scratch, block_scratch = scratch[share]
         run_counts = block_scratch[2]
         try:
-            for r0, r1 in runs[share::n_workers]:
+            for probe_index, r0, r1, flip in runs[share::n_workers]:
                 if errors:  # another share failed: stop at the next probe
                     return
                 live, probe = _probe_planes(
-                    templates[probes[r0]], shifts, unmasked, probe_scratch
+                    templates[probe_index], shifts, unmasked, probe_scratch
                 )
                 # a block takes as many templates as its live words leave
                 # room for; a probe without one counts zero everywhere
@@ -432,10 +470,12 @@ def match_pairs(
                         probe, (gallery_bits[g], gallery_mask[g]),
                         run_counts[:, :, b0 - r0:b1 - r0], block_scratch,
                     )
-                rows = order[r0:r1]
-                values = _score_run(run_counts[:, :, :r1 - r0], shift_array, alpha)
-                for column, value in zip(columns, values):
-                    column[rows] = value
+                counts = run_counts[:, :, :r1 - r0]
+                if flip < r1:  # (b, a) at -s counts as (a, b) at s
+                    counts[:, :, flip - r0:] = counts[:, negated, flip - r0:]
+                _score_run(
+                    counts, alpha, cols[:r1 - r0], [output[r0:r1] for output in outputs]
+                )
         except BaseException as error:  # raised again on the calling thread
             errors.append(error)
 
@@ -449,6 +489,11 @@ def match_pairs(
         thread.join()
     if errors:
         raise errors[0]
+    for k in (outputs[1], outputs[4]):  # shift indices to shifts, in place
+        np.take(shift_array, k, out=k)
+    for column, output in zip(columns[1:], outputs):
+        column[order] = output
+    np.isfinite(columns[1], out=columns[0])  # an unusable pair's Hamming is inf
     return PairScores(*columns)
 
 

@@ -428,8 +428,7 @@ def cmd_eval(args) -> int:
         "method": args.method or args.column,
     }
     fileio.write_roc_csv(f"{args.out_prefix}-roc.csv", curve)
-    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    Path(f"{args.out_prefix}-summary.json").write_text(summary_text, encoding="utf-8")
+    summary_text = fileio.write_json(f"{args.out_prefix}-summary.json", summary)
     print(summary_text, end="")
     return 0
 

@@ -29,7 +29,8 @@ header and every row's field count, but parses only the columns asked
 for.  A writer can append a table block by block
 (:func:`score_csv_writer`); it writes to a temporary file beside its
 path that replaces the path only once the whole table is written, and
-it rejects a number that would not read back.
+it rejects a number that would not read back.  :func:`write_json`, for
+the checkpoint and the eval summary, writes the same way.
 
 A column can also be handed over, and written, as its field texts
 (:class:`FieldTexts`), so that a stage which only copies a column never
@@ -505,17 +506,41 @@ def field_texts(name: str, kind: str, values) -> FieldTexts:
 
 
 @contextlib.contextmanager
+def _replacing_writer(path):
+    """Yield a text file that replaces ``path`` only when the ``with``
+    block exits without error.  It is written as a temporary file beside
+    ``path``, so a fault leaves no partial file and an existing ``path``
+    untouched."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fh = _open_writer(tmp, "x")  # exclusive, so a clash never clobbers another writer's file
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, payload) -> str:
+    """Write ``payload`` as indented, key-sorted JSON through
+    :func:`_replacing_writer`; returns the text written."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with _replacing_writer(path) as fh:
+        fh.write(text)
+    return text
+
+
+@contextlib.contextmanager
 def _table_writer(path, schema):
     """Write a table block by block: yields ``append(table)``, which checks a
     block's columns and adds its rows.  A column holding a NUL, a number
     that would not read back, or :class:`FieldTexts` of another kind,
     raises ``ValueError`` naming the column (and the row, counted from 0
-    over all blocks); field texts are written unchecked.  The rows go to a
-    temporary file beside ``path``, which replaces ``path`` only when the
-    ``with`` block exits without error, so a fault leaves no partial table
+    over all blocks); field texts are written unchecked.  The rows go
+    through :func:`_replacing_writer`, so a fault leaves no partial table
     and an existing ``path`` untouched."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     step = _block_rows(schema)
     rows_written = 0
 
@@ -535,15 +560,9 @@ def _table_writer(path, schema):
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
         rows_written += n
 
-    fh = _open_writer(tmp, "x")  # exclusive, so a clash never clobbers another writer's file
-    try:
-        with fh:
-            fh.write(",".join(name for name, _ in schema) + "\n")
-            yield append
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing_writer(path) as fh:
+        fh.write(",".join(name for name, _ in schema) + "\n")
+        yield append
 
 
 def _write_table(path, schema, table: Mapping[str, np.ndarray]) -> None:
@@ -710,9 +729,7 @@ def write_checkpoint(
             "momentum": train_config.momentum,
         },
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, payload)
 
 
 def read_checkpoint(path) -> tuple[MlpParams, NormalizationParams, dict | None]:

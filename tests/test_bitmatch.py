@@ -517,6 +517,38 @@ class TestBatchedKernel:
         assert scores.best_shift.tolist() == [0, -1]
         assert scores.ws_shift.tolist() == [0, -1]
 
+    def test_sparser_template_on_either_side(self):
+        # the second template of each pair has fewer nonzero mask words,
+        # so it is the rotated one; swapped around, the first one is
+        h, w = 2, 128
+        stripes = np.tile(np.arange(w) % 2, (h, 1)).astype(np.uint8)
+        ones = np.ones((h, w), np.uint8)
+        row0 = np.zeros((h, w), np.uint8)
+        row0[0] = 1
+        bits = np.random.default_rng(21).random((h, w)) < 0.5
+        templates = [
+            pack_template(stripes, ones, h, w),
+            pack_template(1 - stripes, row0, h, w),  # ties between -1 and +1
+            pack_template(bits, ones, h, w),
+            pack_template(np.roll(bits, 3, axis=1), row0, h, w),  # best at +3
+            pack_template(ones, np.zeros((h, w)), h, w),  # no valid pixel
+        ]
+        nonzero_words = [
+            np.count_nonzero(bitmatch._gallery_planes([t], False)[1]) for t in templates
+        ]
+        assert nonzero_words == [4, 2, 4, 2, 0]
+        ia, ib = [0, 2, 0], [1, 3, 4]
+        policy = ShiftPolicy(4, 1)
+        for first, second, shifts in [(ia, ib, [-1, 3]), (ib, ia, [-1, -3])]:
+            masked = match_pairs(templates, first, second, 0.3, policy)
+            unmasked = match_pairs(templates, first, second, 0.3, policy, unmasked=True)
+            assert masked.best_shift[:2].tolist() == shifts
+            assert masked.ws_shift[:2].tolist() == shifts
+            assert unmasked.ws_shift[0] == -1
+            assert_rows_equal_reference(
+                templates, first, second, 0.3, policy, masked, unmasked
+            )
+
     def test_validates_once_up_front(self):
         a = full_mask_template(np.zeros((2, 4), np.uint8))
         b = full_mask_template(np.zeros((2, 8), np.uint8))
@@ -623,16 +655,23 @@ class TestWorkerSplit:
         assert_beyond_uint16_equal_reference(b, a, policy, scores, 1)
 
     def test_more_workers_than_probe_runs(self, split):
+        # a probe run is one rotated template, the sparser one of each pair:
+        # template 5 has no valid pixel, the others one nonzero mask word
         templates = batch_templates(np.random.default_rng(15), 4, 8)
-        ia, ib = [2, 2, 2, 5, 5], [0, 1, 3, 4, 8]
+        assert [k for k in range(9) if not templates[k].packed_mask.any()] == [5]
+        others = [0, 1, 2, 3, 4, 6, 7, 8]
         policy = ShiftPolicy(2, 1)
-        inline, used = split(1, templates, ia, ib, 0.3, policy)
-        assert used == 1
-        scores, used = split(8, templates, ia, ib, 0.3, policy)
-        assert used == 2
-        assert_same_scores(scores, inline)
-        scores, used = split(8, templates, [4] * 9, range(9), 0.3, policy)
-        assert used == 1
+        for ia, ib, runs in [
+            ([2, 2, 2, 5, 5], [0, 1, 3, 4, 8], 2),
+            ([4] * 8, others, 1),  # ties keep the ia template
+            (others, [5] * 8, 1),  # eight ia templates, one rotated
+            (others + [5], [5] * 8 + [4], 1),
+        ]:
+            inline, used = split(1, templates, ia, ib, 0.3, policy)
+            assert used == 1
+            scores, used = split(8, templates, ia, ib, 0.3, policy)
+            assert used == runs
+            assert_same_scores(scores, inline)
 
     def test_worker_count_follows_the_work(self, monkeypatch, split):
         templates = batch_templates(np.random.default_rng(16), 4, 8)  # one word

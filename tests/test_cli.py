@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -194,6 +195,26 @@ class TestMatchCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
 
+def separated_scores(path):
+    """A score CSV whose genuine and impostor scores do not overlap."""
+    rows = []
+    for k in range(10):
+        rows.append(dict(
+            a_id=f"g{k}", b_id=f"g{k}'", side="L", label="genuine",
+            iris_score=1.0, perioc_norm=0.1, mask_rate_a=0.9, mask_rate_b=0.9,
+            eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
+            hamming=0.1, ws=1.5, static=0.9, dynamic=0.9 + 0.001 * k,
+        ))
+        rows.append(dict(
+            a_id=f"i{k}", b_id=f"i{k}'", side="L", label="impostor",
+            iris_score=0.3, perioc_norm=0.9, mask_rate_a=0.9, mask_rate_b=0.9,
+            eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
+            hamming=0.45, ws=0.6, static=0.2, dynamic=0.1 + 0.001 * k,
+        ))
+    fileio.write_score_csv(path, columns(rows))
+    return path
+
+
 class TestPipeline:
     def run_pipeline(self, population_dir, tmp_path, tag="run"):
         match_train = tmp_path / f"{tag}-match-train.csv"
@@ -249,27 +270,28 @@ class TestPipeline:
             assert first_bytes == second_bytes, f"{f_path} differs"
 
     def test_eval_on_separated_scores_reports_zero_eer(self, tmp_path, capsys):
-        rows = []
-        for k in range(10):
-            rows.append(dict(
-                a_id=f"g{k}", b_id=f"g{k}'", side="L", label="genuine",
-                iris_score=1.0, perioc_norm=0.1, mask_rate_a=0.9, mask_rate_b=0.9,
-                eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
-                hamming=0.1, ws=1.5, static=0.9, dynamic=0.9 + 0.001 * k,
-            ))
-            rows.append(dict(
-                a_id=f"i{k}", b_id=f"i{k}'", side="L", label="impostor",
-                iris_score=0.3, perioc_norm=0.9, mask_rate_a=0.9, mask_rate_b=0.9,
-                eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
-                hamming=0.45, ws=0.6, static=0.2, dynamic=0.1 + 0.001 * k,
-            ))
-        path = tmp_path / "scores.csv"
-        fileio.write_score_csv(path, columns(rows))
+        path = separated_scores(tmp_path / "scores.csv")
         assert run_cli("eval", "--scores", path, "--column", "dynamic",
                        "--out-prefix", tmp_path / "sep") == 0
         summary = json.loads((tmp_path / "sep-summary.json").read_text())
         assert summary["eer"] == 0.0
         assert summary["tar_at_far"] == 1.0
+
+    def test_fault_mid_write_leaves_an_existing_summary_untouched(
+        self, tmp_path, capsys, fail_mid_write
+    ):
+        path = separated_scores(tmp_path / "scores.csv")
+        summary = tmp_path / "sep-summary.json"
+        summary.write_bytes(b"previous summary\n")
+        fail_mid_write("sep-summary.json")
+        assert run_cli("eval", "--scores", path, "--column", "dynamic",
+                       "--out-prefix", tmp_path / "sep") == 1
+        error = capsys.readouterr().err.splitlines()[-1]  # after the FAR warning
+        assert json.loads(error)["error"] == "OSError"
+        assert summary.read_bytes() == b"previous summary\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "scores.csv", "sep-roc.csv", "sep-summary.json",
+        ]
 
     def test_hamming_column_uses_distance_orientation(self, tmp_path):
         rows = []
@@ -795,3 +817,50 @@ class TestErrorContract:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError"
+
+
+# The paper-match population: 64x512 templates, matched at +-16 shifts.
+PAPER_SYNTH = (
+    "--seed", 0, "--subjects", 22, "--samples", 4, "--height", 64, "--width", 512,
+    "--perioc-noise", 0.14, "--flip-rate", 0.06, "--degraded-fraction", 0.35,
+)
+# SHA-256 of its synthesised templates and manifest (see templates_digest)
+PAPER_TEMPLATES_SHA256 = "27b1d95fb78e33d6c8fb6bee62d5db7e08f302f2abeea4de3992b08a9e3cd41d"
+# SHA-256 of its match CSV without perioc_dist (see match_digest)
+PAPER_MATCH_SHA256 = "aa547669703f22c6e9483c396ace789dbd7adec084672c8f65159407d562d882"
+
+
+def templates_digest(pop):
+    """One SHA-256 over the manifest and every template file, in name
+    order.  The feature table is left out: synth normalises its vectors
+    through BLAS."""
+    digest = hashlib.sha256()
+    files = [pop / "manifest.jsonl", *sorted((pop / "templates").iterdir())]
+    for path in files:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def match_digest(path):
+    """SHA-256 of a match CSV's lines with the ``perioc_dist`` field cut
+    out: its sums go through BLAS, whose order depends on the CPU."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    cut = rows[0].index("perioc_dist")
+    text = "".join(",".join(row[:cut] + row[cut + 1:]) + "\n" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPaperMatchBytes:
+    def test_match_csv_keeps_its_bytes(self, tmp_path):
+        pop = tmp_path / "paper"
+        assert run_cli("synth", "--out", pop, *PAPER_SYNTH) == 0
+        if templates_digest(pop) != PAPER_TEMPLATES_SHA256:
+            pytest.skip("this numpy synthesises other templates from the same seed")
+        out = tmp_path / "match.csv"
+        assert run_cli(
+            "match", "--manifest", pop / "manifest.jsonl", "--templates-dir",
+            pop / "templates", "--features", pop / "features.csv",
+            "--alpha", 0.3, "--max-shift", 16, "--out", out,
+        ) == 0
+        assert match_digest(out) == PAPER_MATCH_SHA256

@@ -948,6 +948,23 @@ class TestCheckpoint:
         assert meta["seed"] == 42
         assert meta["epochs"] == 17
 
+    def test_written_as_indented_sorted_json(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(path, MlpParams.init_random(3), NormalizationParams(0.5, 3.0))
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_fault_mid_write_leaves_an_existing_checkpoint_untouched(
+        self, tmp_path, fail_mid_write
+    ):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(b"previous checkpoint\n")
+        fail_mid_write("ckpt.json")
+        with pytest.raises(OSError, match="mid-write"):
+            fileio.write_checkpoint(path, MlpParams.init_random(0), NormalizationParams(0.0, 1.0))
+        assert path.read_bytes() == b"previous checkpoint\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_layer_shape_mismatch_rejected(self, tmp_path):
         params = MlpParams.init_random(0)
         norm = NormalizationParams(0.0, 1.0)
