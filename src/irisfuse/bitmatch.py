@@ -59,11 +59,16 @@ Probe runs are split round-robin across CPU threads when the call has
 enough work.  Each worker holds one probe's ``3 * n_shifts`` rotated
 planes at a time, one word plane of ``n_shifts * block * words`` words
 with its popcounts, and the counts of its current probe run.  These
-scratch buffers are allocated once per call, within one byte budget
-shared by all workers.  A block only writes its counts into the run's
-buffer; the scores and the ``(|s|, s)`` first-extremum shift choice
-then run once per probe run, writing the run's slice of probe-major
-outputs, which are scattered to the pairs' rows once per call.
+scratch buffers are allocated once per call.  Each worker's word plane
+has the whole byte budget, since two threads whose blocks are small
+slow each other down; only its buffer of unpacked rotations shares the
+budget with the other workers.  A probe's rotations are copied from
+sliding windows over its rows, extended by ``max_shift`` columns on
+each side, in two strided copies per rotation chunk.  A block only
+writes its counts into the run's buffer; the scores and the
+``(|s|, s)`` first-extremum shift choice then run once per probe run,
+writing the run's slice of probe-major outputs, which are scattered to
+the pairs' rows once per call.
 :func:`match_pair` is the one-pair form: both scores, both shifts and
 the mask rates of one comparison.
 
@@ -162,11 +167,11 @@ def _popcount(packed: np.ndarray) -> int:
     return int(np.bitwise_count(packed).sum(dtype=np.int64))
 
 
-# Scratch byte budget of one match_pairs call, split evenly between its
-# workers: a worker's word plane holds n_shifts * block * words uint64
-# words in its share, a gallery block of a probe with K live words takes
-# block * words // K templates, and the probe rotations are unpacked as
-# many shifts at a time as fit in the share.
+# Scratch byte budget of one match_pairs worker: its word plane holds
+# n_shifts * block * words uint64 words in it, and a gallery block of a
+# probe with K live words takes block * words // K templates.  The probe
+# rotations are unpacked as many shifts at a time as fit in an even
+# share of it between the workers.
 BLOCK_BYTES = 1 << 20
 
 # Kernel work (pairs x shifts x words x 8 bytes) per worker thread: a
@@ -222,27 +227,37 @@ def _gallery_planes(
 
 
 def _worker_scratch(
-    h: int, w: int, n_shifts: int, words: int, block: int, run: int, count_dtype,
-    budget: int,
+    h: int, w: int, policy: ShiftPolicy, words: int, block: int, run: int,
+    count_dtype, budget: int,
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """One worker's probe and block buffers, reused for every probe.
 
-    The probe buffers are the doubled ``(2, H, 2W)`` unpacked planes, a
-    rotation buffer of as many shifts as fit ``budget``, each rotation
-    zero-padded to ``64 * words`` pixels, and ``3 * n_shifts * words``
-    words for the packed planes: the rotated bits and mask over every
-    word, then the ``(3, n_shifts, K)`` planes of the ``K`` live words.
-    The block buffers hold one ``(n_shifts, m, K)`` word plane of
-    ``m * K <= block * words``, its popcounts and the
-    ``(3, n_shifts, run)`` counts of a probe run.
+    The probe buffers are the ``(2, H, W + 2 * max_shift)`` extended rows
+    of the unpacked bits and mask (each row's last ``max_shift`` columns,
+    the row, then its first ``max_shift`` columns), two views of their
+    windows, a rotation buffer of as many shifts as fit ``budget``, each
+    rotation zero-padded to ``64 * words`` pixels, and
+    ``3 * n_shifts * words`` words for the packed planes: the rotated bits
+    and mask over every word, then the ``(3, n_shifts, K)`` planes of the
+    ``K`` live words.  Window ``t`` of a row is the row rotated by
+    ``max_shift - t``, so in ``(|s|, s)`` order the even rotations are
+    every ``step``-th window down from ``max_shift`` and the odd ones
+    every ``step``-th up from ``max_shift + step``.  The block buffers
+    hold one ``(n_shifts, m, K)`` word plane of ``m * K <= block * words``,
+    its popcounts and the ``(3, n_shifts, run)`` counts of a probe run.
     """
-    padded = 64 * words
-    chunk = max(1, min(n_shifts, budget // (2 * padded)))
+    m, step = policy.max_shift, policy.step
+    n_shifts = len(policy.shifts())
+    chunk = max(1, min(n_shifts, budget // (2 * 64 * words)))
+    extended = np.empty((2, h, w + 2 * m), dtype=np.uint8)
+    windows = np.lib.stride_tricks.sliding_window_view(extended, w, axis=2)
+    windows = windows.transpose(0, 2, 1, 3)  # (2, window, H, W)
     size = n_shifts * block * words
     return (
         (
-            np.empty((2, h, 2 * w), dtype=np.uint8),
-            np.zeros((2, chunk, padded), dtype=np.uint8),  # padding stays zero
+            extended,
+            (windows[:, m::-step], windows[:, m + step::step]),
+            np.zeros((2, chunk, 64 * words), dtype=np.uint8),  # padding stays zero
             np.empty(3 * n_shifts * words, dtype=np.uint64),
         ),
         (
@@ -262,28 +277,34 @@ def _probe_planes(
     Row ``k`` of a plane holds the template rolled so that column ``j``
     lands on column ``(j + s_k) mod W``.  A word is live when some
     rotated mask has a valid pixel in it; every other word counts zero
-    at every shift.  The rotated bits and mask are packed a rotation
-    chunk at a time into the last two thirds of the worker's probe
-    buffer, then cut to the ``K`` live words in its first
-    ``(3, n_shifts, K)`` elements.
+    at every shift.  The rotations are copied from the windows of the
+    extended rows a rotation chunk at a time, its even and its odd
+    rotations in one strided copy each, then packed into the last two
+    thirds of the worker's probe buffer and cut to the ``K`` live words
+    in its first ``(3, n_shifts, K)`` elements.
     """
-    doubled, rotation, buffer = scratch
+    extended, windows, rotation, buffer = scratch
     h, w = template.height, template.width
+    m = (extended.shape[2] - w) // 2
     n = len(shifts)
-    doubled[0, :, :w] = template.unpack_bits()
-    doubled[1, :, :w] = 1 if unmasked else template.unpack_mask()
-    doubled[:, :, w:] = doubled[:, :, :w]
+    extended[0, :, m:m + w] = template.unpack_bits()
+    extended[1, :, m:m + w] = 1 if unmasked else template.unpack_mask()
+    # the margins repeat the row, at most W columns per copy
+    for stop in range(m, 0, -w):
+        extended[:, :, max(0, stop - w):stop] = extended[:, :, max(w, stop):stop + w]
+    for start in range(m + w, w + 2 * m, w):
+        extended[:, :, start:start + w] = extended[:, :, start - w:min(start, 2 * m)]
     chunk = rotation.shape[1]
     rolled = rotation[:, :, :h * w].reshape(2, chunk, h, w)
     full = buffer[buffer.size // 3:].reshape(2, n, -1)
     for k0 in range(0, n, chunk):
-        part = shifts[k0:k0 + chunk]
-        for k, s in enumerate(part):
-            start = -s % w
-            rolled[:, k] = doubled[:, :, start:start + w]
-        full.view(np.uint8)[:, k0:k0 + len(part)] = np.packbits(
-            rotation[:, :len(part)], axis=2
-        )
+        k1 = min(k0 + chunk, n)
+        for first in (k0, k0 + 1):  # rotation k is windows[k % 2][:, k // 2]
+            rows = len(range(first, k1, 2))
+            rolled[:, first - k0:k1 - k0:2] = windows[first % 2][
+                :, first // 2:first // 2 + rows
+            ]
+        full.view(np.uint8)[:, k0:k1] = np.packbits(rotation[:, :k1 - k0], axis=2)
     live = np.flatnonzero(np.bitwise_or.reduce(full[1], axis=0))
     planes = buffer[:3 * n * live.size].reshape(3, n, live.size)
     # each compact plane ends before the full planes still to be read
@@ -381,8 +402,9 @@ def match_pairs(
     one worker thread per CPU, one per :data:`WORKER_BYTES` of work; the
     calling thread takes the first share.  Workers write disjoint slices
     of probe-major outputs, scattered to the pairs' rows once all are
-    done, so the scores do not depend on their number, and they split
-    one scratch budget of :data:`BLOCK_BYTES`.  ``unmasked=True`` scores
+    done, so the scores do not depend on their number.  Each worker's
+    gallery blocks fill a word plane of :data:`BLOCK_BYTES`, and its
+    unpacked probe rotations an even share of it.  ``unmasked=True`` scores
     with all-valid masks, so WS is the all-pixel form, every pair is
     usable and every probe is its ``ia`` template.  Alpha, template
     dimensions and the indices (integers in ``[0, len(templates))``) are
@@ -437,12 +459,13 @@ def match_pairs(
     cols = np.arange(longest)
     plane_bytes = len(shifts) * words * 8
     n_workers = max(1, min(_cpu_count(), len(runs), n * plane_bytes // WORKER_BYTES))
-    budget = BLOCK_BYTES // n_workers
     # a block holds no more templates than the longest probe run
-    block = max(1, min(budget // plane_bytes, longest))
+    block = max(1, min(BLOCK_BYTES // plane_bytes, longest))
     h, w = templates[0].height, templates[0].width
     scratch = [
-        _worker_scratch(h, w, len(shifts), words, block, longest, count_dtype, budget)
+        _worker_scratch(
+            h, w, policy, words, block, longest, count_dtype, BLOCK_BYTES // n_workers
+        )
         for _ in range(n_workers)
     ]
 

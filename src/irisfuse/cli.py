@@ -248,6 +248,9 @@ def cmd_match(args) -> int:
     mask_rates = fileio.field_texts(
         "mask_rate", fileio.FLOAT, [t.valid_fraction() for t in templates]).texts
     usable = scores.usable
+    # per-shift texts, gathered per usable comparison by its best shift
+    shifts = np.arange(-policy.max_shift, policy.max_shift + 1)
+    shift_texts = fileio.field_texts("best_shift", fileio.OPT_INT, shifts).texts
     fileio.write_match_csv(args.out, {
         "a_id": pairs["a_id"],
         "b_id": pairs["b_id"],
@@ -256,7 +259,8 @@ def cmd_match(args) -> int:
         "iris_valid": usable,
         "hamming": np.where(usable, scores.hamming, np.nan),
         "ws": np.where(usable, ws, np.nan),
-        "best_shift": np.where(usable, scores.best_shift, np.nan),
+        "best_shift": fileio.FieldTexts(fileio.OPT_INT, np.where(
+            usable, shift_texts[scores.best_shift + policy.max_shift], "")),
         "joint_valid": np.where(usable, scores.joint_valid, np.nan),
         "mask_rate_a": fileio.FieldTexts(fileio.FLOAT, mask_rates[ia]),
         "mask_rate_b": fileio.FieldTexts(fileio.FLOAT, mask_rates[ib]),

@@ -589,6 +589,61 @@ class TestBatchedKernel:
             match_pairs(templates, ia, ib)
 
 
+def rolled_planes(template, policy, unmasked):
+    """``_probe_planes``' live words and ``(P, mask, Z)`` planes, from
+    ``np.roll`` of the unpacked template at each shift."""
+    shifts = policy.shifts()
+    words = -(-template.n_pixels // 64)
+    bits = template.unpack_bits()
+    mask = np.ones_like(bits) if unmasked else template.unpack_mask()
+
+    def packed(plane):
+        rolled = np.stack([np.roll(plane, s, axis=1).ravel() for s in shifts])
+        out = np.zeros((len(shifts), words * 8), np.uint8)
+        out[:, :-(-template.n_pixels // 8)] = np.packbits(rolled, axis=1)
+        return out.view(np.uint64)
+
+    ones, valid = packed(bits & mask), packed(mask)
+    live = np.flatnonzero(np.bitwise_or.reduce(valid, axis=0))
+    ones, valid = ones[:, live], valid[:, live]
+    return live, np.stack([ones, valid, valid & ~ones])
+
+
+class TestProbePlanes:
+    """_probe_planes against np.roll, through one reused worker scratch."""
+
+    @pytest.mark.parametrize("h, w, max_shift, step", [
+        (3, 7, 3, 1),  # W % 8 != 0
+        (5, 13, 4, 2),
+        (8, 16, 6, 3),
+        (3, 6, 6, 3),  # max_shift == W
+        (2, 5, 12, 1),  # max_shift > 2W: margins of three copies each
+        (3, 96, 4, 1),
+        (2, 8, 0, 1),  # one shift
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
+    @pytest.mark.parametrize("unmasked", [False, True])
+    def test_planes_equal_rolled_templates(
+        self, monkeypatch, h, w, max_shift, step, chunk, unmasked
+    ):
+        policy = ShiftPolicy(max_shift, step)
+        shifts = policy.shifts()
+        words = -(-h * w // 64)
+        # a BLOCK_BYTES as small as a rotation chunk of `chunk` shifts
+        if chunk is not None:
+            monkeypatch.setattr(bitmatch, "BLOCK_BYTES", chunk * 2 * 64 * words)
+        scratch, _ = bitmatch._worker_scratch(
+            h, w, policy, words, 1, 1, np.uint16, bitmatch.BLOCK_BYTES
+        )
+        assert scratch[2].shape[1] == min(chunk or len(shifts), len(shifts))
+        rng = np.random.default_rng(h * w + max_shift)
+        for template in batch_templates(rng, h, w):
+            live, planes = bitmatch._probe_planes(template, shifts, unmasked, scratch)
+            expected_live, expected = rolled_planes(template, policy, unmasked)
+            assert np.array_equal(live, expected_live)
+            assert np.array_equal(planes, expected)
+
+
 @pytest.fixture
 def split(monkeypatch):
     """``run(cpus, ...)``: match_pairs on ``cpus`` CPUs, whatever its size.
@@ -681,7 +736,7 @@ class TestWorkerSplit:
             monkeypatch.setattr(bitmatch, "WORKER_BYTES", worker_bytes)
             assert split(8, templates, ia, ib, 0.3, ShiftPolicy(2, 1))[1] == expected
 
-    def test_workers_share_one_scratch_budget(self, monkeypatch, split):
+    def test_each_worker_fills_a_full_block_budget(self, monkeypatch, split):
         monkeypatch.setattr(bitmatch, "BLOCK_BYTES", 1 << 14)
         worker_scratch = bitmatch._worker_scratch
         count_block = bitmatch._count_block
@@ -701,24 +756,30 @@ class TestWorkerSplit:
         templates = batch_templates(np.random.default_rng(19), 8, 64) * 4
         n, words = len(templates), 8
         ia, ib = np.divmod(np.arange(n * n), n)
+        inline_blocks = None
         for cpus in (1, 2, 3):
             made.clear()
             blocks.clear()
             split(cpus, templates, ia, ib, 0.3, ShiftPolicy(4, 1))
             assert len(made) == cpus
-            for buffers in (
-                [probe[1] for probe, _ in made],  # padded rotation buffers
-                [block[0] for _, block in made],  # word planes
-                [block[1] for _, block in made],  # their popcounts
-            ):
-                assert sum(b.nbytes for b in buffers) <= bitmatch.BLOCK_BYTES
-            for probe, _ in made:  # probe planes: every word's, whatever K is
-                assert probe[2].nbytes == 3 * 9 * words * 8
+            for probe, block in made:
+                # a word plane and its popcounts of the whole budget each
+                assert block[0].nbytes <= bitmatch.BLOCK_BYTES
+                assert block[1].nbytes <= bitmatch.BLOCK_BYTES
+                # the padded rotation buffers share the budget
+                chunk = min(9, bitmatch.BLOCK_BYTES // cpus // (2 * 64 * words))
+                assert probe[2].shape == (2, chunk, 64 * words)
+                # probe planes: every word's, whatever K is
+                assert probe[3].nbytes == 3 * 9 * words * 8
+            assert sum(probe[2].nbytes for probe, _ in made) <= bitmatch.BLOCK_BYTES
             # a block of K live words holds block * words // K templates:
             # it fills no more than the word plane, and more templates than
             # a block of every word when words are dead
             assert all(s * m * k <= size for s, m, k, size in blocks)
             assert any(m > size // (s * words) for s, m, k, size in blocks if k < words)
+            # and as many on any number of workers as inline
+            inline_blocks = inline_blocks or sorted(blocks)
+            assert sorted(blocks) == inline_blocks
 
     def test_many_workers_under_fast_thread_switching(self, split):
         templates = batch_templates(np.random.default_rng(18), 4, 8) * 4

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from irisfuse import fileio, fusion, reference
+from irisfuse import bitmatch, fileio, fusion, reference
 from irisfuse.cli import main
 from irisfuse.fusion import (
     NormalizationParams,
@@ -16,7 +16,7 @@ from irisfuse.fusion import (
     static_inputs,
 )
 from irisfuse.mlp import MlpParams, mlp_forward
-from irisfuse.templates import CUE_NAMES, check_cues
+from irisfuse.templates import CUE_NAMES, check_cues, pack_template
 
 
 def run_cli(*args) -> int:
@@ -109,6 +109,43 @@ class TestMatchCommand:
         assert len(set(rate.values())) > 1
         assert [(r["mask_rate_a"], r["mask_rate_b"]) for r in rows] == [
             (rate[r["a_id"]], rate[r["b_id"]]) for r in rows]
+
+    def test_best_shift_texts_leave_unusable_rows_empty(self, population_dir, tmp_path):
+        # one template without a valid pixel makes every pair it is in unusable
+        manifest = fileio.read_manifest(population_dir / "manifest.jsonl")
+        path = population_dir / "templates" / f"{manifest.entries[0].template_ref}.irt"
+        first = fileio.read_template(path)
+        fileio.write_template(path, pack_template(
+            first.unpack_bits(), np.zeros((first.height, first.width)),
+            first.height, first.width))
+        out = tmp_path / "match.csv"
+        assert run_cli(
+            "match", "--manifest", population_dir / "manifest.jsonl",
+            "--templates-dir", population_dir / "templates",
+            "--features", population_dir / "features.csv",
+            "--out", out, "--max-shift", 4,
+        ) == 0
+        template = {
+            e.entry_id: fileio.read_template(
+                population_dir / "templates" / f"{e.template_ref}.irt")
+            for e in manifest.entries
+        }
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        policy = bitmatch.ShiftPolicy(4, 1)
+        shifts = set()
+        for row in rows:
+            a, b = template[row["a_id"]], template[row["b_id"]]
+            if row["iris_valid"] == "0":
+                with pytest.raises(bitmatch.EmptyJointMaskError):
+                    bitmatch.match_pair(a, b, policy=policy)
+                assert row["best_shift"] == row["joint_valid"] == ""
+            else:
+                shift = bitmatch.match_pair(a, b, policy=policy).best_shift
+                assert row["best_shift"] == str(shift)
+                shifts.add(shift)
+        assert sum(row["iris_valid"] == "0" for row in rows) == len(manifest.entries) - 1
+        assert min(shifts) < 0 < max(shifts)
 
     def test_alpha_one_makes_ws_complement_hamming(self, population_dir, tmp_path):
         out = tmp_path / "match.csv"
