@@ -2,6 +2,13 @@
 
 Every command is deterministic for fixed flags and seed; failures exit
 non-zero with a machine-readable JSON object on stderr.
+
+The matcher settings (alpha, the shift policy, the protocol and the
+unmasked flag) are flags of ``match`` alone.  ``match`` records them in a
+sidecar beside its CSV (:func:`fileio.write_sidecar`); ``score`` takes
+alpha from the match CSV's sidecar and writes the same sidecar beside the
+score CSV, and ``eval`` reports the alpha and shift policy of the score
+CSV's sidecar.  Both refuse a table without a valid sidecar.
 """
 
 from __future__ import annotations
@@ -114,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--match-csv", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="score CSV path")
-    p.add_argument("--alpha", type=float, default=bitmatch.DEFAULT_ALPHA)
     p.add_argument(
         "--static-weight",
         type=float,
@@ -139,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dataset", default="unknown")
     p.add_argument("--method", default=None, help="method label; defaults to the column")
-    p.add_argument("--alpha", type=float, default=bitmatch.DEFAULT_ALPHA)
-    p.add_argument("--max-shift", type=int, default=16)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the fusion gradient")
@@ -204,9 +208,7 @@ def cmd_synth(args) -> int:
                    for k, v in vars(config).items()},
         "degraded_subjects": sorted(population.degraded_subjects),
     }
-    (out / "synth-config.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    fileio.write_json(out / "synth-config.json", meta)
     print(
         f"wrote {len(population.templates)} templates for "
         f"{config.num_subjects} subjects to {out}"
@@ -251,6 +253,8 @@ def cmd_match(args) -> int:
     # per-shift texts, gathered per usable comparison by its best shift
     shifts = np.arange(-policy.max_shift, policy.max_shift + 1)
     shift_texts = fileio.field_texts("best_shift", fileio.OPT_INT, shifts).texts
+    # a table never sits beside the sidecar of another run
+    fileio.sidecar_path(args.out).unlink(missing_ok=True)
     fileio.write_match_csv(args.out, {
         "a_id": pairs["a_id"],
         "b_id": pairs["b_id"],
@@ -269,6 +273,10 @@ def cmd_match(args) -> int:
         "eye_diff": eye[a] - eye[b],
         "brow_sum": brow[a] + brow[b],
         "brow_diff": brow[a] - brow[b],
+    })
+    fileio.write_sidecar(args.out, {
+        "alpha": args.alpha, "max_shift": policy.max_shift, "step": policy.step,
+        "protocol": args.protocol, "unmasked_ws": args.unmasked_ws,
     })
     n_gen, n_imp = count_pairs(manifest, args.protocol)
     print(f"wrote {len(a)} comparisons ({n_gen} genuine / {n_imp} impostor groups)")
@@ -304,9 +312,9 @@ def cmd_fuse_train(args) -> int:
 
 def cmd_score(args) -> int:
     params, norm, _ = fileio.read_checkpoint(args.checkpoint)
-    # rejects a bad --alpha or --static-weight before the output is opened
-    fusion.static_fuse(*fusion.static_inputs(np.empty(0), args.alpha, np.empty(0)),
-                       args.static_weight)
+    settings = fileio.read_sidecar(args.match_csv)
+    # rejects a bad --static-weight before the output is opened
+    fusion.static_fuse(0.0, 0.0, args.static_weight)
     # match columns that the score CSV copies are written as the texts they were read as
     copied = [name for name, _ in fileio.SCORE_SCHEMA if name in dict(fileio.MATCH_SCHEMA)]
     waiting = deque()  # (score columns, usable rows) of blocks awaiting `dynamic`
@@ -316,7 +324,8 @@ def cmd_score(args) -> int:
                 args.match_csv, (*copied, *fusion.CUE_COLUMNS)):
             use = matches["iris_valid"]
             cues = fusion.cue_matrix(matches, norm)
-            iris01, perioc01 = fusion.static_inputs(cues[:, 0], args.alpha, cues[:, 1])
+            iris01, perioc01 = fusion.static_inputs(
+                cues[:, 0], settings["alpha"], cues[:, 1])
             scores = {name: texts[name] for name in copied}
             # iris_score is cues[:, 0], the ws of the usable rows
             scores["iris_score"] = fileio.FieldTexts(
@@ -331,6 +340,7 @@ def cmd_score(args) -> int:
             yield cues
 
     n = 0
+    fileio.sidecar_path(args.out).unlink(missing_ok=True)
     with fileio.score_csv_writer(args.out) as append:
         for dynamic in fusion.dynamic_fuse_blocks(params, cue_blocks()):
             scores, use = waiting.popleft()
@@ -338,6 +348,7 @@ def cmd_score(args) -> int:
             scores["dynamic"][use] = dynamic
             append(scores)
             n += use.size
+    fileio.write_sidecar(args.out, settings)
     print(f"wrote {n} scored comparisons to {args.out}")
     return 0
 
@@ -354,7 +365,9 @@ _EVAL_COLUMNS = {
 
 def _collect_scores(
     table: dict[str, np.ndarray], column: str, combine_sides: bool
-) -> tuple[ScoreSet, int]:
+) -> tuple[ScoreSet, int, int]:
+    """The scores of ``column`` by label, and the genuine and impostor
+    comparisons without one (pairs of comparisons under the sum rule)."""
     name, higher_is_genuine = _EVAL_COLUMNS[column]
     values, genuine = table[name], table["label"] == "genuine"
     if combine_sides:
@@ -398,7 +411,8 @@ def _collect_scores(
             impostor=values[scored & ~genuine],
             higher_is_genuine=higher_is_genuine,
         ),
-        int(np.count_nonzero(~scored)),
+        int(np.count_nonzero(~scored & genuine)),
+        int(np.count_nonzero(~scored & ~genuine)),
     )
 
 
@@ -406,12 +420,13 @@ def cmd_eval(args) -> int:
     columns = ("label", _EVAL_COLUMNS[args.column][0])
     if args.sum_rule:
         columns += ("a_id", "b_id", "side")
-    scores, skipped = _collect_scores(
+    scores, unusable_genuine, unusable_impostor = _collect_scores(
         fileio.read_score_csv(args.scores, columns), args.column, args.sum_rule
     )
-    if skipped:
-        print(f"skipped {skipped} comparisons without a {args.column} score",
-              file=sys.stderr)
+    settings = fileio.read_sidecar(args.scores)  # after the table: a missing one is named
+    if unusable_genuine + unusable_impostor:
+        print(f"skipped {unusable_genuine + unusable_impostor} comparisons without a "
+              f"{args.column} score", file=sys.stderr)
     curve = roc_curve(scores)
     result = tar_at_far(curve, args.far_target, n_impostor=scores.n_impostor)
     if result.underpowered:
@@ -424,11 +439,14 @@ def cmd_eval(args) -> int:
         "dataset": args.dataset,
         "n_genuine": scores.n_genuine,
         "n_impostor": scores.n_impostor,
+        "n_unusable_genuine": unusable_genuine,
+        "n_unusable_impostor": unusable_impostor,
         "eer": eer(curve),
         "tar_at_far": result.tar,
         "far_target": args.far_target,
-        "alpha": args.alpha,
-        "max_shift": args.max_shift,
+        "alpha": settings["alpha"],
+        "max_shift": settings["max_shift"],
+        "step": settings["step"],
         "method": args.method or args.column,
     }
     fileio.write_roc_csv(f"{args.out_prefix}-roc.csv", curve)

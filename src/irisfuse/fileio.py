@@ -1,4 +1,4 @@
-"""File formats: binary templates, CSV tables, manifests, checkpoints.
+"""File formats: binary templates, CSV tables and their sidecars, manifests, checkpoints.
 
 All writers are deterministic (fixed column orders, ``repr`` floats
 that round-trip exactly, ``\\n`` line endings, rows in input order) and
@@ -30,7 +30,14 @@ for.  A writer can append a table block by block
 (:func:`score_csv_writer`); it writes to a temporary file beside its
 path that replaces the path only once the whole table is written, and
 it rejects a number that would not read back.  :func:`write_json`, for
-the checkpoint and the eval summary, writes the same way.
+the checkpoint, the eval summary and the sidecars, writes the same way.
+
+A match CSV, and each score CSV made from it, has a sidecar
+``<table>.meta.json`` (:func:`sidecar_path`): a JSON object holding
+exactly the matcher settings it was scored with, :data:`SIDECAR_KEYS`
+(``alpha``, ``max_shift``, ``step``, ``protocol``, ``unmasked_ws``), and
+no paths or timings, so its bytes are the same for the same settings.
+:func:`read_sidecar` checks every key and value.
 
 A column can also be handed over, and written, as its field texts
 (:class:`FieldTexts`), so that a stage which only copies a column never
@@ -82,7 +89,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .evaluation import Manifest, ManifestEntry, RocCurve
+from .bitmatch import ShiftPolicy, _check_alpha
+from .evaluation import PROTOCOLS, Manifest, ManifestEntry, RocCurve
 from .fusion import NormalizationParams
 from .mlp import LAYER_SIZES, MlpParams, TrainConfig
 from .templates import IrisTemplate, PeriocularRecord
@@ -755,3 +763,57 @@ def read_checkpoint(path) -> tuple[MlpParams, NormalizationParams, dict | None]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: {exc}") from exc
     return params, norm, payload.get("train_config")
+
+
+# ---------------------------------------------------------------------------
+# Sidecar: the matcher settings that a match CSV, and the score CSV made
+# from it, were scored with
+
+SIDECAR_KEYS = ("alpha", "max_shift", "step", "protocol", "unmasked_ws")
+
+
+def sidecar_path(table) -> Path:
+    """``<table>.meta.json``, the sidecar beside a match or score CSV."""
+    table = Path(table)
+    return table.with_name(f"{table.name}.meta.json")
+
+
+def write_sidecar(table, settings: dict) -> None:
+    """Write ``settings``, keyed by :data:`SIDECAR_KEYS`, as the sidecar of
+    ``table`` through :func:`write_json`."""
+    write_json(sidecar_path(table), settings)
+
+
+def read_sidecar(table) -> dict:
+    """The matcher settings in the sidecar of ``table``, as written.
+
+    A missing file, a file that is not JSON, keys other than
+    :data:`SIDECAR_KEYS`, an ``alpha`` that is not a number inside
+    (0, 2), a ``max_shift`` and ``step`` that are not integers of a valid
+    :class:`ShiftPolicy`, an unknown ``protocol`` or an ``unmasked_ws``
+    that is not a bool raise :class:`ParseError` naming the sidecar.
+    """
+    path = sidecar_path(table)
+    try:
+        settings = json.loads(path.read_bytes())
+    except FileNotFoundError as exc:
+        raise ParseError(f"{path}: missing; match writes it beside its CSV") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(settings, dict) or set(settings) != set(SIDECAR_KEYS):
+        raise ParseError(f"{path}: expected exactly the keys {sorted(SIDECAR_KEYS)}")
+    try:
+        if type(settings["alpha"]) not in (int, float):
+            raise ValueError(f"alpha must be a number, got {settings['alpha']!r}")
+        _check_alpha(settings["alpha"])
+        if {type(settings["max_shift"]), type(settings["step"])} != {int}:
+            raise ValueError("max_shift and step must be integers")
+        ShiftPolicy(settings["max_shift"], settings["step"])
+        if settings["protocol"] not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {settings['protocol']!r}")
+        if type(settings["unmasked_ws"]) is not bool:
+            raise ValueError(
+                f"unmasked_ws must be true or false, got {settings['unmasked_ws']!r}")
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return settings

@@ -295,8 +295,10 @@ def test_pipeline_determinism(tmp_path):
         "manifest.jsonl",
         "manifest-train.jsonl",
         "match-train.csv",
+        "match-train.csv.meta.json",
         "checkpoint.json",
         "scores.csv",
+        "scores.csv.meta.json",
         "dynamic-roc.csv",
         "dynamic-summary.json",
     ]

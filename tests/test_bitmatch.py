@@ -306,6 +306,31 @@ class TestMatchPair:
             IrisMatchResult(0.5, 0.5, 0, 0, 0.5, 0.5, 0)
 
 
+class TestUsabilityRule:
+    """Today's rule: one jointly valid pixel at one shift makes a pair usable."""
+
+    @pytest.mark.parametrize("bit, ws", [(1, 2.0 - 0.3), (0, 0.3)], ids=["1-1", "0-0"])
+    def test_one_agreeing_pixel_gets_an_extreme_score(self, bit, ws):
+        rng = np.random.default_rng(bit)
+        bits = rng.integers(0, 2, (2, 2, 8), dtype=np.uint8)
+        masks = np.zeros((2, 2, 8), np.uint8)
+        # one valid pixel each, two columns apart: they meet at one shift of +-2
+        bits[0, 1, 3] = bits[1, 1, 5] = bit
+        masks[0, 1, 3] = masks[1, 1, 5] = 1
+        a, b = (pack_template(bits[k], masks[k], 2, 8) for k in range(2))
+        policy = ShiftPolicy(2, 1)
+        hd, shift, joint = reference.naive_masked_hamming(a, b, policy)
+        assert (hd, joint) == (0.0, 1) and abs(shift) == 2
+        assert reference.naive_weighted_similarity(a, b, 0.3, policy) == (ws, shift)
+        scores = match_pairs([a, b], [0], [1], 0.3, policy)
+        assert scores.usable[0]
+        assert (scores.hamming[0], scores.best_shift[0], scores.joint_valid[0]) == (0.0, shift, 1)
+        assert (scores.ws[0], scores.ws_shift[0]) == (ws, shift)
+        result = match_pair(a, b, 0.3, policy)
+        assert (result.hamming, result.ws_score, result.best_shift, result.joint_valid) == (
+            0.0, ws, shift, 1)
+
+
 class TestKernelInvariants:
     @given(
         seed=st.integers(0, 2**31),

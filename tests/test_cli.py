@@ -2,12 +2,14 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irisfuse import bitmatch, fileio, fusion, reference
 from irisfuse.cli import main
+from irisfuse.evaluation import WITHIN_SIDE
 from irisfuse.fusion import (
     NormalizationParams,
     cue_matrix,
@@ -39,6 +41,19 @@ def synth_args(out, seed=3, subjects=8, samples=3, **extra):
 def columns(rows):
     """A list of row dicts as a table of columns."""
     return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+# match's settings at its CLI defaults, as its sidecar holds them
+DEFAULT_SETTINGS = {
+    "alpha": 0.3, "max_shift": 16, "step": 1, "protocol": WITHIN_SIDE, "unmasked_ws": False,
+}
+
+
+def with_sidecar(table, **settings):
+    """Give a hand-built match or score CSV the sidecar that ``match``
+    writes, at the CLI defaults unless ``settings`` says otherwise."""
+    fileio.write_sidecar(table, {**DEFAULT_SETTINGS, **settings})
+    return table
 
 
 @pytest.fixture
@@ -231,6 +246,19 @@ class TestMatchCommand:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
+    def test_failed_write_leaves_no_sidecar_beside_the_old_csv(
+        self, population_dir, tmp_path, capsys, fail_mid_write
+    ):
+        out = tmp_path / "match.csv"
+        assert run_cli(*self.match_args(population_dir, out)) == 0
+        old = out.read_bytes()
+        assert fileio.sidecar_path(out).exists()
+        fail_mid_write("match.csv")
+        assert run_cli(*self.match_args(population_dir, out, "--alpha", 1.0)) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "OSError"
+        assert out.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["match.csv", "pop"]
+
 
 def separated_scores(path):
     """A score CSV whose genuine and impostor scores do not overlap."""
@@ -249,11 +277,11 @@ def separated_scores(path):
             hamming=0.45, ws=0.6, static=0.2, dynamic=0.1 + 0.001 * k,
         ))
     fileio.write_score_csv(path, columns(rows))
-    return path
+    return with_sidecar(path)
 
 
 class TestPipeline:
-    def run_pipeline(self, population_dir, tmp_path, tag="run"):
+    def run_pipeline(self, population_dir, tmp_path, tag="run", matcher=()):
         match_train = tmp_path / f"{tag}-match-train.csv"
         match_test = tmp_path / f"{tag}-match-test.csv"
         checkpoint = tmp_path / f"{tag}-ckpt.json"
@@ -262,7 +290,7 @@ class TestPipeline:
         common = [
             "--templates-dir", population_dir / "templates",
             "--features", population_dir / "features.csv",
-            "--max-shift", 4,
+            "--max-shift", 4, *matcher,
         ]
         assert run_cli("match", "--manifest", population_dir / "manifest-train.jsonl",
                        "--out", match_train, *common) == 0
@@ -280,8 +308,9 @@ class TestPipeline:
         *_, scores, prefix = self.run_pipeline(population_dir, tmp_path)
         summary = json.loads((tmp_path / "run-eval-summary.json").read_text())
         assert set(summary) == {
-            "dataset", "n_genuine", "n_impostor", "eer", "tar_at_far",
-            "far_target", "alpha", "max_shift", "method",
+            "dataset", "n_genuine", "n_impostor", "n_unusable_genuine",
+            "n_unusable_impostor", "eer", "tar_at_far", "far_target", "alpha",
+            "max_shift", "step", "method",
         }
         assert summary["dataset"] == "synthetic"
         assert summary["method"] == "dynamic"
@@ -292,6 +321,27 @@ class TestPipeline:
         has_cues = ~np.isnan(score_rows["iris_score"])
         assert has_cues.any()
         assert not np.isnan(score_rows["dynamic"][has_cues]).any()
+
+    def test_score_and_eval_take_the_settings_match_used(self, population_dir, tmp_path):
+        # neither score nor eval is given a matcher flag
+        _, _, match_test, scores, prefix = self.run_pipeline(
+            population_dir, tmp_path, matcher=("--alpha", 1.0))
+        summary = json.loads(Path(f"{prefix}-summary.json").read_text())
+        assert (summary["alpha"], summary["max_shift"], summary["step"]) == (1.0, 4, 1)
+        # at alpha 1 the static baseline divides ws by max(2 - 1, 1) = 1
+        table = fileio.read_score_csv(scores)
+        use = ~np.isnan(table["iris_score"])
+        assert use.any()
+        np.testing.assert_array_equal(
+            table["static"][use],
+            static_fuse(table["iris_score"][use], 1.0 - table["perioc_norm"][use], 0.5),
+        )
+        sidecar = fileio.sidecar_path(match_test).read_bytes()
+        assert json.loads(sidecar) == {
+            "alpha": 1.0, "max_shift": 4, "step": 1, "protocol": WITHIN_SIDE,
+            "unmasked_ws": False,
+        }
+        assert fileio.sidecar_path(scores).read_bytes() == sidecar
 
     def test_pipeline_is_byte_deterministic(self, population_dir, tmp_path):
         first = self.run_pipeline(population_dir, tmp_path, tag="a")
@@ -327,7 +377,7 @@ class TestPipeline:
         assert json.loads(error)["error"] == "OSError"
         assert summary.read_bytes() == b"previous summary\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "scores.csv", "sep-roc.csv", "sep-summary.json",
+            "scores.csv", "scores.csv.meta.json", "sep-roc.csv", "sep-summary.json",
         ]
 
     def test_hamming_column_uses_distance_orientation(self, tmp_path):
@@ -345,7 +395,7 @@ class TestPipeline:
                 eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
                 hamming=0.42 + 0.001 * k, ws=0.6, static=0.2, dynamic=0.1,
             ))
-        path = tmp_path / "scores.csv"
+        path = with_sidecar(tmp_path / "scores.csv")
         fileio.write_score_csv(path, columns(rows))
         assert run_cli("eval", "--scores", path, "--column", "hamming",
                        "--out-prefix", tmp_path / "hd") == 0
@@ -371,6 +421,7 @@ def write_match_text(path, n_unusable=5, n_usable=0):
     lines += [f"S{k}:L:0,S{k}:L:1,L,genuine,1,0.2,1.25,3,400,0.9,0.8,0.5,0.4,0.0,0.3,0.05"
               for k in range(n_usable)]
     path.write_text("\n".join(lines) + "\n")
+    with_sidecar(path)
 
 
 @pytest.fixture
@@ -449,8 +500,7 @@ class TestScoreCommand:
     @pytest.mark.parametrize("n_usable", [0, 2])
     @pytest.mark.parametrize(
         "flag, value, word",
-        [("--alpha", 0.0, "alpha"), ("--alpha", 5.0, "alpha"),
-         ("--static-weight", 1.5, "weight"), ("--static-weight", -0.5, "weight")],
+        [("--static-weight", 1.5, "weight"), ("--static-weight", -0.5, "weight")],
     )
     def test_invalid_flag_fails_before_writing(
         self, tmp_path, checkpoint, capsys, n_usable, flag, value, word
@@ -474,8 +524,9 @@ class TestScoreCommand:
         fileio.write_match_csv(match_csv, random_match_table(rng, n_usable, 40))
         out = tmp_path / "scores.csv"
         alpha, weight = 0.4, 0.3
+        with_sidecar(match_csv, alpha=alpha)
         assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
-                       "--out", out, "--alpha", alpha, "--static-weight", weight) == 0
+                       "--out", out, "--static-weight", weight) == 0
         with open(out, newline="") as fh:
             got = list(csv.reader(fh))
         assert ",".join(got[0]) == SCORE_HEADER
@@ -491,6 +542,99 @@ class TestScoreCommand:
         have = np.array([float(row[-1]) for row in got[1:] if row[-1]])
         ref = np.array([float(row[-1]) for row in want if row[-1]])
         np.testing.assert_allclose(have, ref, rtol=0, atol=1e-14)
+
+
+def sidecar_json(drop=(), **changes):
+    """The JSON of the default settings with ``changes`` and without ``drop``."""
+    settings = {**DEFAULT_SETTINGS, **changes}
+    return json.dumps({k: v for k, v in settings.items() if k not in drop})
+
+
+# (sidecar bytes, or None for no sidecar; words of the error message)
+BAD_SIDECARS = [
+    pytest.param(None, "missing", id="missing"),
+    pytest.param(sidecar_json()[:-1], "invalid JSON", id="truncated"),
+    pytest.param(b"\xff\xfe{", "invalid JSON", id="not-utf8"),
+    pytest.param(json.dumps(list(DEFAULT_SETTINGS)), "expected exactly the keys", id="list"),
+    pytest.param(sidecar_json(drop=("step",)), "expected exactly the keys", id="missing-key"),
+    pytest.param(sidecar_json(threads=1), "expected exactly the keys", id="extra-key"),
+    pytest.param(sidecar_json(alpha=0.0), "alpha must lie strictly inside", id="alpha-0.0"),
+    pytest.param(sidecar_json(alpha=5.0), "alpha must lie strictly inside", id="alpha-5.0"),
+    pytest.param(sidecar_json(alpha=True), "alpha must be a number", id="alpha-bool"),
+    pytest.param(sidecar_json(alpha="0.3"), "alpha must be a number", id="alpha-text"),
+    pytest.param(sidecar_json(max_shift=-2), "max_shift must be >= 0", id="negative-shift"),
+    pytest.param(sidecar_json(step=0, max_shift=0), "step must be >= 1", id="zero-step"),
+    pytest.param(sidecar_json(max_shift=5, step=2), "multiple of step", id="shift-step"),
+    pytest.param(sidecar_json(max_shift=4.0), "must be integers", id="float-shift"),
+    pytest.param(sidecar_json(step=True), "must be integers", id="bool-step"),
+    pytest.param(sidecar_json(protocol="all-vs-all"), "unknown protocol", id="protocol"),
+    pytest.param(sidecar_json(unmasked_ws=0), "unmasked_ws must be", id="unmasked-int"),
+]
+
+
+def put_sidecar(table, text):
+    """Write ``text`` as the sidecar of ``table``, or remove it for None."""
+    path = fileio.sidecar_path(table)
+    path.unlink(missing_ok=True)
+    if text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return path
+
+
+class TestSidecar:
+    """score and eval take the matcher settings from the sidecar alone."""
+
+    @pytest.mark.parametrize("n_usable", [0, 2])
+    @pytest.mark.parametrize("text, words", BAD_SIDECARS)
+    def test_bad_sidecar_fails_score_before_writing(
+        self, tmp_path, checkpoint, capsys, n_usable, text, words
+    ):
+        match_csv = tmp_path / "match.csv"
+        write_match_text(match_csv, n_unusable=5, n_usable=n_usable)
+        sidecar = put_sidecar(match_csv, text)
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", tmp_path / "scores.csv") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{sidecar}: ")
+        assert words in err["message"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("text, words", BAD_SIDECARS)
+    def test_bad_sidecar_fails_eval_before_writing(self, tmp_path, capsys, text, words):
+        scores = separated_scores(tmp_path / "scores.csv")
+        sidecar = put_sidecar(scores, text)
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("eval", "--scores", scores, "--out-prefix", tmp_path / "sep") == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{sidecar}: ")
+        assert words in err["message"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("score", "--alpha", 0.3), ("eval", "--alpha", 0.3), ("eval", "--max-shift", 16),
+    ])
+    def test_matcher_flags_belong_to_match_alone(self, capsys, command, flag, value):
+        inputs = {"score": ("--match-csv", "m.csv", "--checkpoint", "c.json", "--out", "s.csv"),
+                  "eval": ("--scores", "s.csv", "--out-prefix", "e")}[command]
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(command, *inputs, flag, value)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_score_replaces_a_stale_sidecar_with_the_match_one(self, tmp_path, checkpoint):
+        match_csv = tmp_path / "match.csv"
+        write_match_text(match_csv, n_unusable=2, n_usable=3)
+        with_sidecar(match_csv, alpha=1.5, max_shift=6, step=3, unmasked_ws=True)
+        scores = with_sidecar(tmp_path / "scores.csv")  # of another run
+        assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
+                       "--out", scores) == 0
+        assert (fileio.sidecar_path(scores).read_bytes()
+                == fileio.sidecar_path(match_csv).read_bytes())
+        assert fileio.read_sidecar(scores) == {
+            **DEFAULT_SETTINGS, "alpha": 1.5, "max_shift": 6, "step": 3, "unmasked_ws": True}
 
 
 def replace_field(path, line, name, text, schema=fileio.MATCH_SCHEMA):
@@ -531,6 +675,7 @@ def small_blocks_match_csv(path, monkeypatch, unusable=()):
     for name in ("hamming", "ws", "best_shift", "joint_valid"):
         table[name][rows] = np.nan
     fileio.write_match_csv(path, table)
+    with_sidecar(path)
 
 
 class TestStreamingScore:
@@ -540,13 +685,15 @@ class TestStreamingScore:
         unusable = [6, 7, 13, 14, 20, *range(21, 28), 30, 44]
         match_csv = tmp_path / "match.csv"
         small_blocks_match_csv(match_csv, monkeypatch, unusable)
+        with_sidecar(match_csv, alpha=0.4)
         out = tmp_path / "scores.csv"
         assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
-                       "--out", out, "--alpha", 0.4, "--static-weight", 0.3) == 0
+                       "--out", out, "--static-weight", 0.3) == 0
         reference_score_csv(match_csv, checkpoint, tmp_path / "ref.csv", 0.4, 0.3)
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ckpt.json", "match.csv", "ref.csv", "scores.csv"]
+            "ckpt.json", "match.csv", "match.csv.meta.json", "ref.csv", "scores.csv",
+            "scores.csv.meta.json"]
 
     @pytest.mark.parametrize("fault, error, message", [
         ("cue", "ValueError", r"mask_rate_b must lie in [0, 1], got 1.5"),
@@ -573,7 +720,8 @@ class TestStreamingScore:
         assert err["error"] == error
         assert message in err["message"]
         assert out.read_bytes() == b"previous scores\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "match.csv", "scores.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ckpt.json", "match.csv", "match.csv.meta.json", "scores.csv"]
 
 
 def score_rows(path):
@@ -587,6 +735,7 @@ class TestCopiedColumns:
     def test_non_canonical_numbers_reach_the_score_csv_verbatim(self, tmp_path, checkpoint):
         match_csv = tmp_path / "match.csv"
         fileio.write_match_csv(match_csv, random_match_table(np.random.default_rng(5), 6, 0))
+        with_sidecar(match_csv)
         edits = {"mask_rate_a": "1e-3", "eye_sum": "0.10", "ws": "+0.5", "hamming": "7"}
         for name, text in edits.items():
             replace_field(match_csv, 3, name, text)
@@ -608,7 +757,7 @@ class TestCopiedColumns:
         table["a_id"] = [f'S{k},"L":0' for k in range(10)]
         table["b_id"] = [f'S"{k}"' for k in range(10)]
         match_csv, out, ref = tmp_path / "match.csv", tmp_path / "scores.csv", tmp_path / "ref.csv"
-        fileio.write_match_csv(match_csv, table)
+        fileio.write_match_csv(with_sidecar(match_csv), table)
         assert run_cli("score", "--match-csv", match_csv, "--checkpoint", checkpoint,
                        "--out", out) == 0
         reference_score_csv(match_csv, checkpoint, ref)
@@ -635,8 +784,9 @@ class TestNarrowReads:
         match_csv = tmp_path / "match.csv"
         fileio.write_match_csv(match_csv, random_match_table(np.random.default_rng(2), 40, 4))
         clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
-        reference_score_csv(match_csv, checkpoint, clean)
+        reference_score_csv(match_csv, checkpoint, with_sidecar(clean))
         bad.write_bytes(clean.read_bytes())
+        with_sidecar(bad)
         replace_field(bad, 5, "static", "x", fileio.SCORE_SCHEMA)
         replace_field(bad, 9, "mask_rate_a", "", fileio.SCORE_SCHEMA)
         for scores, prefix in ((clean, "c"), (bad, "b")):
@@ -740,7 +890,7 @@ class TestSumRulePipeline:
         outputs = []
         for order in (rows, rows[::-1], rows[0::2] + rows[1::2]):
             tag = len(outputs)
-            scores = tmp_path / f"scores{tag}.csv"
+            scores = with_sidecar(tmp_path / f"scores{tag}.csv")
             scores.write_text("\n".join([SCORE_HEADER, *order]) + "\n")
             assert run_cli("eval", "--scores", scores, "--sum-rule",
                            "--out-prefix", tmp_path / f"sr{tag}", "--far-target", 0.1) == 0
@@ -748,6 +898,28 @@ class TestSumRulePipeline:
                             for name in ("summary.json", "roc.csv")])
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("sum_rule, counts", [
+        (False, {"n_genuine": 3, "n_impostor": 5,
+                 "n_unusable_genuine": 1, "n_unusable_impostor": 3}),
+        (True, {"n_genuine": 1, "n_impostor": 2,
+                "n_unusable_genuine": 1, "n_unusable_impostor": 2}),
+    ])
+    def test_summary_counts_unusable_comparisons_per_label(self, tmp_path, sum_rule, counts):
+        def rows(a, label, left, right):
+            return [f"{a},{a}',{side},{label},1.0,0.1,0.9,0.9,0.4,0.0,0.2,0.0,0.1,1.0,0.9,{d}"
+                    for side, d in (("L", left), ("R", right))]
+
+        # a pair is unusable under the sum rule if either side is
+        lines = [SCORE_HEADER, *rows("g0", "genuine", 0.9, 0.8), *rows("g1", "genuine", 0.7, ""),
+                 *rows("i0", "impostor", 0.2, 0.1), *rows("i1", "impostor", 0.3, 0.2),
+                 *rows("i2", "impostor", "", ""), *rows("i3", "impostor", "", 0.4)]
+        scores = with_sidecar(tmp_path / "scores.csv")
+        scores.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval", "--scores", scores, "--out-prefix", tmp_path / "sr",
+                       "--far-target", 0.5, *(("--sum-rule",) if sum_rule else ())) == 0
+        summary = json.loads((tmp_path / "sr-summary.json").read_text())
+        assert {key: summary[key] for key in counts} == counts
 
     @pytest.mark.parametrize("faulty_first, message", [
         ("count", "(m, m') has 3"),
@@ -765,7 +937,7 @@ class TestSumRulePipeline:
                    "labels": [row("m", "L", "genuine")], "none": []}[faulty_first]
         lines = [SCORE_HEADER, row("m", "L", "impostor"), row("b", "L", "genuine"),
                  row("b", "R", "impostor"), row("m", "R", "impostor"), *m_third]
-        scores = tmp_path / "scores.csv"
+        scores = with_sidecar(tmp_path / "scores.csv")
         scores.write_text("\n".join(lines) + "\n")
         assert run_cli("eval", "--scores", scores, "--sum-rule",
                        "--out-prefix", tmp_path / "sr", "--far-target", 0.5) == 1
@@ -783,7 +955,7 @@ class TestSumRulePipeline:
                  row("i", "L", "impostor", 0.2), row("i", "R", "impostor", 0.1),
                  row("x", "L", "impostor", 0.3), row("x", "R", "impostor", 0.4),
                  row("x", "L", "impostor", 0.5 if third_usable else "")]
-        scores = tmp_path / "scores.csv"
+        scores = with_sidecar(tmp_path / "scores.csv")
         scores.write_text("\n".join(lines) + "\n")
         assert run_cli("eval", "--scores", scores, "--sum-rule",
                        "--out-prefix", tmp_path / "sr", "--far-target", 0.5) == 1
@@ -800,7 +972,7 @@ class TestSumRulePipeline:
         lines = [SCORE_HEADER,
                  row("A:0", "A:1", "L", "genuine", 0.9), row("A:0", "A:1", "L", "genuine", 0.8),
                  row("A:0", "B:0", "L", "impostor", 0.2), row("A:0", "B:0", "R", "impostor", 0.1)]
-        scores = tmp_path / "scores.csv"
+        scores = with_sidecar(tmp_path / "scores.csv")
         scores.write_text("\n".join(lines) + "\n")
         assert run_cli("eval", "--scores", scores, "--sum-rule",
                        "--out-prefix", tmp_path / "sr", "--far-target", 0.5) == 1
