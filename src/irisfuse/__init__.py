@@ -62,7 +62,7 @@ from .mlp import (
     train_mlp,
 )
 from .synth import Population, SynthConfig, gen_population, gen_score_scenario
-from .templates import IrisTemplate, PeriocularRecord, pack_template
+from .templates import IrisTemplate, pack_template
 
 __version__ = "0.1.0"
 
@@ -109,6 +109,5 @@ __all__ = [
     "gen_population",
     "gen_score_scenario",
     "IrisTemplate",
-    "PeriocularRecord",
     "pack_template",
 ]

@@ -487,11 +487,12 @@ def match_pairs(
                 for b0 in range(r0, r1, step):
                     b1 = min(b0 + step, r1)
                     g = ib[order[b0:b1]]
-                    if live.size < words:  # the block's rows, cut to the live words
-                        g = g[:, None], live
+                    planes = [  # the block's rows, cut to the live words
+                        plane[g] if live.size == words else np.take(plane[g], live, axis=1)
+                        for plane in (gallery_bits, gallery_mask)
+                    ]
                     _count_block(
-                        probe, (gallery_bits[g], gallery_mask[g]),
-                        run_counts[:, :, b0 - r0:b1 - r0], block_scratch,
+                        probe, planes, run_counts[:, :, b0 - r0:b1 - r0], block_scratch,
                     )
                 counts = run_counts[:, :, :r1 - r0]
                 if flip < r1:  # (b, a) at -s counts as (a, b) at s

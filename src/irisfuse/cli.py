@@ -219,6 +219,7 @@ def cmd_synth(args) -> int:
 def cmd_match(args) -> int:
     manifest = fileio.read_manifest(args.manifest)
     periocular = fileio.read_feature_csv(args.features)
+    row_of = {ref: row for row, ref in enumerate(periocular["id"].tolist())}
     policy = bitmatch.ShiftPolicy(max_shift=args.max_shift, step=args.step)
     pairs = protocol_pairs(manifest, args.protocol)
     a, b = pairs["a"], pairs["b"]
@@ -232,15 +233,14 @@ def cmd_match(args) -> int:
             templates.append(
                 fileio.read_template(templates_dir / f"{entry.template_ref}.irt")
             )
-        if entry.periocular_ref not in periocular:
+        if entry.periocular_ref not in row_of:
             raise ValueError(f"feature table misses id {entry.periocular_ref!r}")
 
     # per-entry arrays, gathered per comparison by the manifest rows a and b
     entries = manifest.entries
     template_of = np.array([index[e.template_ref] for e in entries], dtype=np.intp)
-    records = [periocular[e.periocular_ref] for e in entries]
-    eye = np.array([r.eye_area for r in records])
-    brow = np.array([r.brow_area for r in records])
+    perioc_of = np.array([row_of[e.periocular_ref] for e in entries], dtype=np.intp)
+    eye, brow = periocular["eye_area"][perioc_of], periocular["brow_area"][perioc_of]
     ia, ib = template_of[a], template_of[b]
     scores = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy)
     ws = scores.ws
@@ -259,7 +259,7 @@ def cmd_match(args) -> int:
         "a_id": pairs["a_id"],
         "b_id": pairs["b_id"],
         "side": np.array([e.eye_side for e in entries])[a],
-        "label": np.where(pairs["genuine"], "genuine", "impostor"),
+        "label": pairs["genuine"],
         "iris_valid": usable,
         "hamming": np.where(usable, scores.hamming, np.nan),
         "ws": np.where(usable, ws, np.nan),
@@ -268,7 +268,8 @@ def cmd_match(args) -> int:
         "joint_valid": np.where(usable, scores.joint_valid, np.nan),
         "mask_rate_a": fileio.FieldTexts(fileio.FLOAT, mask_rates[ia]),
         "mask_rate_b": fileio.FieldTexts(fileio.FLOAT, mask_rates[ib]),
-        "perioc_dist": fusion.perioc_distances(records, a, b),
+        "perioc_dist": fusion.perioc_distances(
+            periocular["features"], perioc_of[a], perioc_of[b]),
         "eye_sum": eye[a] + eye[b],
         "eye_diff": eye[a] - eye[b],
         "brow_sum": brow[a] + brow[b],
@@ -294,7 +295,7 @@ def cmd_fuse_train(args) -> int:
         raise ValueError("need at least two usable comparisons to train")
     norm = fusion.NormalizationParams.from_distances(matches["perioc_dist"][use])
     features = fusion.cue_matrix(matches, norm)
-    labels = (matches["label"][use] != "genuine").astype(np.int64)
+    labels = (~matches["label"][use]).astype(np.int64)  # class 0 is genuine
     ratio = None if tuple(args.ratio) == (0, 0) else tuple(args.ratio)
     config = mlp.TrainConfig(
         learning_rate=args.learning_rate,
@@ -369,7 +370,7 @@ def _collect_scores(
     """The scores of ``column`` by label, and the genuine and impostor
     comparisons without one (pairs of comparisons under the sum rule)."""
     name, higher_is_genuine = _EVAL_COLUMNS[column]
-    values, genuine = table[name], table["label"] == "genuine"
+    values, genuine = table[name], table["label"]
     if combine_sides:
         # group rows by (a_id, b_id); pairs keep the order of their first row
         _, a_code = np.unique(table["a_id"], return_inverse=True)

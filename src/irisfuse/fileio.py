@@ -7,11 +7,13 @@ rows or non-finite numbers raise :class:`ParseError` carrying the file
 and position.
 
 The feature, match, score and ROC CSVs share one columnar codec.  A
-table is a dict of equal-length numpy arrays, one per column, and a
-schema lists each column's name and kind in file order:
+table is a dict of equal-length numpy arrays, one per column (the
+feature table's ``f0..f{D-1}`` are one ``(n, D)`` matrix, see
+:func:`read_feature_csv`), and a schema lists each column's name and
+kind in file order:
 
     str      text, as written                   array of str
-    label    ``genuine`` or ``impostor``        array of str
+    label    ``genuine`` or ``impostor``        bool array, True for genuine
     flag     ``1`` or ``0``                     bool array
     float    finite number, ``repr`` text       float64 array
     float?   empty, or a finite number          float64, NaN if empty
@@ -29,7 +31,8 @@ header and every row's field count, but parses only the columns asked
 for.  A writer can append a table block by block
 (:func:`score_csv_writer`); it writes to a temporary file beside its
 path that replaces the path only once the whole table is written, and
-it rejects a number that would not read back.  :func:`write_json`, for
+it rejects a number that would not read back, and a label or flag
+column that does not hold booleans.  :func:`write_json`, for
 the checkpoint, the eval summary and the sidecars, writes the same way.
 
 A match CSV, and each score CSV made from it, has a sidecar
@@ -93,7 +96,7 @@ from .bitmatch import ShiftPolicy, _check_alpha
 from .evaluation import PROTOCOLS, Manifest, ManifestEntry, RocCurve
 from .fusion import NormalizationParams
 from .mlp import LAYER_SIZES, MlpParams, TrainConfig
-from .templates import IrisTemplate, PeriocularRecord
+from .templates import IrisTemplate
 
 TEMPLATE_MAGIC = b"IRT1"
 TEMPLATE_VERSION = 1
@@ -222,7 +225,7 @@ STR, LABEL, FLAG, FLOAT, OPT_FLOAT, OPT_INT = (
 )
 LABELS = ("genuine", "impostor")
 _DTYPES = {
-    STR: str, LABEL: str, FLAG: bool,
+    STR: str, LABEL: bool, FLAG: bool,
     FLOAT: np.float64, OPT_FLOAT: np.float64, OPT_INT: np.float64,
 }
 _INT_LIMIT = 2**53  # optional ints live in float64 columns, exact below this
@@ -256,11 +259,8 @@ def _column(kind: str, texts: tuple[str, ...]):
     if kind == STR:  # a <U array would drop a trailing NUL
         return None if "\0" in "".join(texts) else np.array(texts, dtype=str)
     if kind in (LABEL, FLAG):
-        allowed = LABELS if kind == LABEL else ("0", "1")
-        if not set(texts) <= set(allowed):
-            return None
-        values = np.array(texts, dtype=str)
-        return values if kind == LABEL else values == "1"
+        true, false = LABELS if kind == LABEL else ("1", "0")
+        return np.array(texts, dtype=str) == true if set(texts) <= {true, false} else None
     try:
         if kind == OPT_INT:
             values = np.fromiter((int(t) if t else math.nan for t in texts), np.float64, len(texts))
@@ -447,17 +447,18 @@ def _format(name: str, kind: str, values: np.ndarray) -> list[str]:
     """One column's fields as written; an object array holds field texts,
     which are quoted as text fields are (a number may hold ``\\r`` or ``\\n``
     around its digits)."""
-    if kind in (STR, LABEL) or values.dtype == object:
+    if kind == STR or values.dtype == object:
         return _quoted(name, values.tolist())
     return _texts(kind, values)
 
 
 def _texts(kind: str, values: np.ndarray) -> list[str]:
     """The unquoted field texts of a column's checked array."""
-    if kind in (STR, LABEL):
+    if kind == STR:
         return values.tolist()
-    if kind == FLAG:
-        return ["1" if v else "0" for v in values.tolist()]
+    if kind in (LABEL, FLAG):
+        true, false = LABELS if kind == LABEL else ("1", "0")
+        return [true if v else false for v in values.tolist()]
     if kind == FLOAT:
         return list(map(repr, values.tolist()))
     empty = np.isnan(values)
@@ -471,7 +472,9 @@ def _texts(kind: str, values: np.ndarray) -> list[str]:
 def _as_column(name: str, kind: str, values) -> np.ndarray:
     """``values`` as the column's array, or the object array of its
     :class:`FieldTexts` when their kind is the column's; Python strings are
-    checked for a NUL first, since a ``<U`` array drops a trailing one."""
+    checked for a NUL first, since a ``<U`` array drops a trailing one, and
+    a label or flag column must hold booleans, not values numpy would cast
+    by truthiness."""
     if isinstance(values, FieldTexts):
         if values.kind != kind:
             raise ValueError(
@@ -480,6 +483,11 @@ def _as_column(name: str, kind: str, values) -> np.ndarray:
     if _DTYPES[kind] is str and not isinstance(values, np.ndarray):
         if "\0" in "".join(map(str, values)):
             raise _nul_error(name)
+    if _DTYPES[kind] is bool:
+        values = np.asarray(values)
+        if values.dtype != bool and values.size:
+            raise ValueError(f"column {name!r}: a {kind} column takes booleans, "
+                             f"got {values.dtype} values")
     return np.asarray(values, dtype=_DTYPES[kind])
 
 
@@ -635,7 +643,7 @@ def read_roc_csv(path) -> RocCurve:
 
 # ---------------------------------------------------------------------------
 # Periocular feature CSV: id, eye_area, brow_area, f0..f{D-1}, one row per
-# record in id order, through the table codec
+# sample in id order, through the table codec
 
 
 def _feature_schema(dim: int):
@@ -643,48 +651,75 @@ def _feature_schema(dim: int):
             *((f"f{i}", FLOAT) for i in range(dim)))
 
 
-def write_feature_csv(path, records: Mapping[str, PeriocularRecord]) -> None:
-    items = sorted(records.items())
-    if not items:
+def _area_fault(eye: np.ndarray, brow: np.ndarray) -> tuple[int, str] | None:
+    """The first row whose areas are not fractions of one image, and why;
+    None if every row's are."""
+    bad = ~((0 <= eye) & (eye <= 1) & (0 <= brow) & (brow <= 1) & (eye + brow <= 1))
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    eye_area, brow_area = float(eye[row]), float(brow[row])
+    for name, value in (("eye_area", eye_area), ("brow_area", brow_area)):
+        if not 0.0 <= value <= 1.0:
+            return row, f"{name} must lie in [0, 1], got {value}"
+    return row, f"eye_area + brow_area must not exceed 1, got {eye_area} + {brow_area}"
+
+
+def write_feature_csv(path, table: Mapping[str, np.ndarray]) -> None:
+    """Write a feature table (as :func:`read_feature_csv` gives it) in id
+    order; an empty table, or one the reader would reject, raises ``ValueError``."""
+    ids = _as_column("id", STR, table["id"])
+    if not ids.size:
         raise ValueError("refusing to write an empty feature table")
-    dim = items[0][1].dim
-    for ref, record in items:
-        if record.dim != dim:
-            raise ValueError(f"{ref}: feature dimension {record.dim} != {dim}")
-    schema = _feature_schema(dim)
-    columns = [[ref for ref, _ in items], [r.eye_area for _, r in items],
-               [r.brow_area for _, r in items], *np.array([r.features for _, r in items]).T]
-    _write_table(path, schema, {name: c for (name, _), c in zip(schema, columns)})
+    eye, brow, features = (np.asarray(table[name], dtype=np.float64)
+                           for name in ("eye_area", "brow_area", "features"))
+    if features.ndim != 2 or not features.shape[1]:
+        raise ValueError(f"features must be an (n, D) matrix, got shape {features.shape}")
+    if not len(ids) == len(eye) == len(brow) == len(features):
+        raise ValueError("table columns differ in length")
+    order = np.argsort(ids, kind="stable")
+    ids, eye, brow, features = ids[order], eye[order], brow[order], features[order]
+    duplicate = np.flatnonzero(ids[1:] == ids[:-1])
+    if duplicate.size:
+        raise ValueError(f"duplicate id {str(ids[duplicate[0]])!r}")
+    if fault := _area_fault(eye, brow):
+        raise ValueError(f"id {str(ids[fault[0]])!r}: {fault[1]}")
+    schema = _feature_schema(features.shape[1])
+    _write_table(path, schema, dict(zip([name for name, _ in schema],
+                                        [ids, eye, brow, *features.T])))
 
 
-def _add_records(records: dict, rows, schema, source: str, first_line: int) -> None:
-    """Add a block of feature rows to ``records``; the first bad field,
-    duplicate id or invalid record in file order raises a :class:`ParseError`."""
+def _feature_block(rows, schema, source: str, first_line: int, seen: set) -> list[np.ndarray]:
+    """The columns of a block of feature rows, adding their ids to ``seen``.
+    The first fault in file order raises a :class:`ParseError`; within a row,
+    a wrong field count comes first, then a duplicate id, a bad field, the areas."""
     try:
-        every = range(len(schema))
-        (ids, eye, brow, *features), _ = _parse_block(rows, schema, source, first_line, every)
+        columns, _ = _parse_block(rows, schema, source, first_line, range(len(schema)))
     except ParseError:
-        if len(rows) > 1:  # one row at a time, so that an earlier duplicate id or record wins
+        if len(rows) > 1:  # one row at a time, so that an earlier duplicate id or area wins
             for k, row in enumerate(rows):
-                _add_records(records, [row], schema, source, first_line + k)
-        elif len(rows[0]) == len(schema) and rows[0][0] in records:
+                _feature_block([row], schema, source, first_line + k, seen)
+        elif len(rows[0]) == len(schema) and rows[0][0] in seen:
             raise ParseError(f"{source}:{first_line}: duplicate id {rows[0][0]!r}") from None
         raise
-    # one row per record, contiguous, so that each record keeps a view of it
-    vectors = np.array(features, order="F").T
-    parsed = zip(ids.tolist(), eye.tolist(), brow.tolist(), vectors)
-    for line, (ref, eye_area, brow_area, vector) in enumerate(parsed, start=first_line):
-        if ref in records:
-            raise ParseError(f"{source}:{line}: duplicate id {ref!r}")
-        try:
-            records[ref] = PeriocularRecord(vector, eye_area=eye_area, brow_area=brow_area)
-        except ValueError as exc:
-            raise ParseError(f"{source}:{line}: {exc}") from exc
+    refs = columns[0].tolist()  # each added to seen up to the first one already there
+    duplicate = next((k for k, ref in enumerate(refs) if ref in seen or seen.add(ref)), None)
+    fault = _area_fault(columns[1], columns[2])
+    if duplicate is not None and (fault is None or duplicate <= fault[0]):
+        raise ParseError(f"{source}:{first_line + duplicate}: duplicate id {refs[duplicate]!r}")
+    if fault:
+        raise ParseError(f"{source}:{first_line + fault[0]}: {fault[1]}")
+    return columns
 
 
-def read_feature_csv(path) -> dict[str, PeriocularRecord]:
+def read_feature_csv(path) -> dict[str, np.ndarray]:
+    """The feature table at ``path``: a dict of its columns in file order,
+    ``id`` (str), ``eye_area`` and ``brow_area`` (float64, fractions of the
+    image: each in [0, 1], summing to at most 1) and ``features``, one
+    ``(n, D)`` float64 matrix.  Rows are in file order, each id once.  The
+    first bad field, duplicate id or pair of areas in file order raises a
+    :class:`ParseError` naming its line, as does a bad header or no data row."""
     source = str(path)
-    records: dict[str, PeriocularRecord] = {}
 
     def schema_of(header):
         if header is None or header[:3] != ["id", "eye_area", "brow_area"]:
@@ -696,11 +731,15 @@ def read_feature_csv(path) -> dict[str, PeriocularRecord]:
 
     blocks = _row_blocks(path, schema_of)
     schema = next(blocks)
+    seen: set[str] = set()
+    parts = []
     for line, rows in blocks:
-        _add_records(records, rows, schema, source, line)
-    if not records:
+        ids, eye, brow, *features = _feature_block(rows, schema, source, line, seen)
+        # copies, so that the block's parsed columns are freed with it
+        parts.append((ids, eye.copy(), brow.copy(), np.column_stack(features)))
+    if not seen:
         raise ParseError(f"{source}: no data rows")
-    return records
+    return dict(zip(("id", "eye_area", "brow_area", "features"), map(np.concatenate, zip(*parts))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Cue assembly and score-level fusion.
+"""Periocular distances, cue assembly and score-level fusion.
 
-Combines the iris matcher output, the periocular feature distance and
+Combines the iris matcher output, the periocular feature distance (between
+rows of a feature table's ``(n, D)`` matrix, :func:`perioc_distances`) and
 the segmentation-derived quality cues into the eight-element vector fed
 to the fusion network, and provides the fixed weighted-sum baseline.
 The network scores a whole cue matrix (:func:`dynamic_fuse`) or a
@@ -11,14 +12,13 @@ windows of :data:`BLOCK_ROWS` rows, so both give the same bytes.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitmatch import _check_alpha
 from .mlp import MlpParams, mlp_logits, softmax
-from .templates import CUE_NAMES, PeriocularRecord, check_cues
+from .templates import CUE_NAMES, check_cues
 
 BLOCK_ROWS = 1024  # cue rows per forward pass of the fusion network
 # The match-table columns that cue_matrix reads.
@@ -56,20 +56,16 @@ class NormalizationParams:
         return cls(perioc_min=float(d.min()), perioc_max=float(d.max()))
 
 
-def perioc_distances(records: Sequence[PeriocularRecord], a, b) -> np.ndarray:
-    """Euclidean distances between the features of ``records[a[k]]`` and ``records[b[k]]``.
+def perioc_distances(features, a, b) -> np.ndarray:
+    """Euclidean distances between rows ``a[k]`` and ``b[k]`` of an ``(n, D)``
+    feature matrix.
 
-    The feature vectors are stacked once and differenced over blocks of
-    rows of about :data:`PERIOC_BLOCK_BYTES`, so the temporaries stay
-    small however many pairs there are.  ``np.vecdot`` sums each row as
-    ``np.dot`` sums one pair, so each distance is bit-identical to
-    ``sqrt(dot(d, d))`` of that pair alone.
+    The rows are differenced over blocks of pairs of about
+    :data:`PERIOC_BLOCK_BYTES`, so the temporaries stay small however many
+    pairs there are.  ``np.vecdot`` sums each row as ``np.dot`` sums one
+    pair, so each distance is bit-identical to ``sqrt(dot(d, d))`` of that
+    pair alone.
     """
-    dims = [r.dim for r in records]
-    other = next((d for d in dims if d != dims[0]), None)
-    if other is not None:
-        raise ValueError(f"feature dimension mismatch: {dims[0]} vs {other}")
-    features = np.stack([r.features for r in records])
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     out = np.empty(a.size)
     rows = max(1, PERIOC_BLOCK_BYTES // features[0].nbytes)

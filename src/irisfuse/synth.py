@@ -22,7 +22,6 @@ from .templates import (
     DEFAULT_PERIOC_DIM,
     DEFAULT_WIDTH,
     IrisTemplate,
-    PeriocularRecord,
     pack_template,
 )
 
@@ -74,7 +73,7 @@ class SynthConfig:
 class Population:
     manifest: Manifest
     templates: dict[str, IrisTemplate]
-    periocular: dict[str, PeriocularRecord]
+    periocular: dict[str, np.ndarray]  # the feature table, as fileio.read_feature_csv gives it
     degraded_subjects: frozenset[str]
 
 
@@ -110,7 +109,7 @@ def _jittered_area(rng: np.random.Generator, base: float, jitter: float) -> floa
 
 
 def gen_population(config: SynthConfig) -> Population:
-    """Generate templates, periocular records and the matching manifest."""
+    """Generate templates, the periocular feature table and the matching manifest."""
     rng = np.random.default_rng(config.seed)
     sides = ("L", "R") if config.both_sides else ("L",)
     subject_ids = [f"S{k:04d}" for k in range(config.num_subjects)]
@@ -123,7 +122,7 @@ def gen_population(config: SynthConfig) -> Population:
 
     entries: list[ManifestEntry] = []
     templates: dict[str, IrisTemplate] = {}
-    periocular: dict[str, PeriocularRecord] = {}
+    periocular: dict[str, list] = {"id": [], "eye_area": [], "brow_area": [], "features": []}
     for subject in subject_ids:
         flip_rate = (
             config.degraded_flip_rate if subject in degraded else config.genuine_flip_rate
@@ -156,9 +155,8 @@ def gen_population(config: SynthConfig) -> Population:
                 brow = _jittered_area(rng, brow_base, config.area_jitter)
                 if eye + brow > 1.0:  # jitter cannot push areas past a full image
                     brow = 1.0 - eye
-                periocular[ref] = PeriocularRecord(
-                    features=feat, eye_area=eye, brow_area=brow
-                )
+                for name, value in zip(periocular, (ref, eye, brow, feat)):
+                    periocular[name].append(value)
                 entries.append(
                     ManifestEntry(
                         subject_id=subject,
@@ -171,7 +169,7 @@ def gen_population(config: SynthConfig) -> Population:
     return Population(
         manifest=Manifest(tuple(entries)),
         templates=templates,
-        periocular=periocular,
+        periocular={name: np.array(values) for name, values in periocular.items()},
         degraded_subjects=degraded,
     )
 

@@ -1,4 +1,4 @@
-"""Core domain types: binary iris templates, periocular records, fusion cues.
+"""Core domain types: binary iris templates and the fusion cue vector.
 
 Templates are stored bit-packed: one contiguous MSB-first bitstream per
 plane in row-major pixel order, padded with zero bits only at the very
@@ -112,42 +112,6 @@ def pack_template(bits, mask, height: int, width: int) -> IrisTemplate:
         packed_bits=np.packbits(bits_flat),
         packed_mask=np.packbits(mask_flat),
     )
-
-
-@dataclass(frozen=True)
-class PeriocularRecord:
-    """Periocular feature vector plus eye / eyebrow area fractions.
-
-    Areas are fractions of the periocular image covered by the detected
-    eye and eyebrow regions; they must be non-negative and sum to at
-    most 1.
-    """
-
-    features: np.ndarray
-    eye_area: float
-    brow_area: float
-
-    def __post_init__(self) -> None:
-        vec = np.ascontiguousarray(self.features, dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
-            raise ValueError("features must be a non-empty 1-D vector")
-        if not np.isfinite(vec).all():
-            raise ValueError("features contain a non-finite entry")
-        object.__setattr__(self, "features", _freeze(vec))
-        for name in ("eye_area", "brow_area"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-            object.__setattr__(self, name, value)
-        if self.eye_area + self.brow_area > 1.0:
-            raise ValueError(
-                f"eye_area + brow_area must not exceed 1, got "
-                f"{self.eye_area} + {self.brow_area}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.features.size
 
 
 CUE_NAMES = (

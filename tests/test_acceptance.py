@@ -246,7 +246,7 @@ def test_end_to_end_fusion_benefit(tmp_path):
 
     table = read_score_csv(out_dir / "scores.csv")
     use = ~np.isnan(table["ws"])
-    labels = np.where(table["label"][use] == "genuine", 0, 1)
+    labels = np.where(table["label"][use], 0, 1)
     ws = table["ws"][use]
     perioc01 = 1.0 - table["perioc_norm"][use]
     dynamic = table["dynamic"][use]

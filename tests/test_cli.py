@@ -202,6 +202,22 @@ class TestMatchCommand:
             )
             assert rows["ws"][k] == expected.ws_score
 
+    def test_feature_rows_are_found_by_id(self, population_dir, tmp_path):
+        features = population_dir / "features.csv"
+        header, *rows = features.read_text().splitlines()
+        reversed_rows = tmp_path / "reversed.csv"
+        reversed_rows.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        written = []
+        for path in (features, reversed_rows):
+            out = tmp_path / f"match-{path.stem}.csv"
+            assert run_cli(
+                "match", "--manifest", population_dir / "manifest.jsonl",
+                "--templates-dir", population_dir / "templates",
+                "--features", path, "--out", out, "--max-shift", 4,
+            ) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def match_args(self, population_dir, out, *extra):
         return (
             "match", "--manifest", population_dir / "manifest.jsonl",
@@ -265,13 +281,13 @@ def separated_scores(path):
     rows = []
     for k in range(10):
         rows.append(dict(
-            a_id=f"g{k}", b_id=f"g{k}'", side="L", label="genuine",
+            a_id=f"g{k}", b_id=f"g{k}'", side="L", label=True,
             iris_score=1.0, perioc_norm=0.1, mask_rate_a=0.9, mask_rate_b=0.9,
             eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
             hamming=0.1, ws=1.5, static=0.9, dynamic=0.9 + 0.001 * k,
         ))
         rows.append(dict(
-            a_id=f"i{k}", b_id=f"i{k}'", side="L", label="impostor",
+            a_id=f"i{k}", b_id=f"i{k}'", side="L", label=False,
             iris_score=0.3, perioc_norm=0.9, mask_rate_a=0.9, mask_rate_b=0.9,
             eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
             hamming=0.45, ws=0.6, static=0.2, dynamic=0.1 + 0.001 * k,
@@ -384,13 +400,13 @@ class TestPipeline:
         rows = []
         for k in range(8):
             rows.append(dict(
-                a_id=f"g{k}", b_id="x", side="L", label="genuine",
+                a_id=f"g{k}", b_id="x", side="L", label=True,
                 iris_score=1.0, perioc_norm=0.1, mask_rate_a=1.0, mask_rate_b=1.0,
                 eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
                 hamming=0.10 + 0.001 * k, ws=1.5, static=0.9, dynamic=0.9,
             ))
             rows.append(dict(
-                a_id=f"i{k}", b_id="x", side="L", label="impostor",
+                a_id=f"i{k}", b_id="x", side="L", label=False,
                 iris_score=0.3, perioc_norm=0.9, mask_rate_a=1.0, mask_rate_b=1.0,
                 eye_sum=0.4, eye_diff=0.0, brow_sum=0.2, brow_diff=0.0,
                 hamming=0.42 + 0.001 * k, ws=0.6, static=0.2, dynamic=0.1,
@@ -446,7 +462,7 @@ def random_match_table(rng, n_usable, n_unusable):
         "a_id": [f"S{k // 7}:L:{k % 7}" for k in range(n)],
         "b_id": [f"S{k // 5}:R:{k % 5}" for k in range(n)],
         "side": ["L"] * n,
-        "label": np.where(rng.random(n) < 0.3, "genuine", "impostor"),
+        "label": rng.random(n) < 0.3,
         "iris_valid": usable,
         "hamming": iris(rng.uniform(0.0, 0.5, n)),
         "ws": iris(rng.uniform(0.0, 1.7, n)),

@@ -16,7 +16,7 @@ from irisfuse import fileio
 from irisfuse.evaluation import Manifest, ManifestEntry, RocCurve, ScoreSet, roc_curve
 from irisfuse.fusion import NormalizationParams, cue_matrix
 from irisfuse.mlp import MlpParams, TrainConfig
-from irisfuse.templates import PeriocularRecord, pack_template
+from irisfuse.templates import pack_template
 
 
 def nul_read_message(column: str) -> str:
@@ -90,32 +90,29 @@ class TestTemplateContainer:
 
 
 class TestFeatureCsv:
-    def make_records(self, rng, n=4, dim=6):
-        return {
-            f"id{k:02d}": PeriocularRecord(
-                features=rng.normal(size=dim),
-                eye_area=float(rng.uniform(0, 0.4)),
-                brow_area=float(rng.uniform(0, 0.3)),
-            )
-            for k in range(n)
-        }
+    @staticmethod
+    def make_table(rng, n=4, dim=6):
+        """A feature table of ``n`` samples with ids in id order (a list, so
+        that a test can rename one)."""
+        rows = [(rng.normal(size=dim), rng.uniform(0, 0.4), rng.uniform(0, 0.3)) for _ in range(n)]
+        features, eye, brow = map(np.array, zip(*rows))
+        return {"id": [f"id{k:02d}" for k in range(n)], "eye_area": eye, "brow_area": brow,
+                "features": features}
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        records = self.make_records(rng)
+        table = self.make_table(rng)
         path = tmp_path / "features.csv"
-        fileio.write_feature_csv(path, records)
+        fileio.write_feature_csv(path, table)
         again = fileio.read_feature_csv(path)
-        assert set(again) == set(records)
-        for ref in records:
-            assert (again[ref].features == records[ref].features).all()
-            assert again[ref].eye_area == records[ref].eye_area
-            assert again[ref].brow_area == records[ref].brow_area
+        assert list(again) == ["id", "eye_area", "brow_area", "features"]
+        assert again["features"].shape == (4, 6) and again["features"].flags.c_contiguous
+        assert_tables_equal(again, table)
 
     def test_short_row_reports_line_number(self, tmp_path):
         rng = np.random.default_rng(5)
         path = tmp_path / "features.csv"
-        fileio.write_feature_csv(path, self.make_records(rng, n=3, dim=4))
+        fileio.write_feature_csv(path, self.make_table(rng, n=3, dim=4))
         lines = path.read_text().splitlines()
         lines[2] = ",".join(lines[2].split(",")[:-1])  # drop the last value
         path.write_text("\n".join(lines) + "\n")
@@ -125,7 +122,7 @@ class TestFeatureCsv:
     def test_non_finite_value_rejected(self, tmp_path):
         rng = np.random.default_rng(6)
         path = tmp_path / "features.csv"
-        fileio.write_feature_csv(path, self.make_records(rng, n=2, dim=2))
+        fileio.write_feature_csv(path, self.make_table(rng, n=2, dim=2))
         text = path.read_text().replace(path.read_text().splitlines()[1].split(",")[3], "inf", 1)
         path.write_text(text)
         with pytest.raises(fileio.ParseError, match="non-finite"):
@@ -146,15 +143,60 @@ class TestFeatureCsv:
             fileio.read_feature_csv(path)
 
     def test_written_bytes(self, tmp_path):
-        records = self.make_records(np.random.default_rng(12), n=3, dim=3)
-        records["id,quoted"] = records.pop("id01")
+        table = self.make_table(np.random.default_rng(12), n=3, dim=3)
+        table["id"][1] = "id,quoted"  # "," sorts before "0"
         path = tmp_path / "features.csv"
-        fileio.write_feature_csv(path, records)
-        rows = [["id", "eye_area", "brow_area", "f0", "f1", "f2"]] + [
-            [ref, repr(r.eye_area), repr(r.brow_area), *map(repr, r.features.tolist())]
-            for ref, r in sorted(records.items())
-        ]
+        fileio.write_feature_csv(path, table)
+        columns = (table["id"], table["eye_area"].tolist(), table["brow_area"].tolist(),
+                   table["features"].tolist())
+        rows = [["id", "eye_area", "brow_area", "f0", "f1", "f2"]] + sorted(
+            [ref, repr(eye), repr(brow), *map(repr, features)]
+            for ref, eye, brow, features in zip(*columns)
+        )
+        assert [row[0] for row in rows[1:]] == ["id,quoted", "id00", "id02"]
         assert path.read_bytes() == csv_writer_text(rows).encode()
+
+    def test_writer_rejects_a_duplicate_id(self, tmp_path):
+        table = self.make_table(np.random.default_rng(15), n=3, dim=2)
+        table["id"][2] = "id00"
+        with pytest.raises(ValueError, match="duplicate id 'id00'"):
+            fileio.write_feature_csv(tmp_path / "features.csv", table)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_rejects_areas_summing_past_one(self, tmp_path):
+        table = self.make_table(np.random.default_rng(16), n=3, dim=2)
+        table["eye_area"][1], table["brow_area"][1] = 0.5, 0.5  # areas may fill the image
+        path = tmp_path / "features.csv"
+        fileio.write_feature_csv(path, table)
+        assert_tables_equal(fileio.read_feature_csv(path), table)
+        table["eye_area"][1] = 0.7
+        with pytest.raises(ValueError, match=re.escape(
+                "id 'id01': eye_area + brow_area must not exceed 1, got 0.7 + 0.5")):
+            fileio.write_feature_csv(path, table)
+
+    @pytest.mark.parametrize("name, value", [
+        ("eye_area", 1.5), ("eye_area", -0.25), ("brow_area", 1.5), ("brow_area", np.nan)])
+    def test_writer_rejects_an_area_out_of_range(self, tmp_path, name, value):
+        table = self.make_table(np.random.default_rng(17), n=3, dim=2)
+        table[name][2] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"id 'id02': {name} must lie in [0, 1], got {value}")):
+            fileio.write_feature_csv(tmp_path / "features.csv", table)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_writer_rejects_a_non_finite_feature(self, tmp_path, value):
+        table = self.make_table(np.random.default_rng(18), n=3, dim=2)
+        table["features"][0, 1] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"column 'f1': row 0: {value!r} would not read back")):
+            fileio.write_feature_csv(tmp_path / "features.csv", table)
+
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros((3, 0))])
+    def test_writer_rejects_features_that_are_not_a_matrix(self, tmp_path, features):
+        table = self.make_table(np.random.default_rng(19), n=3, dim=2)
+        table["features"] = features
+        with pytest.raises(ValueError, match=r"features must be an \(n, D\) matrix"):
+            fileio.write_feature_csv(tmp_path / "features.csv", table)
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -164,6 +206,15 @@ class TestFeatureCsv:
             (["x,0.1,0.1,abc", "x,0.1,0.1,1.0"], r":2: column 'f0': not a number: 'abc'"),
             (["x,1.5,0.1,1.0", "y,0.1,0.1,abc"], r":2: eye_area must lie in \[0, 1\], got 1.5"),
             (["x,0.1,0.1,1.0", "x,0.1,0.1"], r":3: expected 4 fields, got 3"),
+            # an area and a duplicate: the earlier line wins, and the duplicate within a line
+            (["x,0.1,0.1,1.0", "y,1.5,0.1,1.0", "x,0.1,0.1,1.0"],
+             r":3: eye_area must lie in \[0, 1\], got 1.5"),
+            (["x,0.1,0.1,1.0", "x,0.1,0.1,1.0", "y,1.5,0.1,1.0"], r":3: duplicate id 'x'"),
+            (["x,0.1,0.1,1.0", "x,1.5,0.1,1.0"], r":3: duplicate id 'x'"),
+            (["x,0.1,0.1,1.0", "y,0.6,0.5,1.0", "x,0.1,0.1,1.0"],
+             r":3: eye_area \+ brow_area must not exceed 1, got 0.6 \+ 0.5"),
+            (["x,0.1,0.1,1.0", "y,0.1,1.5,abc"], r":3: column 'f0': not a number: 'abc'"),
+            (["x,0.1,0.1,1.0", "y,0.1,1.5,1.0"], r":3: brow_area must lie in \[0, 1\], got 1.5"),
         ],
     )
     @pytest.mark.parametrize("block_fields", [fileio.BLOCK_FIELDS, 4])  # 4: a row per block
@@ -180,9 +231,9 @@ class TestFeatureCsv:
         ("", "not a number: ''"),
     ])
     def test_bad_field_in_a_wide_table_names_its_line_and_column(self, tmp_path, bad, message):
-        records = self.make_records(np.random.default_rng(14), n=20, dim=600)
+        table = self.make_table(np.random.default_rng(14), n=20, dim=600)
         path = tmp_path / "features.csv"
-        fileio.write_feature_csv(path, records)
+        fileio.write_feature_csv(path, table)
         assert fileio._block_rows(fileio._feature_schema(600)) < 20  # several blocks
         lines = path.read_text().splitlines()
         for line, column in [(12, 500), (13, 3)]:  # the later line has the earlier column
@@ -215,10 +266,10 @@ class TestFeatureCsv:
         path.write_text(f"id,eye_area,brow_area,f0\ny,0.1,0.1,1.0\n{ref},0.1,0.1,1.0\n")
         with pytest.raises(fileio.ParseError, match=r"features\.csv:3: " + nul_read_message("id")):
             fileio.read_feature_csv(path)
-        records = self.make_records(np.random.default_rng(13), n=2, dim=2)
-        records[ref] = records.pop("id01")
+        table = self.make_table(np.random.default_rng(13), n=2, dim=2)
+        table["id"][1] = ref
         with pytest.raises(ValueError, match="column 'id': text holds a NUL character"):
-            fileio.write_feature_csv(tmp_path / "written.csv", records)
+            fileio.write_feature_csv(tmp_path / "written.csv", table)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -281,7 +332,7 @@ def match_table():
         "a_id": ["S0:L:0", "S0:L:0"],
         "b_id": ["S0:L:1", "S1:L:0"],
         "side": ["L", "L"],
-        "label": ["genuine", "impostor"],
+        "label": [True, False],
         "iris_valid": [True, False],
         "hamming": [0.125, np.nan],
         "ws": [0.8123456789012345, np.nan],
@@ -366,18 +417,17 @@ class TestTableCodec:
 
     @pytest.mark.parametrize("block_rows, block_fields", [(5, 10**6), (7, 50), (3, 1)])
     def test_block_size_changes_no_byte(self, tmp_path, monkeypatch, block_rows, block_fields):
-        records = TestFeatureCsv().make_records(np.random.default_rng(13), n=40, dim=20)
+        features = TestFeatureCsv.make_table(np.random.default_rng(13), n=40, dim=20)
         table = {name: values * 9 for name, values in match_table().items()}
-        fileio.write_feature_csv(tmp_path / "f.csv", records)
+        fileio.write_feature_csv(tmp_path / "f.csv", features)
         fileio.write_match_csv(tmp_path / "m.csv", table)
         monkeypatch.setattr(fileio, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(fileio, "BLOCK_FIELDS", block_fields)
-        fileio.write_feature_csv(tmp_path / "f2.csv", records)
+        fileio.write_feature_csv(tmp_path / "f2.csv", features)
         fileio.write_match_csv(tmp_path / "m2.csv", table)
         assert (tmp_path / "f2.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
         assert (tmp_path / "m2.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
-        again = fileio.read_feature_csv(tmp_path / "f2.csv")
-        assert all((again[ref].features == r.features).all() for ref, r in records.items())
+        assert_tables_equal(fileio.read_feature_csv(tmp_path / "f2.csv"), features)
         assert_tables_equal(fileio.read_match_csv(tmp_path / "m2.csv"), table)
 
     @pytest.mark.parametrize("kind", [fileio.FLOAT, fileio.OPT_FLOAT, fileio.OPT_INT])
@@ -518,7 +568,7 @@ class TestFieldTexts:
             fileio.OPT_INT: [7.0, np.nan, -2.0, 0.0, 2.0**52],
             fileio.FLAG: [True, False, False, True, True],
             fileio.STR: ["a,b", 'q"', "", "plain", "x"],
-            fileio.LABEL: ["genuine", "impostor", "genuine", "genuine", "impostor"],
+            fileio.LABEL: [True, False, True, True, False],
         }[kind]
         given = fileio.field_texts("x", kind, values)
         assert given.kind == kind and given.texts.dtype == object
@@ -639,6 +689,21 @@ class TestMatchCsv:
         with pytest.raises(ValueError, match="column 'side': text holds a NUL character"):
             fileio.write_match_csv(tmp_path / "match.csv", table)
 
+    @pytest.mark.parametrize("name, values", [
+        ("iris_valid", ["0", "0"]),  # a non-empty str is truthy
+        ("iris_valid", [0.0, 0.5]),
+        ("iris_valid", [0, 1]),
+        ("iris_valid", np.array([1, 0], dtype=np.uint8)),
+        ("label", ["impostor", "impostor"]),
+        ("label", np.array(["genuine", "impostor"])),
+    ])
+    def test_flag_and_label_columns_take_only_booleans(self, tmp_path, name, values):
+        table = match_table()
+        table[name] = values
+        with pytest.raises(ValueError, match=f"column '{name}': .*booleans"):
+            fileio.write_match_csv(tmp_path / "match.csv", table)
+        assert list(tmp_path.iterdir()) == []
+
     def test_read_peak_memory_stays_near_the_arrays(self, tmp_path):
         n = 100_000
         table = {name: np.resize(np.asarray(v), n) for name, v in match_table().items()}
@@ -757,7 +822,7 @@ class TestScoreCsv:
             "a_id": ["S0:L:0", "S0:L:0"],
             "b_id": ["S0:L:1", "S2:L:0"],
             "side": ["L", "L"],
-            "label": ["genuine", "impostor"],
+            "label": [True, False],
             "iris_score": [1.456, np.nan],
             "perioc_norm": [0.25, np.nan],
             "mask_rate_a": [0.9, 0.2],
@@ -846,12 +911,10 @@ def csv_only_row_blocks(path, schema_of):
 
 def read_outcome(read):
     """What ``read()`` gives, as comparable values: every array as its dtype
-    and bytes, every record as its fields, and a ParseError as its message."""
+    and bytes, and a ParseError as its message."""
     def comparable(value):
         if isinstance(value, np.ndarray):
             return value.dtype.str, value.shape, value.tobytes()
-        if isinstance(value, PeriocularRecord):
-            return value.eye_area, value.brow_area, comparable(value.features)
         if isinstance(value, dict):
             return [(k, comparable(v)) for k, v in value.items()]
         if isinstance(value, (list, tuple)):
@@ -927,9 +990,9 @@ class TestRowSource:
         path = tmp_path / "features.csv"
         path.write_text("\n".join([self.HEADER, *rows]) + "\n")
         if message is None:
-            records = fileio.read_feature_csv(path)
-            assert list(records) == ["a", "b", "c", later[1:-1], "d", "e"]
-            assert records[later[1:-1]].features.tolist() == [2.0]
+            table = fileio.read_feature_csv(path)
+            assert table["id"].tolist() == ["a", "b", "c", later[1:-1], "d", "e"]
+            assert table["features"][:, 0].tolist() == [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]
         else:
             with pytest.raises(fileio.ParseError, match=re.escape(f"features.csv{message}")):
                 fileio.read_feature_csv(path)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,22 +18,20 @@ from irisfuse.fusion import (
 )
 from irisfuse import fusion
 from irisfuse.mlp import N_PARAMS, MlpParams, TrainConfig, mlp_logits, softmax, train_mlp
-from irisfuse.templates import CUE_NAMES, PeriocularRecord, check_cues, pack_template
+from irisfuse.templates import CUE_NAMES, check_cues, pack_template
 
 
-def record(features, eye=0.2, brow=0.1):
-    return PeriocularRecord(features=np.asarray(features, float), eye_area=eye,
-                            brow_area=brow)
+def areas(eye=0.2, brow=0.1):
+    """A sample's eye and eyebrow areas, as :func:`match_row` reads them."""
+    return SimpleNamespace(eye_area=eye, brow_area=brow)
 
 
 class TestPeriocDistance:
     def test_identical_records_distance_zero(self):
-        r = record([0.5, -1.0, 2.0])
-        assert perioc_distances([r], [0], [0]).tolist() == [0.0]
+        assert perioc_distances(np.array([[0.5, -1.0, 2.0]]), [0], [0]).tolist() == [0.0]
 
     def test_unit_axes(self):
-        records = [record([1.0, 0.0]), record([0.0, 1.0])]
-        (d,) = perioc_distances(records, [0], [1])
+        (d,) = perioc_distances(np.eye(2), [0], [1])
         assert d == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_matches_scalar_loop_oracle_at_d512(self):
@@ -43,26 +42,22 @@ class TestPeriocDistance:
         for x, y in zip(va.tolist(), vb.tolist()):
             total += (x - y) ** 2
         expected = math.sqrt(total)
-        (d,) = perioc_distances([record(va), record(vb)], [0], [1])
+        (d,) = perioc_distances(np.array([va, vb]), [0], [1])
         assert d == pytest.approx(expected, abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            perioc_distances([record([1.0, 2.0]), record([1.0, 2.0, 3.0])], [0], [1])
 
     @pytest.mark.parametrize("dim", [64, 512])
     def test_blocks_equal_per_pair_dot_to_the_bit(self, dim):
         rng = np.random.default_rng(dim)
-        records = [record(rng.normal(size=dim)) for _ in range(40)]
+        features = rng.normal(size=(40, dim))
         rows = PERIOC_BLOCK_BYTES // (8 * dim)
         n = 10 * rows + 3  # ten full blocks and a partial one
-        a = rng.integers(0, len(records), n)
-        b = rng.integers(0, len(records), n)
+        a = rng.integers(0, len(features), n)
+        b = rng.integers(0, len(features), n)
         want = []
         for i, j in zip(a.tolist(), b.tolist()):
-            diff = records[i].features - records[j].features
+            diff = features[i] - features[j]
             want.append(float(np.sqrt(np.dot(diff, diff))))
-        assert perioc_distances(records, a, b).tobytes() == np.array(want).tobytes()
+        assert perioc_distances(features, a, b).tobytes() == np.array(want).tobytes()
 
 
 class TestNormalization:
@@ -117,7 +112,7 @@ class TestAssembleCues:
         return dict(zip(CUE_NAMES, row.tolist()))
 
     def test_identical_records_symmetric_cues(self):
-        a = record([1.0, 0.0], eye=0.2, brow=0.1)
+        a = areas(eye=0.2, brow=0.1)
         cues = self.cues(self.iris_result(), 1.0, a, a)
         assert cues["eye_sum"] == pytest.approx(0.4)
         assert cues["eye_diff"] == 0.0
@@ -125,7 +120,7 @@ class TestAssembleCues:
         assert cues["brow_diff"] == 0.0
 
     def test_distance_at_minimum_normalises_to_zero(self):
-        a = record([1.0, 0.0])
+        a = areas()
         cues = self.cues(self.iris_result(), 0.0, a, a)
         assert cues["perioc_dist"] == 0.0
 
@@ -144,9 +139,9 @@ class TestAssembleCues:
         # hand oracle: 8 one-one agreements, 8 disagreements over 16 px
         assert iris.hamming == pytest.approx(0.5)
         assert iris.ws_score == pytest.approx((1.7 * 8 + 0.3 * 0) / 16)
-        pa = record([3.0, 0.0], eye=0.25, brow=0.10)
-        pb = record([0.0, 4.0], eye=0.15, brow=0.20)
-        (distance,) = perioc_distances([pa, pb], [0], [1])  # 5.0 by construction
+        pa, pb = areas(eye=0.25, brow=0.10), areas(eye=0.15, brow=0.20)
+        features = np.array([[3.0, 0.0], [0.0, 4.0]])
+        (distance,) = perioc_distances(features, [0], [1])  # 5.0 by construction
         norm = NormalizationParams(perioc_min=1.0, perioc_max=6.0)
         cues = self.cues(iris, distance, pa, pb, norm=norm)
         assert cues["iris_score"] == iris.ws_score
@@ -158,10 +153,9 @@ class TestAssembleCues:
         assert cues["brow_diff"] == pytest.approx(-0.10, abs=1e-15)
 
     def test_swap_negates_diffs_only(self):
-        a = record([1.0, 0.0], eye=0.25, brow=0.10)
-        b = record([0.0, 1.0], eye=0.15, brow=0.20)
+        a, b = areas(eye=0.25, brow=0.10), areas(eye=0.15, brow=0.20)
         iris = self.iris_result(rate_a=0.8, rate_b=0.8)
-        (d,) = perioc_distances([a, b], [0], [1])
+        (d,) = perioc_distances(np.eye(2), [0], [1])
         forward = self.cues(iris, d, a, b)
         backward = self.cues(iris, d, b, a)
         assert backward["eye_diff"] == -forward["eye_diff"]
@@ -171,7 +165,7 @@ class TestAssembleCues:
         assert backward["perioc_dist"] == forward["perioc_dist"]
 
     def test_checks_every_row_with_the_cue_vector_rules(self):
-        a = record([1.0, 0.0])
+        a = areas()
         table = match_row(self.iris_result(), 1.0, a, a)
         table["mask_rate_b"] = np.array([-0.25])
         with pytest.raises(ValueError, match=r"mask_rate_b must lie in \[0, 1\]"):

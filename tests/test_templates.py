@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from irisfuse.templates import (
     IrisTemplate,
-    PeriocularRecord,
     check_cues,
     pack_template,
     plane_bytes,
@@ -99,30 +98,6 @@ def test_nonzero_padding_rejected():
 def test_degenerate_dimensions_rejected():
     with pytest.raises(ValueError, match="dimensions"):
         pack_template([], [], 0, 4)
-
-
-class TestPeriocularRecord:
-    def test_valid_record(self):
-        r = PeriocularRecord((1.0, 0.0, 0.0, 0.0), eye_area=0.1, brow_area=0.05)
-        assert r.dim == 4
-        assert r.eye_area == 0.1
-
-    def test_area_sum_error(self):
-        with pytest.raises(ValueError, match="must not exceed 1"):
-            PeriocularRecord((1.0, 0.0), eye_area=0.7, brow_area=0.5)
-
-    def test_nan_feature_error(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            PeriocularRecord((1.0, float("nan")), eye_area=0.1, brow_area=0.1)
-
-    def test_area_out_of_range(self):
-        with pytest.raises(ValueError, match="eye_area"):
-            PeriocularRecord((1.0,), eye_area=1.5, brow_area=0.0)
-
-    def test_features_immutable(self):
-        r = PeriocularRecord((1.0, 2.0), eye_area=0.2, brow_area=0.1)
-        with pytest.raises(ValueError):
-            r.features[0] = 9.0
 
 
 class TestCueVector:
