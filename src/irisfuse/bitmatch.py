@@ -19,7 +19,8 @@ Scoring rules:
 * white / black matching rates and mask rates are diagnostic statistics
   computed at shift 0 only.
 
-One batched count kernel does all shift-searched scoring.
+One batched count kernel does all shift-searched scoring, always under
+the masks: all-pixel scores are those of ``IrisTemplate.all_valid`` copies.
 :func:`match_pairs` takes a template list and two index arrays and
 scores every pair ``(templates[ia[k]], templates[ib[k]])``.  It rotates
 one template of each pair, the probe, and leaves the other, the gallery
@@ -46,14 +47,14 @@ are read as ``uint64`` words, zero-padded to a multiple of 8 bytes
 A probe is counted over its live words only: the words where some
 rotation of its mask has a valid pixel.  ``P`` and ``Z`` lie inside the
 mask, so every other word adds nothing to any count at any shift.
-Occluded templates leave many words dead, while ``unmasked`` finds
-every word live.  Rotating the sparser template of each pair keeps a
-dense probe from paying for words its degraded partner cannot use.  A
-probe run cuts its planes and each gallery block to its ``K`` live
-words, so a block of the same scratch holds ``words / K`` times as many
-gallery templates.  Each block AND runs on ``uint8`` views of the
-words (the same bits; numpy's ``uint8`` loop is the faster one) and
-each popcount on the ``uint64`` words.
+Occluded templates leave many words dead, an all-valid mask none.
+Rotating the sparser template of each pair keeps a dense probe from
+paying for words its degraded partner cannot use.  A probe run cuts
+its planes and each gallery block to its ``K`` live words, so a block
+of the same scratch holds ``words / K`` times as many gallery
+templates.  Each block AND runs on ``uint8`` views of the words (the
+same bits; numpy's ``uint8`` loop is the faster one) and each popcount
+on the ``uint64`` words.
 
 Probe runs are split round-robin across CPU threads when the call has
 enough work.  Each worker holds one probe's ``3 * n_shifts`` rotated
@@ -213,16 +214,10 @@ def _as_words(planes: np.ndarray) -> np.ndarray:
     return padded.view(np.uint64)
 
 
-def _gallery_planes(
-    templates: Sequence[IrisTemplate], unmasked: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _gallery_planes(templates: Sequence[IrisTemplate]) -> tuple[np.ndarray, np.ndarray]:
     """Unrotated ``(bits & mask, mask)`` word planes, one row per template."""
     bits = _as_words(np.stack([t.packed_bits for t in templates]))
-    if unmasked:
-        full = np.packbits(np.ones((1, templates[0].n_pixels), dtype=np.uint8), axis=1)
-        mask = np.broadcast_to(_as_words(full), bits.shape)
-    else:
-        mask = _as_words(np.stack([t.packed_mask for t in templates]))
+    mask = _as_words(np.stack([t.packed_mask for t in templates]))
     return bits & mask, mask
 
 
@@ -269,7 +264,7 @@ def _worker_scratch(
 
 
 def _probe_planes(
-    template: IrisTemplate, shifts: tuple[int, ...], unmasked: bool, scratch
+    template: IrisTemplate, shifts: tuple[int, ...], scratch
 ) -> tuple[np.ndarray, np.ndarray]:
     """The probe's live words and its ``(P, mask, Z)`` planes over them,
     rotated by ``-s``, where ``P = bits & mask`` and ``Z = mask & ~bits``.
@@ -288,7 +283,7 @@ def _probe_planes(
     m = (extended.shape[2] - w) // 2
     n = len(shifts)
     extended[0, :, m:m + w] = template.unpack_bits()
-    extended[1, :, m:m + w] = 1 if unmasked else template.unpack_mask()
+    extended[1, :, m:m + w] = template.unpack_mask()
     # the margins repeat the row, at most W columns per copy
     for stop in range(m, 0, -w):
         extended[:, :, max(0, stop - w):stop] = extended[:, :, max(w, stop):stop + w]
@@ -391,7 +386,6 @@ def match_pairs(
     ib,
     alpha: float = DEFAULT_ALPHA,
     policy: ShiftPolicy = DEFAULT_POLICY,
-    unmasked: bool = False,
 ) -> PairScores:
     """Score the pairs ``(templates[ia[k]], templates[ib[k]])`` in one pass.
 
@@ -404,9 +398,7 @@ def match_pairs(
     of probe-major outputs, scattered to the pairs' rows once all are
     done, so the scores do not depend on their number.  Each worker's
     gallery blocks fill a word plane of :data:`BLOCK_BYTES`, and its
-    unpacked probe rotations an even share of it.  ``unmasked=True`` scores
-    with all-valid masks, so WS is the all-pixel form, every pair is
-    usable and every probe is its ``ia`` template.  Alpha, template
+    unpacked probe rotations an even share of it.  Alpha, template
     dimensions and the indices (integers in ``[0, len(templates))``) are
     checked once, up front, for every template in ``templates``.
     """
@@ -441,7 +433,7 @@ def match_pairs(
     shifts = policy.shifts()
     shift_array = np.array(shifts, dtype=np.intp)
     negated = np.array([shifts.index(-s) for s in shifts])  # shifts are symmetric
-    gallery_bits, gallery_mask = _gallery_planes(templates, unmasked)
+    gallery_bits, gallery_mask = _gallery_planes(templates)
     # ia becomes each pair's probe, the template with fewer nonzero mask
     # words (ties keep the pair's order): an XOR swap in place
     nonzero = np.count_nonzero(gallery_mask, axis=1)
@@ -478,9 +470,7 @@ def match_pairs(
             for probe_index, r0, r1, flip in runs[share::n_workers]:
                 if errors:  # another share failed: stop at the next probe
                     return
-                live, probe = _probe_planes(
-                    templates[probe_index], shifts, unmasked, probe_scratch
-                )
+                live, probe = _probe_planes(templates[probe_index], shifts, probe_scratch)
                 # a block takes as many templates as its live words leave
                 # room for; a probe without one counts zero everywhere
                 step = block * words // max(live.size, 1)
@@ -562,18 +552,16 @@ def match_pair(
     b: IrisTemplate,
     alpha: float = DEFAULT_ALPHA,
     policy: ShiftPolicy = DEFAULT_POLICY,
-    unmasked: bool = False,
 ) -> IrisMatchResult:
     """Compare two templates: masked Hamming, weighted similarity, mask rates.
 
     One pair through :func:`match_pairs`.  Raises
     :class:`EmptyJointMaskError` when no candidate shift has a jointly
-    valid pixel.  With ``unmasked=True`` the masks are ignored and both
-    scores count every pixel, so WS divides its agreement sum by the full
-    pixel count (the literal all-pixel form, kept for comparison); the
-    mask rates still come from the masks.
+    valid pixel.  The all-pixel form, whose WS divides its agreement sum
+    by the full pixel count, is ``match_pair(a.all_valid(), b.all_valid(),
+    ...)``; its mask rates are those of the all-valid masks, 1.
     """
-    scores = match_pairs((a, b), [0], [1], alpha, policy, unmasked)
+    scores = match_pairs((a, b), [0], [1], alpha, policy)
     if not scores.usable[0]:
         raise EmptyJointMaskError("no jointly valid pixels at any candidate shift")
     return IrisMatchResult(

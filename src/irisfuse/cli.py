@@ -3,12 +3,12 @@
 Every command is deterministic for fixed flags and seed; failures exit
 non-zero with a machine-readable JSON object on stderr.
 
-The matcher settings (alpha, the shift policy, the protocol and the
-unmasked flag) are flags of ``match`` alone.  ``match`` records them in a
-sidecar beside its CSV (:func:`fileio.write_sidecar`); ``score`` takes
-alpha from the match CSV's sidecar and writes the same sidecar beside the
-score CSV, and ``eval`` reports the alpha and shift policy of the score
-CSV's sidecar.  Both refuse a table without a valid sidecar.
+The matcher settings (alpha, the shift policy, the protocol and
+``--unmasked-ws``, which scores all-valid template copies) are flags of
+``match`` alone, which records them in a sidecar beside its CSV
+(:func:`fileio.write_sidecar`).  ``score`` copies the match CSV's
+sidecar beside its own and takes alpha from it; ``eval`` reports its
+alpha and shift policy.  Both refuse a table without a valid sidecar.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +25,12 @@ from .evaluation import (
     PROTOCOLS,
     WITHIN_SIDE,
     ScoreSet,
-    count_pairs,
     eer,
     protocol_pairs,
     roc_curve,
     sum_rule_combine,
     tar_at_far,
 )
-
-
-def _add_matcher_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        default=bitmatch.DEFAULT_ALPHA,
-        help="agreement weighting: 1-1 pairs score 2-alpha, 0-0 pairs score alpha",
-    )
-    parser.add_argument("--max-shift", type=int, default=16, help="shift search radius")
-    parser.add_argument("--step", type=int, default=1, help="shift search step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="match CSV path")
     p.add_argument("--protocol", choices=PROTOCOLS, default=WITHIN_SIDE)
-    _add_matcher_flags(p)
+    p.add_argument("--alpha", type=float, default=bitmatch.DEFAULT_ALPHA,
+                   help="agreement weighting: 1-1 pairs score 2-alpha, 0-0 pairs score alpha")
+    p.add_argument("--max-shift", type=int, default=16, help="shift search radius")
+    p.add_argument("--step", type=int, default=1, help="shift search step")
     p.add_argument(
         "--unmasked-ws",
         action="store_true",
@@ -244,8 +234,8 @@ def cmd_match(args) -> int:
     ia, ib = template_of[a], template_of[b]
     scores = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy)
     ws = scores.ws
-    if args.unmasked_ws:
-        ws = bitmatch.match_pairs(templates, ia, ib, args.alpha, policy, unmasked=True).ws
+    if args.unmasked_ws:  # all-pixel WS: the kernel on all-valid masks
+        ws = bitmatch.match_pairs([t.all_valid() for t in templates], ia, ib, args.alpha, policy).ws
     # per-template texts, gathered per comparison as references to the same strings
     mask_rates = fileio.field_texts(
         "mask_rate", fileio.FLOAT, [t.valid_fraction() for t in templates]).texts
@@ -279,8 +269,8 @@ def cmd_match(args) -> int:
         "alpha": args.alpha, "max_shift": policy.max_shift, "step": policy.step,
         "protocol": args.protocol, "unmasked_ws": args.unmasked_ws,
     })
-    n_gen, n_imp = count_pairs(manifest, args.protocol)
-    print(f"wrote {len(a)} comparisons ({n_gen} genuine / {n_imp} impostor groups)")
+    n_genuine = int(np.count_nonzero(pairs["genuine"]))
+    print(f"wrote {len(a)} comparisons ({n_genuine} genuine / {len(a) - n_genuine} impostor)")
     return 0
 
 
@@ -318,9 +308,8 @@ def cmd_score(args) -> int:
     fusion.static_fuse(0.0, 0.0, args.static_weight)
     # match columns that the score CSV copies are written as the texts they were read as
     copied = [name for name, _ in fileio.SCORE_SCHEMA if name in dict(fileio.MATCH_SCHEMA)]
-    waiting = deque()  # (score columns, usable rows) of blocks awaiting `dynamic`
 
-    def cue_blocks():
+    def cue_blocks():  # each block's cues, carrying its score columns and usable rows
         for matches, texts in fileio.read_match_blocks(
                 args.match_csv, (*copied, *fusion.CUE_COLUMNS)):
             use = matches["iris_valid"]
@@ -337,14 +326,12 @@ def cmd_score(args) -> int:
             ):
                 scores[name] = np.full(use.size, np.nan)
                 scores[name][use] = values
-            waiting.append((scores, use))
-            yield cues
+            yield cues, (scores, use)
 
     n = 0
     fileio.sidecar_path(args.out).unlink(missing_ok=True)
     with fileio.score_csv_writer(args.out) as append:
-        for dynamic in fusion.dynamic_fuse_blocks(params, cue_blocks()):
-            scores, use = waiting.popleft()
+        for dynamic, (scores, use) in fusion.dynamic_fuse_blocks(params, cue_blocks()):
             scores["dynamic"] = np.full(use.size, np.nan)
             scores["dynamic"][use] = dynamic
             append(scores)

@@ -204,8 +204,11 @@ def read_manifest(path) -> Manifest:
                 raise ParseError(
                     f"{source}:{line}: expected keys {sorted(_MANIFEST_KEYS)}"
                 )
-            if not isinstance(obj["sample_index"], int):
+            if type(obj["sample_index"]) is not int:  # a JSON true is a Python int
                 raise ParseError(f"{source}:{line}: sample_index must be an integer")
+            for key in ("subject_id", "template_ref", "periocular_ref"):
+                if type(obj[key]) is not str:
+                    raise ParseError(f"{source}:{line}: {key} must be a string, got {obj[key]!r}")
             try:
                 entries.append(ManifestEntry(**obj))
             except ValueError as exc:
@@ -779,6 +782,15 @@ def write_checkpoint(
     write_json(path, payload)
 
 
+def _check_numbers(name: str, value) -> None:
+    """Reject a value, or a leaf of its nested lists, that is not a JSON number."""
+    if isinstance(value, list):
+        for item in value:
+            _check_numbers(name, item)
+    elif type(value) not in (int, float):
+        raise ValueError(f"{name}: expected a JSON number, got {value!r}")
+
+
 def read_checkpoint(path) -> tuple[MlpParams, NormalizationParams, dict | None]:
     source = str(path)
     try:
@@ -794,8 +806,13 @@ def read_checkpoint(path) -> tuple[MlpParams, NormalizationParams, dict | None]:
             f"{source}: layer sizes {payload.get('layer_sizes')} != {list(LAYER_SIZES)}"
         )
     try:
-        params = MlpParams.from_layers(payload["weights"], payload["biases"])
         norm_obj = payload["normalization"]
+        # the constructors would coerce texts and bools (a bool is no JSON number)
+        for name in ("weights", "biases"):
+            _check_numbers(name, payload[name])
+        for name in ("perioc_min", "perioc_max"):
+            _check_numbers(name, norm_obj[name])
+        params = MlpParams.from_layers(payload["weights"], payload["biases"])
         norm = NormalizationParams(
             perioc_min=norm_obj["perioc_min"], perioc_max=norm_obj["perioc_max"]
         )

@@ -4,9 +4,9 @@ Combines the iris matcher output, the periocular feature distance (between
 rows of a feature table's ``(n, D)`` matrix, :func:`perioc_distances`) and
 the segmentation-derived quality cues into the eight-element vector fed
 to the fusion network, and provides the fixed weighted-sum baseline.
-The network scores a whole cue matrix (:func:`dynamic_fuse`) or a
-stream of cue blocks (:func:`dynamic_fuse_blocks`) over the same fixed
-windows of :data:`BLOCK_ROWS` rows, so both give the same bytes.
+The network scores a whole cue matrix (:func:`dynamic_fuse`) or a stream
+of ``(cues, payload)`` blocks (:func:`dynamic_fuse_blocks`) over the same
+fixed windows of :data:`BLOCK_ROWS` rows, so both give the same bytes.
 """
 
 from __future__ import annotations
@@ -126,13 +126,13 @@ def dynamic_fuse(params: MlpParams, cues) -> np.ndarray:
     :data:`BLOCK_ROWS` rows at a time, so its activations stay small
     however many rows are scored.
     """
-    (scores,) = dynamic_fuse_blocks(params, [cues])
+    ((scores, _),) = dynamic_fuse_blocks(params, [(cues, None)])
     return scores
 
 
-def dynamic_fuse_blocks(params: MlpParams, cue_blocks):
-    """:func:`dynamic_fuse` of a stream of ``(n_k, 8)`` cue blocks: yields
-    each block's scores, in order.
+def dynamic_fuse_blocks(params: MlpParams, blocks):
+    """:func:`dynamic_fuse` of a stream of ``(cues, payload)`` blocks, ``cues``
+    an ``(n_k, 8)`` matrix: yields each block's ``(scores, payload)``, in order.
 
     The network runs over windows of :data:`BLOCK_ROWS` consecutive rows of
     all blocks taken together, whatever the block sizes, so every score is
@@ -142,29 +142,30 @@ def dynamic_fuse_blocks(params: MlpParams, cue_blocks):
     the window holding its last row has run, so the rows of at most one
     unfinished window wait, and the blocks that hold them.
     """
-    waiting = deque()  # row counts of the blocks whose scores are not yet yielded
+    waiting = deque()  # (row count, payload) of the blocks not yet yielded
     ready = np.empty(0)  # the scores of their rows that have been computed
     pending = np.empty((0, len(CUE_NAMES)))  # rows of the unfinished window
 
     def run(rows) -> np.ndarray:
         return softmax(mlp_logits(params, rows))[:, 0]
 
-    for cues in cue_blocks:
+    for cues, payload in blocks:
         x = np.asarray(cues, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"cues must be an (n, 8) matrix, got shape {x.shape}")
-        waiting.append(len(x))
+        waiting.append((len(x), payload))
         if len(pending):
             x = np.concatenate([pending, x])
         full = len(x) - len(x) % BLOCK_ROWS
         ready = np.concatenate(
             [ready, *(run(x[start : start + BLOCK_ROWS]) for start in range(0, full, BLOCK_ROWS))])
         pending = x[full:]
-        while waiting and waiting[0] <= len(ready):
-            yield ready[: waiting[0]]
-            ready = ready[waiting.popleft() :]
+        while waiting and waiting[0][0] <= len(ready):
+            size, payload = waiting.popleft()
+            yield ready[:size], payload
+            ready = ready[size:]
     if len(pending):
         ready = np.concatenate([ready, run(pending)])
-    for size in waiting:
-        yield ready[:size]
+    for size, payload in waiting:
+        yield ready[:size], payload
         ready = ready[size:]

@@ -120,7 +120,8 @@ def naive_weighted_similarity(
     unmasked: bool = False,
 ) -> tuple[float, int]:
     """Per-pixel mirror of ``(ws_score, ws_shift)`` of
-    :func:`irisfuse.bitmatch.match_pair`, ``unmasked`` included."""
+    :func:`irisfuse.bitmatch.match_pair`; ``unmasked=True`` counts every
+    pixel, as ``match_pair`` does for ``all_valid()`` copies."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie strictly inside (0, 2), got {alpha}")
     return _max_ws(_shift_counts(a, b, policy, unmasked), alpha)
@@ -273,12 +274,12 @@ def run_equivalence_suite(seed: int = 0, scale: int = 1) -> EquivalenceReport:
     """Compare every kernel against its per-pixel mirror on random pairs.
 
     Checks every score and shift of :func:`irisfuse.bitmatch.match_pair`
-    (masked Hamming and weighted similarity, then weighted similarity
-    unmasked), white/black match rates and mask rates for exact
-    equality.  ``scale`` multiplies the per-bucket pair counts.  Unusable
-    pairs (empty joint mask everywhere) must raise on both routes to
-    count as agreement.  Each bucket then scores every ordered pair of
-    its first :data:`_BATCH_TEMPLATES` templates in one
+    (masked Hamming and weighted similarity, then that of the all-valid
+    copies against an unmasked count), white/black match rates and mask
+    rates for exact equality.  ``scale`` multiplies the per-bucket pair
+    counts.  Unusable pairs (empty joint mask everywhere) must raise on
+    both routes to count as agreement.  Each bucket then scores every
+    ordered pair of its first :data:`_BATCH_TEMPLATES` templates in one
     :func:`irisfuse.bitmatch.match_pairs` call, so probe runs of many
     pairs are checked too.
     """
@@ -305,7 +306,7 @@ def run_equivalence_suite(seed: int = 0, scale: int = 1) -> EquivalenceReport:
                 ok = (fast.hamming, fast.best_shift, fast.joint_valid) == hd and (
                     fast.ws_score, fast.ws_shift
                 ) == ws
-            full = bitmatch.match_pair(a, b, alpha, policy, unmasked=True)
+            full = bitmatch.match_pair(a.all_valid(), b.all_valid(), alpha, policy)
             ok &= (full.ws_score, full.ws_shift) == naive_weighted_similarity(
                 a, b, alpha, policy, unmasked=True
             )

@@ -88,6 +88,11 @@ class IrisTemplate:
             self.height, self.width
         )
 
+    def all_valid(self) -> "IrisTemplate":
+        """These bits under a mask marking every pixel valid: all-pixel scores."""
+        mask = np.packbits(np.ones(self.n_pixels, dtype=np.uint8))
+        return IrisTemplate(self.height, self.width, self.packed_bits, mask)
+
     def valid_count(self) -> int:
         """Number of valid pixels (set mask bits)."""
         return int(np.bitwise_count(self.packed_mask).sum())

@@ -29,6 +29,11 @@ def full_mask_template(bits, rng=None):
     return pack_template(bits, np.ones((h, w), np.uint8), h, w)
 
 
+def all_valid(templates):
+    """The templates' all-valid copies, whose scores are the all-pixel ones."""
+    return [t.all_valid() for t in templates]
+
+
 def random_pair(rng, h, w, density=0.8):
     a = reference._random_template(rng, h, w, density)
     b = reference._random_template(rng, h, w, density)
@@ -183,10 +188,10 @@ class TestWeightedSimilarity:
         mask = np.array([[1, 0, 0, 1]], np.uint8)  # would hide the disagreements
         a = pack_template(bits_a, mask, 1, 4)
         b = pack_template(bits_b, mask, 1, 4)
-        unmasked = match_pair(a, b, alpha=0.3, policy=ShiftPolicy(0, 1), unmasked=True)
+        unmasked = match_pair(a.all_valid(), b.all_valid(), alpha=0.3, policy=ShiftPolicy(0, 1))
         assert unmasked.ws_score == pytest.approx(0.575, abs=1e-15)
         assert (unmasked.hamming, unmasked.joint_valid) == (0.25, 4)
-        assert (unmasked.mask_rate_a, unmasked.mask_rate_b) == (0.5, 0.5)
+        assert (unmasked.mask_rate_a, unmasked.mask_rate_b) == (1.0, 1.0)
         masked = match_pair(a, b, alpha=0.3, policy=ShiftPolicy(0, 1))
         assert masked.ws_score == pytest.approx((1.7 + 0.3) / 2, abs=1e-15)
         assert (masked.hamming, masked.joint_valid) == (0.0, 2)
@@ -282,10 +287,10 @@ class TestMatchPair:
         rng = np.random.default_rng(9)
         a, b = random_pair(rng, 8, 32)
         policy = ShiftPolicy(4, 1)
-        _, rate_a, rate_b = mask_rate(a, b)
-        for unmasked in (False, True):
-            result = match_pair(a, b, alpha=0.3, policy=policy, unmasked=unmasked)
-            scores = match_pairs([a, b], [0], [1], 0.3, policy, unmasked)
+        for a, b in ((a, b), all_valid((a, b))):
+            _, rate_a, rate_b = mask_rate(a, b)
+            result = match_pair(a, b, alpha=0.3, policy=policy)
+            scores = match_pairs([a, b], [0], [1], 0.3, policy)
             assert result == IrisMatchResult(
                 hamming=scores.hamming[0],
                 ws_score=scores.ws[0],
@@ -441,7 +446,9 @@ def or_none(fn, *args, **kwargs):
 
 
 def assert_rows_equal_reference(templates, ia, ib, alpha, policy, masked, unmasked):
-    """Every masked and unmasked row equals the per-pixel oracle exactly."""
+    """Every row of ``masked``, the scores of ``templates``, and of
+    ``unmasked``, those of their all-valid copies, equals the per-pixel
+    oracle exactly."""
     assert unmasked.usable.all()
     assert not masked.usable.all() and masked.usable.any()
     for k, (i, j) in enumerate(zip(ia, ib)):
@@ -496,7 +503,7 @@ class TestBatchedKernel:
         ia, ib = np.divmod(rng.permutation(n * n), n)  # shuffled, not probe-major
         policy = ShiftPolicy(max_shift, step)
         masked = match_pairs(templates, ia, ib, alpha, policy)
-        unmasked = match_pairs(templates, ia, ib, alpha, policy, unmasked=True)
+        unmasked = match_pairs(all_valid(templates), ia, ib, alpha, policy)
         assert_rows_equal_reference(templates, ia, ib, alpha, policy, masked, unmasked)
 
     @pytest.mark.parametrize("h, w, max_shift, step", [(3, 96, 4, 1), (2, 128, 6, 2)])
@@ -559,14 +566,14 @@ class TestBatchedKernel:
             pack_template(ones, np.zeros((h, w)), h, w),  # no valid pixel
         ]
         nonzero_words = [
-            np.count_nonzero(bitmatch._gallery_planes([t], False)[1]) for t in templates
+            np.count_nonzero(bitmatch._gallery_planes([t])[1]) for t in templates
         ]
         assert nonzero_words == [4, 2, 4, 2, 0]
         ia, ib = [0, 2, 0], [1, 3, 4]
         policy = ShiftPolicy(4, 1)
         for first, second, shifts in [(ia, ib, [-1, 3]), (ib, ia, [-1, -3])]:
             masked = match_pairs(templates, first, second, 0.3, policy)
-            unmasked = match_pairs(templates, first, second, 0.3, policy, unmasked=True)
+            unmasked = match_pairs(all_valid(templates), first, second, 0.3, policy)
             assert masked.best_shift[:2].tolist() == shifts
             assert masked.ws_shift[:2].tolist() == shifts
             assert unmasked.ws_shift[0] == -1
@@ -614,13 +621,13 @@ class TestBatchedKernel:
             match_pairs(templates, ia, ib)
 
 
-def rolled_planes(template, policy, unmasked):
+def rolled_planes(template, policy):
     """``_probe_planes``' live words and ``(P, mask, Z)`` planes, from
     ``np.roll`` of the unpacked template at each shift."""
     shifts = policy.shifts()
     words = -(-template.n_pixels // 64)
     bits = template.unpack_bits()
-    mask = np.ones_like(bits) if unmasked else template.unpack_mask()
+    mask = template.unpack_mask()
 
     def packed(plane):
         rolled = np.stack([np.roll(plane, s, axis=1).ravel() for s in shifts])
@@ -647,7 +654,7 @@ class TestProbePlanes:
         (2, 8, 0, 1),  # one shift
     ])
     @pytest.mark.parametrize("chunk", [1, 2, 3, None])
-    @pytest.mark.parametrize("unmasked", [False, True])
+    @pytest.mark.parametrize("unmasked", [False, True])  # True: the all-valid copies
     def test_planes_equal_rolled_templates(
         self, monkeypatch, h, w, max_shift, step, chunk, unmasked
     ):
@@ -662,9 +669,10 @@ class TestProbePlanes:
         )
         assert scratch[2].shape[1] == min(chunk or len(shifts), len(shifts))
         rng = np.random.default_rng(h * w + max_shift)
-        for template in batch_templates(rng, h, w):
-            live, planes = bitmatch._probe_planes(template, shifts, unmasked, scratch)
-            expected_live, expected = rolled_planes(template, policy, unmasked)
+        templates = batch_templates(rng, h, w)
+        for template in all_valid(templates) if unmasked else templates:
+            live, planes = bitmatch._probe_planes(template, shifts, scratch)
+            expected_live, expected = rolled_planes(template, policy)
             assert np.array_equal(live, expected_live)
             assert np.array_equal(planes, expected)
 
@@ -680,9 +688,9 @@ def split(monkeypatch):
     probe_planes = bitmatch._probe_planes
     workers = set()
 
-    def recording(template, shifts, unmasked, scratch):
+    def recording(template, shifts, scratch):
         workers.add(id(scratch))
-        return probe_planes(template, shifts, unmasked, scratch)
+        return probe_planes(template, shifts, scratch)
 
     monkeypatch.setattr(bitmatch, "_probe_planes", recording)
 
@@ -716,7 +724,7 @@ class TestWorkerSplit:
         results = {}
         for cpus in (1, 2, 3):
             masked, used = split(cpus, templates, ia, ib, 0.3, policy)
-            unmasked, _ = split(cpus, templates, ia, ib, 0.3, policy, unmasked=True)
+            unmasked, _ = split(cpus, all_valid(templates), ia, ib, 0.3, policy)
             assert used == cpus
             results[cpus] = masked, unmasked
         for masked, unmasked in results.values():

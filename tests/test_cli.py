@@ -198,7 +198,7 @@ class TestMatchCommand:
                 for c in ("a_id", "b_id")
             )
             expected = bitmatch.match_pair(
-                a, b, 0.3, bitmatch.ShiftPolicy(2, 1), unmasked=True
+                a.all_valid(), b.all_valid(), 0.3, bitmatch.ShiftPolicy(2, 1)
             )
             assert rows["ws"][k] == expected.ws_score
 
@@ -1053,6 +1053,8 @@ PAPER_SYNTH = (
 PAPER_TEMPLATES_SHA256 = "27b1d95fb78e33d6c8fb6bee62d5db7e08f302f2abeea4de3992b08a9e3cd41d"
 # SHA-256 of its match CSV without perioc_dist (see match_digest)
 PAPER_MATCH_SHA256 = "aa547669703f22c6e9483c396ace789dbd7adec084672c8f65159407d562d882"
+# the same with --unmasked-ws, whose ws column scores over every pixel
+PAPER_UNMASKED_MATCH_SHA256 = "6fc510a3d8f7d6df76a0cea9f2c0e96b2b3aa5ef67515716f6a9e692169f82bf"
 
 
 def templates_digest(pop):
@@ -1076,16 +1078,31 @@ def match_digest(path):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@pytest.fixture(scope="class")
+def paper_population(tmp_path_factory):
+    pop = tmp_path_factory.mktemp("paper")
+    assert run_cli("synth", "--out", pop, *PAPER_SYNTH) == 0
+    if templates_digest(pop) != PAPER_TEMPLATES_SHA256:
+        pytest.skip("this numpy synthesises other templates from the same seed")
+    return pop
+
+
+def paper_match_digest(pop, out, *flags):
+    """match_digest of the paper-match population's match CSV."""
+    assert run_cli(
+        "match", "--manifest", pop / "manifest.jsonl", "--templates-dir",
+        pop / "templates", "--features", pop / "features.csv",
+        "--alpha", 0.3, "--max-shift", 16, *flags, "--out", out,
+    ) == 0
+    return match_digest(out)
+
+
 class TestPaperMatchBytes:
-    def test_match_csv_keeps_its_bytes(self, tmp_path):
-        pop = tmp_path / "paper"
-        assert run_cli("synth", "--out", pop, *PAPER_SYNTH) == 0
-        if templates_digest(pop) != PAPER_TEMPLATES_SHA256:
-            pytest.skip("this numpy synthesises other templates from the same seed")
-        out = tmp_path / "match.csv"
-        assert run_cli(
-            "match", "--manifest", pop / "manifest.jsonl", "--templates-dir",
-            pop / "templates", "--features", pop / "features.csv",
-            "--alpha", 0.3, "--max-shift", 16, "--out", out,
-        ) == 0
-        assert match_digest(out) == PAPER_MATCH_SHA256
+    def test_match_csv_keeps_its_bytes(self, paper_population, tmp_path):
+        assert paper_match_digest(paper_population, tmp_path / "match.csv") == (
+            PAPER_MATCH_SHA256)
+
+    def test_unmasked_ws_match_csv_keeps_its_bytes(self, paper_population, tmp_path):
+        assert paper_match_digest(
+            paper_population, tmp_path / "match.csv", "--unmasked-ws"
+        ) == PAPER_UNMASKED_MATCH_SHA256

@@ -325,6 +325,25 @@ class TestManifestJsonl:
         with pytest.raises(fileio.ParseError, match="sample_index"):
             fileio.read_manifest(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        # a bool is a Python int
+        pytest.param("sample_index", True, "sample_index must be an integer", id="index-bool"),
+        pytest.param("sample_index", 1.0, "sample_index must be an integer", id="index-float"),
+        pytest.param("subject_id", 7, "subject_id must be a string, got 7", id="subject-int"),
+        pytest.param("template_ref", ["x"], r"template_ref must be a string, got \['x'\]",
+                     id="template-list"),
+        pytest.param("periocular_ref", None, "periocular_ref must be a string, got None",
+                     id="periocular-null"),
+    ])
+    def test_mistyped_value_reported_with_its_line(self, tmp_path, key, value, message):
+        path = tmp_path / "manifest.jsonl"
+        good = {"subject_id": "S1", "eye_side": "L", "sample_index": 0,
+                "template_ref": "t0", "periocular_ref": "p0"}
+        bad = {**good, "sample_index": 1, key: value}
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+        with pytest.raises(fileio.ParseError, match=rf"manifest\.jsonl:3: {message}$"):
+            fileio.read_manifest(path)
+
 
 def match_table():
     """A usable and an unusable comparison as match-table columns."""
@@ -1057,6 +1076,32 @@ class TestCheckpoint:
         payload["biases"][1][0] = float("nan")  # json writes NaN, which it also reads
         path.write_text(json.dumps(payload))
         with pytest.raises(fileio.ParseError, match="non-finite parameter"):
+            fileio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("where, value", [
+        (("normalization", "perioc_min"), "0.1"),
+        (("normalization", "perioc_min"), True),
+        (("normalization", "perioc_max"), "3"),
+        (("weights", 0, 1, 2), "0.5"),
+        (("weights", 2, 0, 0), True),
+        (("biases", 1, 0), "0.5"),
+        (("biases", 3, 1), False),
+    ])
+    def test_value_that_is_not_a_json_number_rejected(self, tmp_path, where, value):
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(path, MlpParams.init_random(0), NormalizationParams(0.0, 1.0))
+        payload = json.loads(path.read_text())
+        *parents, last = where
+        container = payload
+        for key in parents:
+            container = container[key]
+        container[last] = value
+        path.write_text(json.dumps(payload))
+        name = where[1] if where[0] == "normalization" else where[0]
+        with pytest.raises(
+            fileio.ParseError,
+            match=re.escape(f"ckpt.json: {name}: expected a JSON number, got {value!r}"),
+        ):
             fileio.read_checkpoint(path)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):

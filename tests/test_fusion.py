@@ -270,9 +270,9 @@ class TestDynamicFuse:
             for start in range(0, len(cues), 5)
         ])
         blocks = np.split(cues, np.cumsum(sizes)[:-1])
-        got = list(dynamic_fuse_blocks(params, iter(blocks)))
-        assert [len(scores) for scores in got] == sizes
-        assert np.concatenate(got).tobytes() == want.tobytes()
+        got = list(dynamic_fuse_blocks(params, iter(zip(blocks, range(len(sizes))))))
+        assert [(len(scores), k) for scores, k in got] == list(zip(sizes, range(len(sizes))))
+        assert np.concatenate([scores for scores, _ in got]).tobytes() == want.tobytes()
         assert dynamic_fuse(params, cues).tobytes() == want.tobytes()
 
     def test_block_scores_come_once_their_windows_ran(self, monkeypatch):
@@ -283,9 +283,11 @@ class TestDynamicFuse:
         def blocks():
             for n in (3, 0, 2, 4, 1):
                 fed.append(n)
-                yield np.full((n, 8), 0.5)
+                yield np.full((n, 8), 0.5), len(fed)
 
-        seen = [(len(scores), list(fed)) for scores in dynamic_fuse_blocks(params, blocks())]
+        seen = [
+            (len(scores), k, list(fed)) for scores, k in dynamic_fuse_blocks(params, blocks())
+        ]
         # the 3-, 0- and 2-row blocks wait for the 2-row block to fill the first window
-        assert seen == [(3, [3, 0, 2]), (0, [3, 0, 2]), (2, [3, 0, 2, 4]),
-                        (4, [3, 0, 2, 4, 1]), (1, [3, 0, 2, 4, 1])]
+        assert seen == [(3, 1, [3, 0, 2]), (0, 2, [3, 0, 2]), (2, 3, [3, 0, 2, 4]),
+                        (4, 4, [3, 0, 2, 4, 1]), (1, 5, [3, 0, 2, 4, 1])]

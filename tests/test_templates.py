@@ -95,6 +95,24 @@ def test_nonzero_padding_rejected():
         )
 
 
+@pytest.mark.parametrize("height, width", [(2, 8), (3, 5), (1, 1), (8, 64)])
+def test_all_valid_keeps_the_bits_under_a_full_mask(height, width):
+    rng = np.random.default_rng(height * width)
+    t = pack_template(
+        rng.random((height, width)) < 0.5, rng.random((height, width)) < 0.3, height, width
+    )
+    full = t.all_valid()
+    assert (full.height, full.width) == (height, width)
+    assert full.packed_bits.tobytes() == t.packed_bits.tobytes()
+    assert (full.unpack_mask() == 1).all() and full.valid_fraction() == 1.0
+    # the padding bits after the H*W pixels stay zero
+    padded = np.unpackbits(full.packed_mask)
+    assert padded[:height * width].all() and not padded[height * width:].any()
+    for plane in (full.packed_bits, full.packed_mask):
+        with pytest.raises(ValueError):
+            plane[0] = 0
+
+
 def test_degenerate_dimensions_rejected():
     with pytest.raises(ValueError, match="dimensions"):
         pack_template([], [], 0, 4)
