@@ -477,10 +477,8 @@ def match_pairs(
                 for b0 in range(r0, r1, step):
                     b1 = min(b0 + step, r1)
                     g = ib[order[b0:b1]]
-                    planes = [  # the block's rows, cut to the live words
-                        plane[g] if live.size == words else np.take(plane[g], live, axis=1)
-                        for plane in (gallery_bits, gallery_mask)
-                    ]
+                    # the block's rows, cut to the live words
+                    planes = [plane[g[:, None], live] for plane in (gallery_bits, gallery_mask)]
                     _count_block(
                         probe, planes, run_counts[:, :, b0 - r0:b1 - r0], block_scratch,
                     )

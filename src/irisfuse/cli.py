@@ -9,18 +9,24 @@ The matcher settings (alpha, the shift policy, the protocol and
 (:func:`fileio.write_sidecar`).  ``score`` copies the match CSV's
 sidecar beside its own and takes alpha from it; ``eval`` reports its
 alpha and shift policy.  Both refuse a table without a valid sidecar.
+
+A flag that sets a field of ``synth.SynthConfig``, ``mlp.TrainConfig``
+or ``bitmatch.ShiftPolicy`` defaults to that field's default.  The
+records are the configs (``dataclasses.asdict``), and the sidecar is
+``match``'s flags named by :data:`fileio.SIDECAR_KEYS`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import bitmatch, fileio, fusion, gradcheck, mlp, reference, synth, templates
+from . import bitmatch, fileio, fusion, gradcheck, mlp, reference, synth
 from .evaluation import (
     PROTOCOLS,
     WITHIN_SIDE,
@@ -33,6 +39,16 @@ from .evaluation import (
 )
 
 
+# eval --column -> (score-table column, whether higher scores mean genuine)
+_EVAL_COLUMNS = {
+    "dynamic": ("dynamic", True),
+    "static": ("static", True),
+    "ws": ("ws", True),
+    "hamming": ("hamming", False),
+    "perioc": ("perioc_norm", False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irisfuse",
@@ -40,29 +56,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    synth_defaults = synth.SynthConfig
     p = sub.add_parser("synth", help="generate a synthetic population")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subjects", type=int, default=20)
-    p.add_argument("--samples", type=int, default=4)
-    p.add_argument("--height", type=int, default=templates.DEFAULT_HEIGHT)
-    p.add_argument("--width", type=int, default=templates.DEFAULT_WIDTH)
-    p.add_argument("--perioc-dim", type=int, default=templates.DEFAULT_PERIOC_DIM)
-    p.add_argument("--bit-density", type=float, default=0.5)
-    p.add_argument("--flip-rate", type=float, default=0.1)
-    p.add_argument("--perioc-noise", type=float, default=0.03)
-    p.add_argument(
-        "--mask-coverage", type=float, nargs=2, default=(0.6, 0.95), metavar=("LO", "HI")
-    )
-    p.add_argument("--degraded-fraction", type=float, default=0.0)
-    p.add_argument("--degraded-flip-rate", type=float, default=0.3)
-    p.add_argument(
-        "--degraded-coverage",
-        type=float,
-        nargs=2,
-        default=(0.15, 0.35),
-        metavar=("LO", "HI"),
-    )
+    p.add_argument("--seed", type=int, default=synth_defaults.seed)
+    p.add_argument("--subjects", type=int, default=synth_defaults.num_subjects)
+    p.add_argument("--samples", type=int, default=synth_defaults.samples_per_subject)
+    p.add_argument("--height", type=int, default=synth_defaults.height)
+    p.add_argument("--width", type=int, default=synth_defaults.width)
+    p.add_argument("--perioc-dim", type=int, default=synth_defaults.perioc_dim)
+    p.add_argument("--bit-density", type=float, default=synth_defaults.bit_density)
+    p.add_argument("--flip-rate", type=float, default=synth_defaults.genuine_flip_rate)
+    p.add_argument("--perioc-noise", type=float, default=synth_defaults.perioc_within_noise)
+    p.add_argument("--mask-coverage", type=float, nargs=2,
+                   default=synth_defaults.mask_coverage_range, metavar=("LO", "HI"))
+    p.add_argument("--degraded-fraction", type=float, default=synth_defaults.degraded_fraction)
+    p.add_argument("--degraded-flip-rate", type=float, default=synth_defaults.degraded_flip_rate)
+    p.add_argument("--degraded-coverage", type=float, nargs=2,
+                   default=synth_defaults.degraded_coverage_range, metavar=("LO", "HI"))
     p.add_argument("--both-sides", action="store_true")
     p.add_argument(
         "--train-fraction",
@@ -80,8 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=PROTOCOLS, default=WITHIN_SIDE)
     p.add_argument("--alpha", type=float, default=bitmatch.DEFAULT_ALPHA,
                    help="agreement weighting: 1-1 pairs score 2-alpha, 0-0 pairs score alpha")
-    p.add_argument("--max-shift", type=int, default=16, help="shift search radius")
-    p.add_argument("--step", type=int, default=1, help="shift search step")
+    p.add_argument("--max-shift", type=int, default=bitmatch.ShiftPolicy.max_shift,
+                   help="shift search radius")
+    p.add_argument("--step", type=int, default=bitmatch.ShiftPolicy.step,
+                   help="shift search step")
     p.add_argument(
         "--unmasked-ws",
         action="store_true",
@@ -92,16 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse-train", help="train the fusion network from a match CSV")
     p.add_argument("--match-csv", required=True)
     p.add_argument("--out", required=True, help="checkpoint JSON path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--optimizer", choices=mlp.OPTIMIZERS, default="sgd-momentum")
+    train_defaults = mlp.TrainConfig
+    p.add_argument("--seed", type=int, default=train_defaults.seed)
+    p.add_argument("--learning-rate", type=float, default=train_defaults.learning_rate)
+    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
+    p.add_argument("--epochs", type=int, default=train_defaults.epochs)
+    p.add_argument("--optimizer", choices=mlp.OPTIMIZERS, default=train_defaults.optimizer)
     p.add_argument(
         "--ratio",
         type=int,
         nargs=2,
-        default=(1, 2),
+        default=train_defaults.genuine_impostor_ratio,
         metavar=("GENUINE", "IMPOSTOR"),
         help="class-balance sampling ratio; 0 0 disables balancing",
     )
@@ -121,11 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="ROC / EER / TAR@FAR report from a score CSV")
     p.add_argument("--scores", required=True)
-    p.add_argument(
-        "--column",
-        choices=("dynamic", "static", "ws", "hamming", "perioc"),
-        default="dynamic",
-    )
+    p.add_argument("--column", choices=_EVAL_COLUMNS, default="dynamic")
     p.add_argument("--out-prefix", required=True, help="writes <prefix>-roc.csv and <prefix>-summary.json")
     p.add_argument("--far-target", type=float, default=1e-4)
     p.add_argument(
@@ -194,8 +204,7 @@ def cmd_synth(args) -> int:
             population.manifest.filter_subjects(set(subjects) - train_ids),
         )
     meta = {
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in vars(config).items()},
+        "config": dataclasses.asdict(config),
         "degraded_subjects": sorted(population.degraded_subjects),
     }
     fileio.write_json(out / "synth-config.json", meta)
@@ -265,10 +274,7 @@ def cmd_match(args) -> int:
         "brow_sum": brow[a] + brow[b],
         "brow_diff": brow[a] - brow[b],
     })
-    fileio.write_sidecar(args.out, {
-        "alpha": args.alpha, "max_shift": policy.max_shift, "step": policy.step,
-        "protocol": args.protocol, "unmasked_ws": args.unmasked_ws,
-    })
+    fileio.write_sidecar(args.out, {key: getattr(args, key) for key in fileio.SIDECAR_KEYS})
     n_genuine = int(np.count_nonzero(pairs["genuine"]))
     print(f"wrote {len(a)} comparisons ({n_genuine} genuine / {len(a) - n_genuine} impostor)")
     return 0
@@ -339,16 +345,6 @@ def cmd_score(args) -> int:
     fileio.write_sidecar(args.out, settings)
     print(f"wrote {n} scored comparisons to {args.out}")
     return 0
-
-
-# eval --column -> (score-table column, whether higher scores mean genuine)
-_EVAL_COLUMNS = {
-    "dynamic": ("dynamic", True),
-    "static": ("static", True),
-    "ws": ("ws", True),
-    "hamming": ("hamming", False),
-    "perioc": ("perioc_norm", False),
-}
 
 
 def _collect_scores(

@@ -96,7 +96,7 @@ from .bitmatch import ShiftPolicy, _check_alpha
 from .evaluation import PROTOCOLS, Manifest, ManifestEntry, RocCurve
 from .fusion import NormalizationParams
 from .mlp import LAYER_SIZES, MlpParams, TrainConfig
-from .templates import IrisTemplate
+from .templates import IrisTemplate, plane_bytes
 
 TEMPLATE_MAGIC = b"IRT1"
 TEMPLATE_VERSION = 1
@@ -143,7 +143,7 @@ def template_from_bytes(data: bytes, source: str = "<bytes>") -> IrisTemplate:
         raise ParseError(f"{source}: unsupported version {version}")
     if height < 1 or width < 1:
         raise ParseError(f"{source}: invalid dimensions {height}x{width}")
-    plane = (height * width + 7) // 8
+    plane = plane_bytes(height, width)
     expected = _HEADER.size + 2 * plane
     if len(data) != expected:
         raise ParseError(
@@ -738,8 +738,9 @@ def read_feature_csv(path) -> dict[str, np.ndarray]:
     parts = []
     for line, rows in blocks:
         ids, eye, brow, *features = _feature_block(rows, schema, source, line, seen)
-        # copies, so that the block's parsed columns are freed with it
-        parts.append((ids, eye.copy(), brow.copy(), np.column_stack(features)))
+        # copies, so that the block's parsed columns are freed with it; the
+        # features as one (D, rows) array, transposed to a C-order matrix
+        parts.append((ids, eye.copy(), brow.copy(), np.array(features).T.copy()))
     if not seen:
         raise ParseError(f"{source}: no data rows")
     return dict(zip(("id", "eye_area", "brow_area", "features"), map(np.concatenate, zip(*parts))))
@@ -755,6 +756,8 @@ def write_checkpoint(
     norm: NormalizationParams,
     train_config: TrainConfig | None = None,
 ) -> None:
+    """Write the network, its normalization and ``train_config`` as
+    ``dataclasses.asdict`` of it (null for None) through :func:`write_json`."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -765,19 +768,7 @@ def write_checkpoint(
             "perioc_min": norm.perioc_min,
             "perioc_max": norm.perioc_max,
         },
-        "train_config": None
-        if train_config is None
-        else {
-            "learning_rate": train_config.learning_rate,
-            "batch_size": train_config.batch_size,
-            "epochs": train_config.epochs,
-            "seed": train_config.seed,
-            "genuine_impostor_ratio": list(train_config.genuine_impostor_ratio)
-            if train_config.genuine_impostor_ratio
-            else None,
-            "optimizer": train_config.optimizer,
-            "momentum": train_config.momentum,
-        },
+        "train_config": None if train_config is None else dataclasses.asdict(train_config),
     }
     write_json(path, payload)
 

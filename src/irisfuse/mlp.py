@@ -27,6 +27,9 @@ order, as the plain forms (``a @ w + b``, ``logits.max(axis=1)``,
 checkpoints are the bytes the plain forms give.  Each activation is its
 own array, never a strided view into a shared buffer.  The plain forms
 live on in ``tests/test_neural.py`` as the reference for that rule.
+
+A run's settings are one :class:`TrainConfig`, which a checkpoint records
+field by field; the plateau stop is fixed (:data:`PLATEAU_PATIENCE`).
 """
 
 from __future__ import annotations
@@ -233,9 +236,16 @@ def mean_loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(-log_probs[np.arange(x.shape[0]), np.asarray(y)].mean())
 
 
+# training stops after this many epochs without a full-set loss below
+# (1 - PLATEAU_REL_TOL) times the best one
+PLATEAU_PATIENCE = 20
+PLATEAU_REL_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of a fusion-network training run."""
+    """Hyperparameters of a fusion-network training run: exactly the
+    settings a checkpoint records, with ``irisfuse fuse-train``'s defaults."""
 
     learning_rate: float = 1e-3
     batch_size: int = 64
@@ -244,8 +254,6 @@ class TrainConfig:
     genuine_impostor_ratio: tuple[int, int] | None = (1, 2)
     optimizer: str = "sgd-momentum"
     momentum: float = 0.9
-    plateau_patience: int = 20
-    plateau_rel_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not self.learning_rate > 0:
@@ -370,14 +378,14 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
         epoch_loss = mean_loss(params, x, y)
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
-        if epoch_loss < best_loss * (1.0 - config.plateau_rel_tol):
+        if epoch_loss < best_loss * (1.0 - PLATEAU_REL_TOL):
             best_loss, best = epoch_loss, params
             epochs_since_improvement = 0
         else:
             if epoch_loss < best_loss:
                 best_loss, best = epoch_loss, params
             epochs_since_improvement += 1
-            if epochs_since_improvement >= config.plateau_patience:
+            if epochs_since_improvement >= PLATEAU_PATIENCE:
                 break
 
     return best

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,8 @@ from irisfuse.fusion import (
     static_fuse,
     static_inputs,
 )
-from irisfuse.mlp import MlpParams, mlp_forward
+from irisfuse.mlp import MlpParams, TrainConfig, mlp_forward
+from irisfuse.synth import SynthConfig
 from irisfuse.templates import CUE_NAMES, check_cues, pack_template
 
 
@@ -863,6 +865,33 @@ class TestFuseTrainCues:
             for k in np.flatnonzero(use)
         ]
         assert cue_matrix(matches, norm).tobytes() == np.array(rows).tobytes()
+
+
+class TestFlagDefaults:
+    """A flag left out records its config class's default."""
+
+    def test_synth_records_the_synth_config_defaults(self, tmp_path):
+        out = tmp_path / "pop"
+        assert run_cli("synth", "--out", out, "--subjects", 3, "--samples", 2,
+                       "--height", 8, "--width", 32, "--perioc-dim", 4) == 0
+        config = SynthConfig(num_subjects=3, samples_per_subject=2, height=8, width=32,
+                             perioc_dim=4)
+        recorded = json.loads((out / "synth-config.json").read_text())["config"]
+        assert recorded == json.loads(json.dumps(dataclasses.asdict(config)))
+
+    def test_match_and_fuse_train_record_their_defaults(self, population_dir, tmp_path):
+        match_csv, checkpoint = tmp_path / "match.csv", tmp_path / "ckpt.json"
+        assert run_cli(
+            "match", "--manifest", population_dir / "manifest.jsonl",
+            "--templates-dir", population_dir / "templates",
+            "--features", population_dir / "features.csv", "--out", match_csv,
+        ) == 0
+        assert fileio.read_sidecar(match_csv) == DEFAULT_SETTINGS
+        assert (DEFAULT_SETTINGS["max_shift"], DEFAULT_SETTINGS["step"]) == (16, 1)
+        assert run_cli("fuse-train", "--match-csv", match_csv, "--out", checkpoint,
+                       "--epochs", 1) == 0
+        recorded = fileio.read_checkpoint(checkpoint)[2]
+        assert recorded == json.loads(json.dumps(dataclasses.asdict(TrainConfig(epochs=1))))
 
 
 class TestSumRulePipeline:

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -107,6 +109,17 @@ class TestFeatureCsv:
         again = fileio.read_feature_csv(path)
         assert list(again) == ["id", "eye_area", "brow_area", "features"]
         assert again["features"].shape == (4, 6) and again["features"].flags.c_contiguous
+        assert_tables_equal(again, table)
+
+    def test_round_trip_across_blocks(self, tmp_path):
+        # at D = 512 a block holds 7 rows, so 8 rows read as two blocks
+        rng = np.random.default_rng(4)
+        table = self.make_table(rng, n=8, dim=512)
+        path = tmp_path / "features.csv"
+        fileio.write_feature_csv(path, table)
+        assert fileio.BLOCK_FIELDS // (3 + 512) == 7
+        again = fileio.read_feature_csv(path)
+        assert again["features"].shape == (8, 512) and again["features"].flags.c_contiguous
         assert_tables_equal(again, table)
 
     def test_short_row_reports_line_number(self, tmp_path):
@@ -1029,6 +1042,20 @@ class TestCheckpoint:
         assert again_norm == norm
         assert meta["seed"] == 42
         assert meta["epochs"] == 17
+        # the record is the config: its fields, by name, as JSON gives them back
+        assert list(meta) == sorted(field.name for field in dataclasses.fields(TrainConfig))
+        assert meta == json.loads(json.dumps(dataclasses.asdict(config)))
+
+    @pytest.mark.parametrize("config, digest", [
+        (TrainConfig(seed=42, epochs=17, optimizer="adam", genuine_impostor_ratio=None),
+         "997bd2bc7c914f79deda0cad63491a31df1409d86a56d83d2117142874749234"),
+        (None, "5f467d6b2405210f0c39b3dde9259b34959ddeddb6e4984f19776d518cf5d439"),
+    ])
+    def test_checkpoint_keeps_its_bytes(self, tmp_path, config, digest):
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(
+            path, MlpParams.init_random(11), NormalizationParams(0.25, 2.0), config)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_written_as_indented_sorted_json(self, tmp_path):
         path = tmp_path / "ckpt.json"

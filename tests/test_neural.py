@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from irisfuse import gradcheck
+from irisfuse import gradcheck, mlp
 from irisfuse.mlp import (
     LAYER_SIZES,
     N_PARAMS,
@@ -118,13 +118,13 @@ def plain_train(features, labels, config: TrainConfig) -> np.ndarray:
                 v_hat = adam_v / (1.0 - 0.999**t)
                 vec = vec - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
         loss = plain_mean_loss(vec, x, y)
-        if loss < best_loss * (1.0 - config.plateau_rel_tol):
+        if loss < best_loss * (1.0 - mlp.PLATEAU_REL_TOL):
             best_loss, best, stale = loss, vec, 0
         else:
             if loss < best_loss:
                 best_loss, best = loss, vec
             stale += 1
-            if stale >= config.plateau_patience:
+            if stale >= mlp.PLATEAU_PATIENCE:
                 break
     return best
 
@@ -259,12 +259,14 @@ class TestGradients:
         assert grad.shape == (N_PARAMS,)
         assert float(np.linalg.norm(grad)) < 1e-6
 
-    def test_gradient_norm_vanishes_at_converged_minimum(self):
+    def test_gradient_norm_vanishes_at_converged_minimum(self, monkeypatch):
         # tiny two-sample problem (one per class, mirrored) trained to
         # saturation; per-sample cross-entropy gradients must vanish
         cues = np.full((1, LAYER_SIZES[0]), 0.5)
         features = np.vstack([cues, cues * -1.0])
         labels = np.array([0, 1])
+        # run to saturation, not to the plateau stop
+        monkeypatch.setattr(mlp, "PLATEAU_PATIENCE", 2000)
         config = TrainConfig(
             learning_rate=0.1,
             batch_size=1,
@@ -272,7 +274,6 @@ class TestGradients:
             seed=3,
             genuine_impostor_ratio=None,
             optimizer="adam",
-            plateau_patience=2000,  # run to saturation, not to the plateau stop
         )
         params = train_mlp(features, labels, config)
         grad = mlp_gradient(params, features[0], 0)
