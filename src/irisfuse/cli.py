@@ -31,6 +31,7 @@ from .evaluation import (
     PROTOCOLS,
     WITHIN_SIDE,
     ScoreSet,
+    check_far_target,
     eer,
     protocol_pairs,
     roc_curve,
@@ -215,6 +216,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _joint_valid_texts(scores: bitmatch.PairScores) -> fileio.FieldTexts:
+    """The ``joint_valid`` field of each comparison, blank where it is
+    unusable: each distinct count is formatted once, into a table indexed
+    by the count, and gathered per row (no sort of the rows)."""
+    counts = np.flatnonzero(np.bincount(scores.joint_valid))
+    table = np.empty(counts[-1] + 1 if counts.size else 0, dtype=object)
+    table[counts] = fileio.field_texts("joint_valid", fileio.OPT_INT, counts).texts
+    texts = table[scores.joint_valid]
+    texts[~scores.usable] = ""
+    return fileio.FieldTexts(fileio.OPT_INT, texts)
+
+
 def cmd_match(args) -> int:
     manifest = fileio.read_manifest(args.manifest)
     periocular = fileio.read_feature_csv(args.features)
@@ -264,7 +277,7 @@ def cmd_match(args) -> int:
         "ws": np.where(usable, ws, np.nan),
         "best_shift": fileio.FieldTexts(fileio.OPT_INT, np.where(
             usable, shift_texts[scores.best_shift + policy.max_shift], "")),
-        "joint_valid": np.where(usable, scores.joint_valid, np.nan),
+        "joint_valid": _joint_valid_texts(scores),
         "mask_rate_a": fileio.FieldTexts(fileio.FLOAT, mask_rates[ia]),
         "mask_rate_b": fileio.FieldTexts(fileio.FLOAT, mask_rates[ib]),
         "perioc_dist": fusion.perioc_distances(
@@ -400,29 +413,64 @@ def _collect_scores(
     )
 
 
+def _read_scores(path, columns, texts_of=None):
+    """The named columns of a score CSV as arrays and, if ``texts_of``
+    names one of them, that column's field texts as read."""
+    texts = None if texts_of is None else fileio.JoinedTexts()
+
+    def blocks():
+        for arrays, block_texts in fileio.read_score_blocks(path, columns):
+            if texts is not None:
+                texts.append(block_texts[texts_of])
+            yield arrays
+
+    return fileio.join_blocks(blocks()), texts
+
+
+def _threshold_rows(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """For each threshold, the first row of ``values`` holding its exact
+    bits (so 0.0 and -0.0 stay apart), or -1 where none does (the sentinel
+    above every score)."""
+    bits, wanted = values.view(np.uint64), thresholds.view(np.uint64)
+    order = np.argsort(bits, kind="stable")  # equal bits keep their file order
+    rows = np.searchsorted(bits[order], wanted)
+    rows.clip(max=bits.size - 1, out=rows)
+    np.take(order, rows, out=rows)
+    rows[bits[rows] != wanted] = -1
+    return rows
+
+
 def cmd_eval(args) -> int:
-    columns = ("label", _EVAL_COLUMNS[args.column][0])
+    check_far_target(args.far_target)  # before the table is read
+    name, higher_is_genuine = _EVAL_COLUMNS[args.column]
+    columns = ("label", name)
     if args.sum_rule:
         columns += ("a_id", "b_id", "side")
-    scores, unusable_genuine, unusable_impostor = _collect_scores(
-        fileio.read_score_csv(args.scores, columns), args.column, args.sum_rule
-    )
+    # each threshold that is a score, not a sum or a negated score, is
+    # written as the text it was read as
+    as_read = higher_is_genuine and not args.sum_rule
+    table, texts = _read_scores(args.scores, columns, name if as_read else None)
+    scores, unusable_genuine, unusable_impostor = _collect_scores(table, args.column, args.sum_rule)
+    values = table[name] if texts is not None else None  # to find each threshold's text
+    del table
     settings = fileio.read_sidecar(args.scores)  # after the table: a missing one is named
     if unusable_genuine + unusable_impostor:
         print(f"skipped {unusable_genuine + unusable_impostor} comparisons without a "
               f"{args.column} score", file=sys.stderr)
     curve = roc_curve(scores)
-    result = tar_at_far(curve, args.far_target, n_impostor=scores.n_impostor)
+    n_genuine, n_impostor = scores.n_genuine, scores.n_impostor
+    del scores  # freed before the ROC is written
+    result = tar_at_far(curve, args.far_target, n_impostor=n_impostor)
     if result.underpowered:
         print(
-            f"warning: {scores.n_impostor} impostor scores cannot resolve "
+            f"warning: {n_impostor} impostor scores cannot resolve "
             f"FAR={args.far_target}",
             file=sys.stderr,
         )
     summary = {
         "dataset": args.dataset,
-        "n_genuine": scores.n_genuine,
-        "n_impostor": scores.n_impostor,
+        "n_genuine": n_genuine,
+        "n_impostor": n_impostor,
         "n_unusable_genuine": unusable_genuine,
         "n_unusable_impostor": unusable_impostor,
         "eer": eer(curve),
@@ -433,7 +481,9 @@ def cmd_eval(args) -> int:
         "step": settings["step"],
         "method": args.method or args.column,
     }
-    fileio.write_roc_csv(f"{args.out_prefix}-roc.csv", curve)
+    threshold_texts = None if texts is None else (texts, _threshold_rows(values, curve.thresholds))
+    del values
+    fileio.write_roc_csv(f"{args.out_prefix}-roc.csv", curve, threshold_texts)
     summary_text = fileio.write_json(f"{args.out_prefix}-summary.json", summary)
     print(summary_text, end="")
     return 0

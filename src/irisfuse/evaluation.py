@@ -292,14 +292,19 @@ class TarAtFar:
     underpowered: bool
 
 
+def check_far_target(far_target: float) -> None:
+    """Reject a FAR budget outside [0, 1] (or NaN) with ``ValueError``."""
+    if not 0.0 <= far_target <= 1.0:
+        raise ValueError(f"far_target must lie in [0, 1], got {far_target}")
+
+
 def tar_at_far(curve: RocCurve, far_target: float = 1e-4, *, n_impostor: int) -> TarAtFar:
     """Maximum TAR among a ROC's thresholds with empirical FAR <= target.
 
     ``n_impostor`` is the size of the impostor set the curve was built
     from; it decides ``underpowered``.
     """
-    if not 0.0 <= far_target <= 1.0:
-        raise ValueError(f"far_target must lie in [0, 1], got {far_target}")
+    check_far_target(far_target)
     qualifying = np.flatnonzero(curve.far <= far_target)
     # far is non-decreasing along the curve, so qualifying is a prefix;
     # its last index carries the highest tar.

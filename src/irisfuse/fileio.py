@@ -20,13 +20,14 @@ kind in file order:
     int?     empty, or an integer, |v| < 2**53  float64, NaN if empty
 
 Readers and writers stream blocks of at most :data:`BLOCK_ROWS` rows
-and :data:`BLOCK_FIELDS` fields.  A reader splits each line at ``,``
+and :data:`BLOCK_FIELDS` fields.  A reader takes the text
+:data:`READ_CHARS` characters at a time and splits each line at ``,``
 with ``str.split`` up to the first block holding a ``"``, ``\r``, NUL
 or a line longer than ``csv.field_size_limit()``; from there a
 ``csv.reader`` parses every line, so the rows and the errors are the
 ``csv`` module's (see :func:`_row_blocks`).  A reader can be asked for
 some of a table's columns (``columns=``) and can hand them over one
-block at a time (:func:`read_match_blocks`); it still checks the whole
+block at a time (:func:`read_match_blocks`, :func:`read_score_blocks`); it still checks the whole
 header and every row's field count, but parses only the columns asked
 for.  A writer can append a table block by block
 (:func:`score_csv_writer`); it writes to a temporary file beside its
@@ -50,7 +51,10 @@ writer would write for checked values.  Only these two make field
 texts (a stage may gather their rows, or blank an optional field):
 a writer takes a column's texts when their kind is the column's kind
 and writes them without checking them again, so a number keeps the
-text it was read with (``1e-3`` stays ``1e-3``).
+text it was read with (``1e-3`` stays ``1e-3``).  A stage that keeps
+a column's texts for long holds them as :class:`JoinedTexts`;
+:func:`write_roc_csv` writes each threshold read from a score column
+as the text it was read as.
 
 A text field, or a field text of any kind (``float()`` accepts a line
 break around the digits), holding ``,``, ``"``, ``\\r`` or ``\\n`` is
@@ -78,9 +82,11 @@ Template container layout (little-endian):
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -234,6 +240,7 @@ _DTYPES = {
 _INT_LIMIT = 2**53  # optional ints live in float64 columns, exact below this
 BLOCK_ROWS = 256  # at most this many rows are parsed or formatted at a time,
 BLOCK_FIELDS = 16 * BLOCK_ROWS  # and this many fields: a wide table gets fewer rows
+READ_CHARS = 64 * 1024  # a reader takes a table's text in reads of this many characters
 _QUOTE_CHARS = tuple(',"\r\n\0')  # text fields holding one are quoted, or a NUL rejected
 _NEEDS_QUOTES = re.compile(f"[{''.join(_QUOTE_CHARS)}]")  # per field; `in` scans a block faster
 
@@ -263,7 +270,9 @@ def _column(kind: str, texts: tuple[str, ...]):
         return None if "\0" in "".join(texts) else np.array(texts, dtype=str)
     if kind in (LABEL, FLAG):
         true, false = LABELS if kind == LABEL else ("1", "0")
-        return np.array(texts, dtype=str) == true if set(texts) <= {true, false} else None
+        if not set(texts) <= {true, false}:
+            return None
+        return np.fromiter(map(true.__eq__, texts), bool, len(texts))
     try:
         if kind == OPT_INT:
             values = np.fromiter((int(t) if t else math.nan for t in texts), np.float64, len(texts))
@@ -342,28 +351,38 @@ def _row_blocks(path, schema_of):
     """The schema that ``schema_of`` gives for the header row of the table
     at ``path`` (None for an empty file), then ``(first line, rows)`` of
     each block of its data rows; a table without data rows gives one
-    empty block.  Rows are lines split at ``,`` up to the first block
-    holding a ``"``, ``\\r``, NUL or a line longer than
-    ``csv.field_size_limit()``; from there a ``csv.reader`` parses every
-    line, since a quoted field may span lines and blocks.  A ``csv.Error``
-    (an oversized field, or a NUL before Python 3.11) is a
-    :class:`ParseError` at its line."""
+    empty block.  The text is read :data:`READ_CHARS` characters at a
+    time.  Rows are lines split at ``,`` up to the first block holding a
+    ``"``, ``\\r``, NUL or a line longer than ``csv.field_size_limit()``;
+    from there a ``csv.reader`` parses every line, since a quoted field
+    may span lines and blocks.  It is given the lines from that block on
+    as iterating the file would give them.  A ``csv.Error`` (an oversized
+    field, or a NUL before Python 3.11) is a :class:`ParseError` at its
+    line."""
     with _open_reader(path) as fh:
         reader, lines_split = None, 0
+        lines = [""]  # the text read and not yet taken, split at \n
 
         def take(n: int) -> list[list[str]]:
             nonlocal reader, lines_split
             if reader is None:
-                lines = list(itertools.islice(fh, n))
-                text, limit = "".join(lines), csv.field_size_limit()
+                while len(lines) <= n and (chunk := fh.read(READ_CHARS)):
+                    lines[-1:] = (lines[-1] + chunk).split("\n")
+                block = lines[:n]
+                if len(lines) <= n and not block[-1]:  # at the end, after a final \n
+                    block.pop()
+                text, limit = "\n".join(block), csv.field_size_limit()
                 if not ('"' in text or "\r" in text or "\0" in text
-                        or len(text) > limit and max(map(len, lines)) > limit):
-                    lines_split += len(lines)
-                    lines = text.split("\n")
-                    if not lines[-1]:  # after a final \n
-                        lines.pop()
-                    return [line.split(",") if line else [] for line in lines]  # as csv reads it
-                reader = csv.reader(itertools.chain(lines, fh))
+                        or len(text) > limit and max(map(len, block)) > limit):
+                    lines_split += len(block)
+                    del lines[:len(block)]
+                    if not lines:  # the last line was taken
+                        lines.append("")
+                    return [line.split(",") if line else [] for line in block]  # as csv reads it
+                # the line the text read ends in is completed from the file, so a
+                # \r\n split between two reads stays one line end
+                text = "\n".join(lines) + fh.readline()
+                reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
             try:
                 return list(itertools.islice(reader, n))
             except csv.Error as exc:
@@ -420,9 +439,11 @@ def _table_blocks(path, schema, what: str, columns=None):
     return blocks()
 
 
-def _read_table(path, schema, what: str, columns=None) -> dict[str, np.ndarray]:
+def join_blocks(blocks) -> dict[str, np.ndarray]:
+    """The arrays of each column of ``blocks`` (dicts of block arrays by
+    column name, as a block reader gives them) joined into one."""
     parts: dict[str, list[np.ndarray]] = {}  # each column's block arrays
-    for block, _ in _table_blocks(path, schema, what, columns):
+    for block in blocks:
         for name, values in block.items():
             parts.setdefault(name, []).append(values)
     table = {}
@@ -430,6 +451,10 @@ def _read_table(path, schema, what: str, columns=None) -> dict[str, np.ndarray]:
         table[name] = np.concatenate(column)
         column.clear()  # drop its blocks before the next column is joined
     return table
+
+
+def _read_table(path, schema, what: str, columns=None) -> dict[str, np.ndarray]:
+    return join_blocks(block for block, _ in _table_blocks(path, schema, what, columns))
 
 
 def _nul_error(name: str) -> ValueError:
@@ -626,17 +651,83 @@ def read_score_csv(path, columns=None) -> dict[str, np.ndarray]:
     return _read_table(path, SCORE_SCHEMA, "score-table", columns)
 
 
-def write_roc_csv(path, curve: RocCurve) -> None:
-    tar = np.asarray(curve.tar, dtype=np.float64)
-    _check_readable("tar", FLOAT, tar, 0)  # naming the row as the writer would
-    # tar takes at most n_genuine + 1 values: each distinct one (by its bits,
-    # so 0.0 and -0.0 stay apart) is formatted once
-    bits, rows = np.unique(tar.view(np.uint64), return_inverse=True)
-    texts = field_texts("tar", FLOAT, bits.view(np.float64)).texts[rows]
-    _write_table(
-        path, ROC_SCHEMA,
-        {"threshold": curve.thresholds, "far": curve.far, "tar": FieldTexts(FLOAT, texts)},
-    )
+def read_score_blocks(path, columns=None):
+    """The named columns (all for None) of each block of a score CSV's
+    rows, as a pair of dicts by column name: the parsed arrays, and the
+    tuples of field texts they were parsed from; see :func:`_table_blocks`."""
+    return _table_blocks(path, SCORE_SCHEMA, "score-table", columns)
+
+
+class JoinedTexts:
+    """The field texts of a table column, unquoted, held compactly for a
+    stage that writes some of them back: one buffer of their UTF-8 bytes,
+    each appended block's joined at once, and one int64 per row, where its
+    text ends.  That is the text's length plus 8 bytes a row, where a
+    ``str`` per text would take about 80.  The texts of any rows come out
+    of one gather and one split."""
+
+    def __init__(self) -> None:
+        self._buffer = bytearray(b"\0")  # a NUL, which no field text holds, then the texts
+        self._ends = array.array("q", [1])  # where the first text starts, then each one's end
+
+    def append(self, texts) -> None:
+        """Add a block's texts (a sequence of ``str``)."""
+        data = "".join(texts).encode()
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+        if len(data) != lengths.sum():  # not all ASCII
+            lengths = np.fromiter((len(t.encode()) for t in texts), np.int64, len(texts))
+        self._ends.frombytes((np.cumsum(lengths) + len(self._buffer)).tobytes())
+        self._buffer += data
+
+    def take(self, rows: np.ndarray) -> list[str]:
+        """The texts of ``rows``, numbered from 0 over every block appended."""
+        if not len(rows):
+            return []
+        ends = np.frombuffer(self._ends, np.int64)
+        starts = ends[rows]
+        size = ends[rows + 1] - starts + 1  # each text and a NUL after it
+        stops = np.cumsum(size)
+        where = np.arange(stops[-1]) + np.repeat(starts - (stops - size), size)
+        where[stops - 1] = 0
+        return np.frombuffer(self._buffer, np.uint8)[where].tobytes().decode().split("\0")[:-1]
+
+
+_ROC_CHUNK_ROWS = 16 * BLOCK_ROWS  # rows whose field texts write_roc_csv builds at a time
+
+
+def write_roc_csv(path, curve: RocCurve, threshold_texts=None) -> None:
+    """Write ``curve``, every value as its ``repr``, except that with
+    ``threshold_texts = (texts, rows)`` each threshold whose row is not
+    negative is written as the text of that row of ``texts``
+    (:class:`JoinedTexts`), the text it was read as.  The field texts are
+    built one chunk of rows at a time."""
+    thresholds, far, tar = (np.asarray(values, dtype=np.float64)
+                            for values in (curve.thresholds, curve.far, curve.tar))
+    # the rows named as the writer would name them, before any row is written
+    _check_readable("tar", FLOAT, tar, 0)
+    if not len(thresholds) == len(far) == len(tar):
+        raise ValueError("table columns differ in length")
+    _check_readable("threshold", FLOAT, thresholds, 0)
+
+    def threshold_fields(chunk: slice):
+        if threshold_texts is None:
+            return thresholds[chunk]
+        texts, rows = threshold_texts[0], threshold_texts[1][chunk]
+        read = rows >= 0
+        fields = np.empty(rows.size, dtype=object)
+        fields[read] = texts.take(rows[read])
+        fields[~read] = _texts(FLOAT, thresholds[chunk][~read])
+        return FieldTexts(FLOAT, fields)
+
+    with _table_writer(path, ROC_SCHEMA) as append:
+        for start in range(0, len(tar), _ROC_CHUNK_ROWS):
+            chunk = slice(start, start + _ROC_CHUNK_ROWS)
+            # tar takes at most n_genuine + 1 values: each distinct one in a
+            # chunk (by its bits, so 0.0 and -0.0 stay apart) is formatted once
+            bits, inverse = np.unique(tar[chunk].view(np.uint64), return_inverse=True)
+            tar_texts = np.array(_texts(FLOAT, bits.view(np.float64)), dtype=object)[inverse]
+            append({"threshold": threshold_fields(chunk), "far": far[chunk],
+                    "tar": FieldTexts(FLOAT, tar_texts)})
 
 
 def read_roc_csv(path) -> RocCurve:

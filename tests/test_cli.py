@@ -3,14 +3,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irisfuse import bitmatch, fileio, fusion, reference
+from irisfuse import bitmatch, cli, fileio, fusion, reference
 from irisfuse.cli import main
-from irisfuse.evaluation import WITHIN_SIDE
+from irisfuse.evaluation import WITHIN_SIDE, ScoreSet, roc_curve, tar_at_far
 from irisfuse.fusion import (
     NormalizationParams,
     cue_matrix,
@@ -1026,6 +1027,124 @@ class TestSumRulePipeline:
         assert "(A:0, A:1)" in err["message"]
         assert "one L and one R" in err["message"]
         assert not (tmp_path / "sr-summary.json").exists()
+
+
+@pytest.fixture(scope="module")
+def pipeline_scores(tmp_path_factory):
+    """Score CSVs of two small pipelines: within-side on a train/test
+    split, and left/right on a both-sides population (for the sum rule)."""
+    out = tmp_path_factory.mktemp("scores")
+    tables = {}
+    for tag, synth, protocol in (
+        ("within", {"train_fraction": 0.5}, WITHIN_SIDE),
+        ("sum-rule", {"both_sides": None, "train_fraction": 0.5}, "left-right-disjoint"),
+    ):
+        pop = out / tag
+        assert run_cli(*synth_args(pop, seed=5, subjects=10, **synth)) == 0
+        common = ["--templates-dir", pop / "templates", "--features", pop / "features.csv",
+                  "--max-shift", 4, "--protocol", protocol]
+        for split in ("train", "test"):
+            assert run_cli("match", "--manifest", pop / f"manifest-{split}.jsonl",
+                           "--out", out / f"{tag}-{split}.csv", *common) == 0
+        assert run_cli("fuse-train", "--match-csv", out / f"{tag}-train.csv",
+                       "--out", out / f"{tag}-ckpt.json", "--epochs", 20) == 0
+        tables[tag] = out / f"{tag}-scores.csv"
+        assert run_cli("score", "--match-csv", out / f"{tag}-test.csv",
+                       "--checkpoint", out / f"{tag}-ckpt.json", "--out", tables[tag]) == 0
+    return tables
+
+
+def repr_roc_text(scores_csv, column, sum_rule):
+    """The ROC CSV of a score CSV's column with every field written as its repr."""
+    name = cli._EVAL_COLUMNS[column][0]
+    read = ("label", name, *(("a_id", "b_id", "side") if sum_rule else ()))
+    scores, _, _ = cli._collect_scores(fileio.read_score_csv(scores_csv, read), column, sum_rule)
+    curve = roc_curve(scores)
+    rows = zip(curve.thresholds.tolist(), curve.far.tolist(), curve.tar.tolist())
+    return "threshold,far,tar\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+class TestEvalRoc:
+    COLUMNS = ("dynamic", "static", "ws", "hamming", "perioc")
+
+    @pytest.mark.parametrize("tag, sum_rule", [("within", False), ("sum-rule", True)])
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_roc_equals_formatting_every_field(
+        self, pipeline_scores, tmp_path, capsys, column, tag, sum_rule
+    ):
+        scores = pipeline_scores[tag]
+        assert run_cli("eval", "--scores", scores, "--column", column, "--far-target", 0.01,
+                       "--out-prefix", tmp_path / "e", *(("--sum-rule",) if sum_rule else ())) == 0
+        roc = (tmp_path / "e-roc.csv").read_text()
+        assert roc == repr_roc_text(scores, column, sum_rule)
+        assert roc.count("\n") > 100  # many distinct scores
+
+    def test_thresholds_are_the_texts_they_were_read_as(self, tmp_path, capsys):
+        # (label, dynamic): 0.5, 0.25 and 0 are each written three or two ways
+        fields = [("genuine", "0.50"), ("genuine", "9e-1"), ("genuine", "0.75"),
+                  ("impostor", "5e-1"), ("impostor", "+0.5"), ("impostor", "0.1"),
+                  ("impostor", "-0.0"), ("impostor", "0.0"), ("impostor", "0.25"),
+                  ("impostor", "2.5e-1"), ("impostor", "")]
+        lines = [SCORE_HEADER] + [
+            f"a{k},b{k},L,{label},1.0,0.1,0.9,0.9,0.4,0.0,0.2,0.0,0.1,1.0,0.9,{dynamic}"
+            for k, (label, dynamic) in enumerate(fields)]
+        scores = with_sidecar(tmp_path / "scores.csv")
+        scores.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval", "--scores", scores, "--out-prefix", tmp_path / "e",
+                       "--far-target", 0.5) == 0
+        with open(tmp_path / "e-roc.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        # the doubles are the ones earlier versions wrote as their repr
+        table = fileio.read_score_csv(scores, ("label", "dynamic"))
+        used = ~np.isnan(table["dynamic"])
+        curve = roc_curve(ScoreSet(table["dynamic"][used & table["label"]],
+                                   table["dynamic"][used & ~table["label"]]))
+        thresholds = np.array([float(row[0]) for row in rows])
+        assert thresholds.view(np.uint64).tolist() == curve.thresholds.view(np.uint64).tolist()
+        assert [row[1:] for row in rows] == [[repr(f), repr(t)] for f, t in
+                                             zip(curve.far.tolist(), curve.tar.tolist())]
+        # each threshold is the first text read with its bits; the sentinel is a repr
+        zero = "-0.0" if np.signbit(curve.thresholds[-1]) else "0.0"
+        assert [row[0] for row in rows] == [
+            repr(float(np.nextafter(0.9, 1.0))), "9e-1", "0.75", "0.50", "0.25", "0.1", zero]
+
+    def test_read_peak_memory_stays_near_the_arrays_and_texts(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(11)
+        row = dict(a_id="S0:L:0", b_id="S1:L:0", side="L", iris_score=1.0, perioc_norm=0.1,
+                   mask_rate_a=0.9, mask_rate_b=0.9, eye_sum=0.4, eye_diff=0.0, brow_sum=0.2,
+                   brow_diff=0.0, hamming=0.1, ws=1.5, static=0.9)
+        table = {name: np.full(n, value) for name, value in row.items()}
+        table["label"] = rng.random(n) < 0.05
+        table["dynamic"] = np.where(rng.random(n) < 0.1, np.nan, rng.random(n))
+        path = tmp_path / "scores.csv"
+        fileio.write_score_csv(path, table)
+        tracemalloc.start()
+        try:
+            got, texts = cli._read_scores(path, ("label", "dynamic"), "dynamic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got["dynamic"], table["dynamic"])
+        np.testing.assert_array_equal(got["label"], table["label"])
+        written = fileio.field_texts("dynamic", fileio.OPT_FLOAT, table["dynamic"]).texts.tolist()
+        assert texts.take(np.arange(n)) == written
+        # the store: each text's bytes and one int64 a row, not a str a row
+        store = sum(map(len, written)) + 8 * n
+        assert peak < 1.5 * (got["label"].nbytes + got["dynamic"].nbytes + store)
+
+    @pytest.mark.parametrize("far_target", ["1.5", "-0.1", "nan"])
+    def test_bad_far_target_is_rejected_before_the_table_is_read(
+        self, tmp_path, capsys, far_target
+    ):
+        with pytest.raises(ValueError) as expected:  # the message tar_at_far gives
+            tar_at_far(roc_curve(ScoreSet([1.0], [0.0])), float(far_target), n_impostor=1)
+        # a table that is read first would fail as missing
+        assert run_cli("eval", "--scores", tmp_path / "missing.csv",
+                       "--out-prefix", tmp_path / "e", "--far-target", far_target) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": str(expected.value)}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckCommands:

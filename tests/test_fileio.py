@@ -914,6 +914,20 @@ class TestRocCsv:
         assert path.read_bytes() == csv_writer_text(rows).encode()
         assert "-0.0" in path.read_text()
 
+    def test_thresholds_with_a_row_are_written_as_its_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_ROC_CHUNK_ROWS", 2)  # rows and texts across chunks
+        curve = RocCurve(np.array([1.5, 1.0, 0.5, 0.25, 0.0]), np.linspace(0.0, 1.0, 5),
+                         np.array([0.0, 0.5, 0.5, 1.0, 1.0]))
+        texts = fileio.JoinedTexts()
+        texts.append(("5e-1", "", "1.0"))
+        texts.append(("-0",))
+        path = tmp_path / "roc.csv"
+        fileio.write_roc_csv(path, curve, (texts, np.array([-1, 2, 0, -1, 3])))
+        assert path.read_text().splitlines() == [
+            "threshold,far,tar", "1.5,0.0,0.0", "1.0,0.25,0.5", "5e-1,0.5,0.5",
+            "0.25,0.75,1.0", "-0,1.0,1.0",
+        ]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tar_names_its_row(self, tmp_path, bad):
         tar = np.linspace(0.0, 1.0, 9)
@@ -983,11 +997,13 @@ class TestRowSource:
         trailing=st.booleans(),
         field_limit=st.sampled_from([csv.field_size_limit(), 30]),  # 30: the header fits
         block_fields=st.sampled_from([4, 12, fileio.BLOCK_FIELDS]),
+        read_chars=st.sampled_from([1, 2, 7, 32, fileio.READ_CHARS]),
         columns=st.sampled_from([None, ("f0",), ("id", "brow_area")]),
     )
     @settings(max_examples=400, deadline=None)
     def test_reads_equal_csv_reader_reads(
-        self, tmp_path_factory, rows, header, newline, trailing, field_limit, block_fields, columns
+        self, tmp_path_factory, rows, header, newline, trailing, field_limit, block_fields,
+        read_chars, columns,
     ):
         lines = [header] + [self.line(*row) for row in rows]
         text = newline.join(lines) + (newline if trailing else "")
@@ -1000,7 +1016,8 @@ class TestRowSource:
         }
         default_limit = csv.field_size_limit(field_limit)
         try:
-            with mock.patch.object(fileio, "BLOCK_FIELDS", block_fields):
+            with mock.patch.object(fileio, "BLOCK_FIELDS", block_fields), \
+                    mock.patch.object(fileio, "READ_CHARS", read_chars):
                 for read in reads.values():
                     got = read_outcome(read)
                     with mock.patch.object(fileio, "_row_blocks", csv_only_row_blocks):
@@ -1028,6 +1045,67 @@ class TestRowSource:
         else:
             with pytest.raises(fileio.ParseError, match=re.escape(f"features.csv{message}")):
                 fileio.read_feature_csv(path)
+
+    LINES = ["a,0.5,0.5,1.0", "bb,0.25,0.5,2.0", "c,0.5,0.25,3.0", "dd,0.125,0.5,4.0"]
+
+    @pytest.mark.parametrize("read_chars", [1, 2, 3, 5, 11, 64])
+    @pytest.mark.parametrize("text, rows", [
+        pytest.param("\n".join([HEADER, *LINES]) + "\n", 4, id="lines-across-reads"),
+        pytest.param("\n".join([HEADER, *LINES, '"e,f",0.5,0.5,5.0']) + "\n", 5, id="late-quote"),
+        pytest.param("\n".join([HEADER, *LINES, '"e\nf",0.5,0.5,5.0']) + "\n", 5,
+                     id="late-quoted-newline"),
+        pytest.param("\n".join([HEADER, *LINES]) + "\r\ne,0.5,0.5,5.0\r\n", 5, id="late-crlf"),
+        pytest.param("\n".join([HEADER, *LINES]) + "\ne\r0.5,0.5,0.5,5.0\n", None, id="late-bare-cr"),
+        pytest.param("\n".join([HEADER, *LINES, "e\0,0.5,0.5,5.0"]) + "\n", None, id="late-nul"),
+        pytest.param("\n".join([HEADER, *LINES]), 4, id="no-final-newline"),
+        pytest.param("\n".join([HEADER, *LINES]) + "\r", 4, id="final-cr"),
+        pytest.param("\n".join([HEADER, *LINES, "e" * 40 + ",0.5,0.5,5.0"]) + "\n", None,
+                     id="over-long-field"),
+        pytest.param("\n".join([HEADER, *LINES, "e" * 20 + ",0.125,0.125,5.000000000000"]) + "\n",
+                     5, id="over-long-line-short-fields"),
+        pytest.param("\n".join([HEADER, *LINES[:2], "", *LINES[2:]]) + "\n", None, id="empty-line"),
+    ])
+    def test_reads_across_small_reads_equal_csv_reader_reads(
+        self, tmp_path, monkeypatch, text, rows, read_chars
+    ):
+        monkeypatch.setattr(fileio, "READ_CHARS", read_chars)
+        monkeypatch.setattr(fileio, "BLOCK_FIELDS", 8)  # two rows a block
+        path = tmp_path / "features.csv"
+        path.write_bytes(text.encode())
+        schema = fileio._feature_schema(1)
+        reads = [lambda: list(fileio._table_blocks(path, schema, "feature")),
+                 lambda: fileio.read_feature_csv(path)]
+        default_limit = csv.field_size_limit(30)  # the header and the plain lines fit
+        try:
+            for read in reads:
+                got = read_outcome(read)
+                with mock.patch.object(fileio, "_row_blocks", csv_only_row_blocks):
+                    assert got == read_outcome(read)
+            if rows is None:  # a fault, the same as csv.reader's
+                with pytest.raises(fileio.ParseError):
+                    reads[1]()
+            else:
+                assert len(reads[1]()["id"]) == rows
+        finally:
+            csv.field_size_limit(default_limit)
+
+
+class TestJoinedTexts:
+    BLOCKS = [("0.5", "", "1e-3"), (), ("+0.50", "x" * 300), ("\u0665e-1", "-0.0", "")]
+
+    def joined(self):
+        texts = fileio.JoinedTexts()
+        for block in self.BLOCKS:
+            texts.append(block)
+        return texts
+
+    def test_take_gives_the_texts_of_any_rows(self):
+        flat = [t for block in self.BLOCKS for t in block]
+        rows = np.array([5, 0, 1, 2, 3, 4, 2, 5, 0])
+        got = self.joined().take(rows)
+        assert got == [flat[r] for r in rows]
+        assert all(type(t) is str for t in got)
+        assert self.joined().take(np.array([], dtype=np.intp)) == []
 
 
 class TestCheckpoint:
