@@ -246,18 +246,30 @@ def roc_curve(scores: ScoreSet) -> RocCurve:
     if scores.n_genuine == 0 or scores.n_impostor == 0:
         raise ValueError("metric computation needs non-empty genuine and impostor sets")
     genuine, impostor = scores.oriented()
-    thresholds = np.unique(np.concatenate([genuine, impostor]))
+    # the distinct scores as np.unique finds them (a sort of the default
+    # kind, so the same one of 0.0 and -0.0 is kept, and a neighbour mask),
+    # without its check for a masked array, which imports numpy.ma
+    values = np.concatenate([genuine, impostor])
+    values.sort()
+    distinct = np.empty(values.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(values[1:], values[:-1], out=distinct[1:])
+    thresholds = np.empty(np.count_nonzero(distinct) + 1)
+    np.compress(distinct, values, out=thresholds[:-1])
+    del values, distinct
     # sentinel above every score anchors the curve at (0, 0)
-    top = thresholds[-1]
-    sentinel = np.nextafter(top, np.inf) if np.isfinite(top) else top
-    thresholds = np.append(thresholds, sentinel)
+    top = thresholds[-2]
+    thresholds[-1] = np.nextafter(top, np.inf) if np.isfinite(top) else top
 
-    gen_sorted = np.sort(genuine)
-    imp_sorted = np.sort(impostor)
-    gen_above = genuine.size - np.searchsorted(gen_sorted, thresholds, side="left")
-    imp_above = impostor.size - np.searchsorted(imp_sorted, thresholds, side="left")
-    tar = gen_above / genuine.size
-    far = imp_above / impostor.size
+    def share_above(side: np.ndarray) -> np.ndarray:
+        """The share of ``side`` at or above each threshold; only the sorted
+        side and then one count per threshold live beside the result."""
+        above = np.searchsorted(np.sort(side), thresholds, side="left")
+        np.subtract(side.size, above, out=above)
+        return above / side.size
+
+    tar = share_above(genuine)
+    far = share_above(impostor)
     order = slice(None, None, -1)  # descending thresholds
     return RocCurve(thresholds[order], far[order], tar[order])
 

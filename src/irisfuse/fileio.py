@@ -33,7 +33,13 @@ for.  A writer can append a table block by block
 (:func:`score_csv_writer`); it writes to a temporary file beside its
 path that replaces the path only once the whole table is written, and
 it rejects a number that would not read back, and a label or flag
-column that does not hold booleans.  :func:`write_json`, for
+column that does not hold booleans, in the append that carries it.  It
+writes each float as its ``repr`` text without calling ``repr`` per
+field: appended rows wait until their float fields number
+:data:`FORMAT_FIELDS` (a row's more at most), which are formatted in
+one exact numpy pass (:func:`_repr_texts`; a value outside its range,
+such as a subnormal, by ``repr`` itself), and are then written a block
+at a time.  :func:`write_json`, for
 the checkpoint, the eval summary and the sidecars, writes the same way.
 
 A match CSV, and each score CSV made from it, has a sidecar
@@ -241,6 +247,9 @@ _INT_LIMIT = 2**53  # optional ints live in float64 columns, exact below this
 BLOCK_ROWS = 256  # at most this many rows are parsed or formatted at a time,
 BLOCK_FIELDS = 16 * BLOCK_ROWS  # and this many fields: a wide table gets fewer rows
 READ_CHARS = 64 * 1024  # a reader takes a table's text in reads of this many characters
+# a writer formats about this many floats at once: fewer pay more numpy calls
+# a float, more save little and hold more field texts at once
+FORMAT_FIELDS = 4096
 _QUOTE_CHARS = tuple(',"\r\n\0')  # text fields holding one are quoted, or a NUL rejected
 _NEEDS_QUOTES = re.compile(f"[{''.join(_QUOTE_CHARS)}]")  # per field; `in` scans a block faster
 
@@ -471,13 +480,204 @@ def _quoted(name: str, texts: list[str]) -> list[str]:
     return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
 
 
-def _format(name: str, kind: str, values: np.ndarray) -> list[str]:
-    """One column's fields as written; an object array holds field texts,
-    which are quoted as text fields are (a number may hold ``\\r`` or ``\\n``
-    around its digits)."""
-    if kind == STR or values.dtype == object:
-        return _quoted(name, values.tolist())
-    return _texts(kind, values)
+# Float texts.  repr writes the shortest digits that read back as the
+# double, the nearest such digits if several are as short.  _repr_texts
+# finds them for a whole array: writing x = m * 2**e and choosing k so that
+# 10**16 <= x * 10**k < 10**17, X = x * 10**k = 4m * 5**k / 2**(2 - e - k),
+# and the decimals that read back as x fill an interval of under 23 units
+# around X (from (4m - 2) * 5**k, or (4m - 1) * 5**k at a binade's first
+# double, to (4m + 2) * 5**k, over the same power of 2).  The products are
+# exact 128-bit integers in two uint64 limbs, for 5**k < 2**63, and all
+# integer work stays in uint64 (a uint64 array with an int64 one would be
+# float64).  The digits are the integer in the interval with the most
+# trailing zeros: at most one multiple of 100 fits, and among several
+# multiples of 10, or integers, repr takes the one nearest X, ties to even.
+
+_POW5 = np.array([5**k for k in range(28)], np.uint64)  # 5**k < 2**63
+_DECPTS = range(-10, 18)  # the fast range's x = 0.d1d2... * 10**decpt
+_TABLE_CHARS = " .-e+0123456789naif"  # a value's text table: its 17 digits, then these
+_SPECIALS = ("0.0", "-0.0", "nan", "inf", "-inf")
+
+
+def _layout(neg: int, decpt: int, nd: int) -> str:
+    """repr of ``0.ABC... * 10**decpt`` with ``nd`` digits ``A``, ``B``, ...,
+    negated if ``neg``: fixed notation for -4 < decpt <= 16."""
+    digits = "ABCDEFGHIJKLMNOPQ"[:nd]
+    if decpt <= -4 or decpt > 16:
+        text = digits[0] + ("." + digits[1:] if nd > 1 else "") + f"e{decpt - 1:+03d}"
+    elif decpt <= 0:
+        text = "0." + "0" * -decpt + digits
+    elif decpt < nd:
+        text = digits[:decpt] + "." + digits[decpt:]
+    else:
+        text = digits + "0" * (decpt - nd) + ".0"
+    return "-" * neg + text
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Each text layout as the rows of a value's text table that it reads,
+    padded with spaces, and its length.  A digit layout's index is
+    ``(neg * len(_DECPTS) + decpt - _DECPTS[0]) * 17 + nd - 1``; the
+    :data:`_SPECIALS` follow them."""
+    texts = [_layout(neg, decpt, nd) for neg in (0, 1) for decpt in _DECPTS
+             for nd in range(1, 18)] + list(_SPECIALS)
+    width = max(map(len, texts)) + 1  # at least one space after each text
+    row_of = np.zeros(128, np.uint8)
+    row_of[np.frombuffer(b"ABCDEFGHIJKLMNOPQ", np.uint8)] = np.arange(17)
+    row_of[np.frombuffer(_TABLE_CHARS.encode(), np.uint8)] = 17 + np.arange(len(_TABLE_CHARS))
+    codes = np.frombuffer("".join(text.ljust(width) for text in texts).encode(), np.uint8)
+    return row_of[codes].reshape(len(texts), width), np.array(list(map(len, texts)))
+
+
+_LAYOUTS, _LAYOUT_LENGTHS = _layouts()
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * b`` for ``a < 2**55`` and ``b < 2**63``, as (high, low) uint64 limbs."""
+    low32, u32 = np.uint64(2**32 - 1), np.uint64(32)
+    a0, a1, b0, b1 = a & low32, a >> u32, b & low32, b >> u32
+    low = a0 * b0
+    middle = a0 * b1 + a1 * b0
+    carry = low > low + (middle << u32)
+    low += middle << u32
+    return a1 * b1 + (middle >> u32) + carry, low
+
+
+def _shifted(high, low, shift) -> np.ndarray:
+    """``(high, low) // 2**shift`` for shifts up to 64, where it is below
+    2**64 (numpy shifts a uint64 by 64 to 0)."""
+    return (low >> shift) | (high << (np.uint64(64) - shift))
+
+
+def _interval(mantissa, shift, pow5, first_of_binade):
+    """X = 2 * mantissa * 5**k / 2**shift as its integer part, whether its
+    fraction is at least 1/2 and whether it holds more than that; then the
+    first integer above the lower end of the interval around X and the
+    last one not above its upper end.  The ends read back as x iff the
+    mantissa is even, but no end decides a digit: an end is an integer
+    only for a shift of 0, and then an odd one, neither a multiple of 10
+    nor nearer X than X itself.  As log10 is off by one at most,
+    X < 10**18 and each quotient is below 2**64."""
+    high, low = _product(mantissa << np.uint64(2), pow5)
+    twice = _shifted(high, low, shift)
+    sticky = (low << (np.uint64(64) - shift)) != 0
+    below = np.where(first_of_binade, pow5, pow5 << np.uint64(1))
+    above = low + (pow5 << np.uint64(1))
+    shift = shift + np.uint64(1)
+    bottom = _shifted(high - (low < below), low - below, shift)
+    top = _shifted(high + (above < low), above, shift)
+    half = (twice & np.uint64(1)).astype(bool)
+    return twice >> np.uint64(1), half, sticky, bottom + 1, top
+
+
+def _decimal(x: np.ndarray):
+    """repr's digits of each double of the fast range as the integer
+    ``n``, with ``x = n * 10**-k`` to 17 significant digits; ``k``;
+    whether ``n`` is a multiple of 10, and of 100; and which doubles are
+    in the fast range.  A double whose digits round up to the next power
+    of 10 is left out: it lies within 1e-16 of that power, where log10
+    returns the power's exponent, so X falls below the range anyway."""
+    bits = x.view(np.uint64)
+    biased = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    fraction = bits & np.uint64(2**52 - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 16 - np.floor(np.log10(np.abs(x)))  # off by one near a power of 10: checked below
+    e = biased.astype(np.int64) - 1075  # x = mantissa * 2**e
+    fast = (biased != 0) & (k >= 0) & (k < len(_POW5)) & (e + k <= 1)
+    k = np.where(fast, k, 0).astype(np.int64)
+    center, half, sticky, first, last = _interval(
+        fraction | np.uint64(2**52), np.where(fast, 1 - e - k, 0).astype(np.uint64), _POW5[k],
+        (fraction == 0) & (biased > 1))
+    fast &= (center >= 10**16) & (center < 10**17)
+    hundred = (first + np.uint64(99)) // np.uint64(100) * np.uint64(100)
+    has_hundred = hundred <= last
+    tens_first, tens_last = (first + np.uint64(9)) // np.uint64(10), last // np.uint64(10)
+    has_ten = tens_first <= tens_last
+    # the multiple of 10, or the integer, nearest X, ties to even
+    tens, ones = np.divmod(center, np.uint64(10))
+    tens += (ones > 5) | ((ones == 5) & (half | sticky | (tens & np.uint64(1)).astype(bool)))
+    n = np.where(has_hundred, hundred, np.where(
+        has_ten, np.clip(tens, tens_first, tens_last) * np.uint64(10),
+        center + (half & (sticky | (center & np.uint64(1)).astype(bool)))))
+    return n, k, has_ten, has_hundred, fast & (n < 10**17)
+
+
+def _digit_table(n, has_ten, has_hundred) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's text table, a row of its 17 digits (most significant
+    first) and :data:`_TABLE_CHARS`, and how many digits are significant:
+    17 for the integer, 16 for the multiple of 10, fewer for the multiple
+    of 100."""
+    digits = np.empty((17, n.size), np.uint8)
+    upper = n // np.uint64(10**9)
+    for part, places in (((n - upper * np.uint64(10**9)).astype(np.uint32), range(16, 7, -1)),
+                         (upper.astype(np.uint32), range(7, -1, -1))):
+        for j in places:
+            quotient = part // np.uint32(10)
+            digits[j] = part - quotient * np.uint32(10)
+            part = quotient
+    significant = 17 - has_ten.astype(np.int64)
+    rows = np.flatnonzero(has_hundred)
+    for j in range(15, 0, -1):  # rows whose digit j is a trailing zero
+        significant[rows] -= 1
+        rows = rows[digits[j - 1, rows] == 0]
+    table = np.empty((n.size, 17 + len(_TABLE_CHARS)), np.uint8)
+    table[:, :17] = digits.T
+    table[:, :17] += ord("0")
+    table[:, 17:] = np.frombuffer(_TABLE_CHARS.encode(), np.uint8)
+    return table, significant
+
+
+def _text_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's text as a row of bytes, padded with spaces, and which
+    values are left to ``repr`` (their rows hold other text)."""
+    n, k, has_ten, has_hundred, fast = _decimal(x)
+    table, significant = _digit_table(n, has_ten, has_hundred)
+    bits = x.view(np.uint64)
+    neg = (bits >> np.uint64(63)).astype(np.int64)
+    layout = (neg * len(_DECPTS) + 17 - k - _DECPTS[0]) * 17 + significant - 1
+    zero, nonfinite = bits << np.uint64(1) == 0, bits << np.uint64(1) >= np.uint64(0x7FF << 53)
+    special = 17 * 2 * len(_DECPTS) + np.where(zero, neg, np.where(
+        bits << np.uint64(12) != 0, 2, 3 + neg))  # 0.0, -0.0, nan, inf, -inf
+    layout = np.where(fast, layout, np.where(zero | nonfinite, special, 0))
+    width = int(_LAYOUT_LENGTHS[layout].max()) + 1
+    text = np.empty((x.size, width), np.uint8)
+    for start in range(0, x.size, 1024):  # the gather's indices 1024 rows at a time
+        rows = slice(start, start + 1024)
+        index = _LAYOUTS[layout[rows], :width] + np.arange(
+            start * table.shape[1], min(start + 1024, x.size) * table.shape[1],
+            table.shape[1], dtype=np.intp)[:, None]
+        table.reshape(-1).take(index, out=text[rows], mode="clip")  # unbuffered
+    return text, ~(fast | zero | nonfinite)
+
+
+def _repr_texts(values: np.ndarray) -> list[str]:
+    """``list(map(repr, values.tolist()))`` for a float64 array, in one
+    numpy pass (see above).  Normal doubles of 1e-11 <= |x| < 2**53 (and
+    of 1e16 <= |x| < 2**54), zeros and non-finite values take the pass;
+    the texts of others come from ``repr`` itself."""
+    x = np.ascontiguousarray(values, np.float64).reshape(-1)
+    if not x.size:
+        return []
+    text, slow = _text_rows(x)
+    texts = text.tobytes().decode("ascii").split()
+    for i in np.flatnonzero(slow).tolist():
+        texts[i] = repr(float(x[i]))
+    return texts
+
+
+def _float_texts(columns: list[np.ndarray]) -> list[list[str]]:
+    """The field texts of float columns, formatted in one
+    :func:`_repr_texts` call: each number's ``repr``, NaN (an empty
+    ``float?`` field) as ``""``."""
+    texts = _repr_texts(np.concatenate(columns)) if columns else []
+    fields, start = [], 0
+    for values in columns:
+        column = texts[start : start + len(values)]
+        start += len(values)
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            column[i] = ""
+        fields.append(column)
+    return fields
 
 
 def _texts(kind: str, values: np.ndarray) -> list[str]:
@@ -487,11 +687,10 @@ def _texts(kind: str, values: np.ndarray) -> list[str]:
     if kind in (LABEL, FLAG):
         true, false = LABELS if kind == LABEL else ("1", "0")
         return [true if v else false for v in values.tolist()]
-    if kind == FLOAT:
-        return list(map(repr, values.tolist()))
+    if kind in (FLOAT, OPT_FLOAT):
+        return _float_texts([values])[0]
     empty = np.isnan(values)
-    texts = (list(map(repr, values.tolist())) if kind == OPT_FLOAT
-             else list(map(str, map(int, np.where(empty, 0.0, values).tolist()))))
+    texts = list(map(str, map(int, np.where(empty, 0.0, values).tolist())))
     for i in np.flatnonzero(empty).tolist():
         texts[i] = ""
     return texts
@@ -582,31 +781,62 @@ def _table_writer(path, schema):
     block's columns and adds its rows.  A column holding a NUL, a number
     that would not read back, or :class:`FieldTexts` of another kind,
     raises ``ValueError`` naming the column (and the row, counted from 0
-    over all blocks); field texts are written unchecked.  The rows go
-    through :func:`_replacing_writer`, so a fault leaves no partial table
-    and an existing ``path`` untouched."""
+    over all blocks); field texts are written unchecked.  Appended rows
+    wait until their float fields to format number :data:`FORMAT_FIELDS`
+    (a row's more at most); these are formatted in one call and the rows
+    written a block at a time.  The rows go through
+    :func:`_replacing_writer`, so a fault leaves no partial table and an
+    existing ``path`` untouched."""
     step = _block_rows(schema)
-    rows_written = 0
+    waiting = []  # the blocks not yet written, each with its columns of floats to format
+    fields_waiting = rows_appended = 0
 
     def append(table: Mapping[str, np.ndarray]) -> None:
-        nonlocal rows_written
-        columns = [(name, kind, _as_column(name, kind, table[name])) for name, kind in schema]
-        n = len(columns[0][2])
-        if any(len(values) != n for _, _, values in columns):
+        nonlocal fields_waiting, rows_appended
+        columns = [_as_column(name, kind, table[name]) for name, kind in schema]
+        n = len(columns[0])
+        if any(len(values) != n for values in columns):
             raise ValueError("table columns differ in length")
-        for name, kind, values in columns:
-            if values.dtype != object:  # field texts were checked when they were made
-                _check_readable(name, kind, values, rows_written)
-        for start in range(0, n, step):
-            fields = [_format(name, kind, v[start : start + step]) for name, kind, v in columns]
-            if len(fields) == 1:  # an empty line would read back as no fields
-                fields = [[t or '""' for t in fields[0]]]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-        rows_written += n
+        is_text = [kind == STR or values.dtype == object  # field texts may hold \r or \n
+                   for (_, kind), values in zip(schema, columns)]
+        for (name, kind), values, text in zip(schema, columns, is_text):
+            if not text:
+                _check_readable(name, kind, values, rows_appended)
+        rows_appended += n
+        floats = [i for i, ((_, kind), text) in enumerate(zip(schema, is_text))
+                  if kind in (FLOAT, OPT_FLOAT) and not text]
+        per_row = max(1, len(floats))
+        start = 0
+        while start < n:  # the rows that fill the waiting floats up to FORMAT_FIELDS
+            stop = start - (fields_waiting - FORMAT_FIELDS) // per_row
+            waiting.append(([_quoted(name, values[start:stop].tolist()) if text else values[start:stop]
+                             for (name, _), values, text in zip(schema, columns, is_text)], floats))
+            fields_waiting += (min(stop, n) - start) * per_row
+            start = stop
+            if fields_waiting >= FORMAT_FIELDS:
+                write_waiting()
+
+    def write_waiting() -> None:
+        nonlocal fields_waiting
+        texts = iter(_float_texts([columns[i] for columns, floats in waiting for i in floats]))
+        for columns, floats in waiting:
+            columns = columns.copy()
+            for i in floats:
+                columns[i] = next(texts)
+            for start in range(0, len(columns[0]), step):
+                block = slice(start, start + step)
+                fields = [values[block] if isinstance(values, list) else _texts(kind, values[block])
+                          for (_, kind), values in zip(schema, columns)]
+                if len(fields) == 1:  # an empty line would read back as no fields
+                    fields = [[t or '""' for t in fields[0]]]
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        waiting.clear()
+        fields_waiting = 0
 
     with _replacing_writer(path) as fh:
         fh.write(",".join(name for name, _ in schema) + "\n")
         yield append
+        write_waiting()
 
 
 def _write_table(path, schema, table: Mapping[str, np.ndarray]) -> None:
@@ -692,15 +922,13 @@ class JoinedTexts:
         return np.frombuffer(self._buffer, np.uint8)[where].tobytes().decode().split("\0")[:-1]
 
 
-_ROC_CHUNK_ROWS = 16 * BLOCK_ROWS  # rows whose field texts write_roc_csv builds at a time
-
-
 def write_roc_csv(path, curve: RocCurve, threshold_texts=None) -> None:
     """Write ``curve``, every value as its ``repr``, except that with
     ``threshold_texts = (texts, rows)`` each threshold whose row is not
     negative is written as the text of that row of ``texts``
-    (:class:`JoinedTexts`), the text it was read as.  The field texts are
-    built one chunk of rows at a time."""
+    (:class:`JoinedTexts`), the text it was read as.  The curve is
+    appended, and its field texts built, :data:`FORMAT_FIELDS` rows at a
+    time."""
     thresholds, far, tar = (np.asarray(values, dtype=np.float64)
                             for values in (curve.thresholds, curve.far, curve.tar))
     # the rows named as the writer would name them, before any row is written
@@ -719,9 +947,10 @@ def write_roc_csv(path, curve: RocCurve, threshold_texts=None) -> None:
         fields[~read] = _texts(FLOAT, thresholds[chunk][~read])
         return FieldTexts(FLOAT, fields)
 
+    step = FORMAT_FIELDS  # a far field each: each append fills the floats the writer formats
     with _table_writer(path, ROC_SCHEMA) as append:
-        for start in range(0, len(tar), _ROC_CHUNK_ROWS):
-            chunk = slice(start, start + _ROC_CHUNK_ROWS)
+        for start in range(0, len(tar), step):
+            chunk = slice(start, start + step)
             # tar takes at most n_genuine + 1 values: each distinct one in a
             # chunk (by its bits, so 0.0 and -0.0 stay apart) is formatted once
             bits, inverse = np.unique(tar[chunk].view(np.uint64), return_inverse=True)

@@ -309,7 +309,7 @@ def train_mlp(features, labels, config: TrainConfig = TrainConfig()) -> MlpParam
     network.  Raises :class:`TrainingDivergedError` on non-finite loss.
     """
     x, y = _coerce_dataset(features, labels)
-    if len(np.unique(y)) < 2:
+    if not y.any() or y.all():  # no rows, or one class (np.unique would import numpy.ma)
         raise ValueError("training set must contain both genuine and impostor samples")
 
     rng = np.random.default_rng(config.seed)

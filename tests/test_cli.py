@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -866,6 +868,32 @@ class TestFuseTrainCues:
             for k in np.flatnonzero(use)
         ]
         assert cue_matrix(matches, norm).tobytes() == np.array(rows).tobytes()
+
+
+class TestImports:
+    def test_match_to_eval_never_imports_numpy_ma(self, population_dir, tmp_path):
+        # np.unique without an optional output imports numpy.ma, 10 ms a process
+        script = f"""
+import sys
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
+from irisfuse.cli import main
+pop, out = {str(population_dir)!r}, {str(tmp_path)!r}
+common = ["--templates-dir", pop + "/templates", "--features", pop + "/features.csv",
+          "--max-shift", "4"]
+for argv in (
+    ["match", "--manifest", pop + "/manifest-train.jsonl", "--out", out + "/train.csv", *common],
+    ["fuse-train", "--match-csv", out + "/train.csv", "--out", out + "/ckpt.json",
+     "--epochs", "5"],
+    ["match", "--manifest", pop + "/manifest-test.jsonl", "--out", out + "/test.csv", *common],
+    ["score", "--match-csv", out + "/test.csv", "--checkpoint", out + "/ckpt.json",
+     "--out", out + "/scores.csv"],
+    ["eval", "--scores", out + "/scores.csv", "--column", "dynamic", "--out-prefix", out + "/e"],
+):
+    assert main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv[0]
+"""
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 class TestFlagDefaults:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,28 @@ class TestRocCurve:
             tar = sum(s >= t for s in genuine) / 3
             expected.add((round(t, 10), far, tar))
         assert observed == expected
+
+    @pytest.mark.parametrize("higher_is_genuine", [True, False])
+    def test_thresholds_are_np_unique_of_the_scores(self, higher_is_genuine):
+        rng = np.random.default_rng(4)
+        genuine = np.concatenate([rng.normal(1, 1, 300).round(1), [0.0, -0.0, -0.0]])
+        impostor = np.concatenate([[-0.0, 0.0], rng.normal(0, 1, 900).round(2)])
+        scores = ScoreSet(genuine, impostor, higher_is_genuine)
+        want = np.unique(np.concatenate(scores.oriented()))  # keeps one of 0.0 and -0.0
+        curve = roc_curve(scores)
+        assert curve.thresholds[:0:-1].tobytes() == want.tobytes()
+        assert curve.thresholds[0] == np.nextafter(want[-1], np.inf)
+
+    def test_peak_memory_stays_near_four_curve_arrays(self):
+        rng = np.random.default_rng(5)
+        scores = ScoreSet(genuine=rng.normal(1, 1, 4_000), impostor=rng.normal(0, 1, 196_000))
+        tracemalloc.start()
+        try:
+            curve = roc_curve(scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * curve.thresholds.nbytes
 
     def test_empty_class_rejected(self):
         scores = ScoreSet(genuine=np.array([]), impostor=np.array([0.5]))

@@ -847,6 +847,139 @@ class TestMatchCsv:
         assert cue_matrix(matches, norm).shape == (0, 8)
 
 
+def assert_reprs(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = fileio._repr_texts(values)
+    want = list(map(repr, values.tolist()))
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+class TestReprTexts:
+    """The writer's float formatter against ``repr``, value for value."""
+
+    FAST_POWERS_OF_TWO = range(-36, 53)  # 2**-36 > 1e-11, 2**52 < 2**53
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=300))
+    def test_any_finite_floats(self, values):
+        assert_reprs(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(26).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        for start in range(0, bits.size, 2**16):  # formatted as a writer would: a part at a time
+            assert_reprs(bits[start : start + 2**16].view(np.float64))
+
+    def test_powers_of_two_and_their_neighbours(self):
+        powers = np.ldexp(1.0, np.array(self.FAST_POWERS_OF_TWO))
+        assert_reprs(with_neighbours(np.concatenate([powers, -powers])))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-14, 20)])
+        assert_reprs(with_neighbours(np.concatenate([powers, -powers])))
+
+    def test_edges_of_the_fast_range_and_just_outside(self):
+        edges = np.array([1e-11, 2.0**53, 1e16, 2.0**54, 1e17, 1e-5, 1e-4, 1e15])
+        assert_reprs(with_neighbours(np.concatenate([edges, -edges])))
+
+    def test_doubles_whose_interval_ends_are_integers(self):
+        # x = m * 2**e with e + k = 1: integers and halves from 2**52 to
+        # 2**53, even integers from 1e16 to 2**54
+        rng = np.random.default_rng(27)
+        below = rng.integers(2**52, 2**53, 20_000).astype(np.float64)
+        above = 2.0 * rng.integers(5 * 10**15, 2**53, 20_000)
+        assert_reprs(np.concatenate([below, below + 0.5, above]))
+
+    def test_zeros_subnormals_and_the_largest_double(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+        assert_reprs(values)
+        assert fileio._repr_texts(np.array([np.nan, np.inf, -np.inf])) == ["nan", "inf", "-inf"]
+
+    @pytest.mark.parametrize("digits", range(1, 18))
+    def test_values_of_each_number_of_significant_digits(self, digits):
+        rng = np.random.default_rng(digits)
+        mantissas = rng.integers(10 ** (digits - 1), 10**digits, 400, dtype=np.int64)
+        exponents = rng.integers(-30, 30, 400)
+        values = [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+        assert_reprs(values)
+        assert_reprs(np.negative(values))
+
+    def test_empty(self):
+        assert fileio._repr_texts(np.array([])) == []
+
+
+class TestWriterChunks:
+    """A writer holds appended rows until their float fields fill a chunk
+    of :data:`fileio.FORMAT_FIELDS` to format at once."""
+
+    FLOATS_PER_ROW = 3  # the score table's computed columns: perioc_norm, static, dynamic
+
+    def score_table(self, n):
+        rng = np.random.default_rng(n)
+        table = {name: np.tile(np.asarray(values), n // 2 + 1)[:n]
+                 for name, values in TestScoreCsv.table().items()}
+        usable = rng.random(n) < 0.9
+        for name in ("perioc_norm", "static", "dynamic"):
+            table[name] = np.where(usable, rng.random(n) ** 5, np.nan)
+        for name, kind in fileio.SCORE_SCHEMA:
+            if name not in ("perioc_norm", "static", "dynamic"):  # copied as texts, as score does
+                table[name] = fileio.field_texts(name, kind, table[name])
+        return table
+
+    @staticmethod
+    def block(table, rows):
+        return {name: fileio.FieldTexts(v.kind, v.texts[rows]) if isinstance(v, fileio.FieldTexts)
+                else v[rows] for name, v in table.items()}
+
+    def test_blocks_of_any_size_write_the_bytes_of_one_append(self, tmp_path):
+        chunk = fileio.FORMAT_FIELDS // self.FLOATS_PER_ROW
+        sizes = [1, 255, 256, 257, chunk - 1, chunk + 1]
+        table = self.score_table(sum(sizes))
+        fileio.write_score_csv(tmp_path / "one.csv", table)
+        with fileio.score_csv_writer(tmp_path / "blocks.csv") as append:
+            start = 0
+            for size in sizes:
+                append(self.block(table, slice(start, start + size)))
+                start += size
+        one = (tmp_path / "one.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_bytes() == one
+        rows = list(csv.reader(io.StringIO(one.decode())))[1:]
+        for name in ("perioc_norm", "static", "dynamic"):
+            column = [name for name, _ in fileio.SCORE_SCHEMA].index(name)
+            assert [row[column] for row in rows] == [
+                "" if v != v else repr(v) for v in table[name].tolist()]
+
+    @pytest.mark.parametrize("fault, message", [
+        ("a_id", "column 'a_id': text holds a NUL character"),
+        ("hamming", "column 'hamming': text holds a NUL character"),
+        ("dynamic", "column 'dynamic': row 9: inf would not read back"),
+    ])
+    def test_a_fault_is_raised_by_the_append_that_carries_it(self, tmp_path, fault, message):
+        path = tmp_path / "scores.csv"
+        table = self.score_table(12)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            with fileio.score_csv_writer(path) as append:
+                append(self.block(table, slice(0, 8)))  # waits: fewer fields than a chunk
+                bad = self.block(table, slice(8, 12))
+                if fault == "a_id":
+                    bad["a_id"] = np.array(["x", "y\0z", "x", "x"])
+                elif fault == "hamming":
+                    texts = bad["hamming"].texts.copy()
+                    texts[0] = "0.5\0"
+                    bad["hamming"] = fileio.FieldTexts(fileio.OPT_FLOAT, texts)
+                else:
+                    bad["dynamic"] = np.array([0.5, np.inf, 0.5, 0.5])
+                append(bad)
+                pytest.fail("the append that carries the fault did not raise")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestScoreCsv:
     @staticmethod
     def table():
@@ -915,7 +1048,8 @@ class TestRocCsv:
         assert "-0.0" in path.read_text()
 
     def test_thresholds_with_a_row_are_written_as_its_text(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fileio, "_ROC_CHUNK_ROWS", 2)  # rows and texts across chunks
+        monkeypatch.setattr(fileio, "FORMAT_FIELDS", 2)  # two rows an append
+        monkeypatch.setattr(fileio, "BLOCK_FIELDS", 6)  # and a block: rows and texts across both
         curve = RocCurve(np.array([1.5, 1.0, 0.5, 0.25, 0.0]), np.linspace(0.0, 1.0, 5),
                          np.array([0.0, 0.5, 0.5, 1.0, 1.0]))
         texts = fileio.JoinedTexts()

@@ -354,6 +354,14 @@ class TestTraining:
         with pytest.raises(ValueError, match="both genuine and impostor"):
             train_mlp(features[labels == 0], labels[labels == 0], TrainConfig())
 
+    @pytest.mark.parametrize("keep", ["impostor", "none"])
+    def test_impostor_only_or_empty_set_rejected(self, keep):
+        rng = np.random.default_rng(8)
+        features, labels = self.separable_cues(rng, n=20)
+        rows = labels == 1 if keep == "impostor" else labels < 0
+        with pytest.raises(ValueError, match="both genuine and impostor"):
+            train_mlp(features[rows], labels[rows], TrainConfig())
+
     def test_divergence_reports_epoch(self):
         # tanh keeps activations bounded, so overflow needs an extreme
         # step size; the guard must then name the epoch
