@@ -413,46 +413,13 @@ def _collect_scores(
     )
 
 
-def _read_scores(path, columns, texts_of=None):
-    """The named columns of a score CSV as arrays and, if ``texts_of``
-    names one of them, that column's field texts as read."""
-    texts = None if texts_of is None else fileio.JoinedTexts()
-
-    def blocks():
-        for arrays, block_texts in fileio.read_score_blocks(path, columns):
-            if texts is not None:
-                texts.append(block_texts[texts_of])
-            yield arrays
-
-    return fileio.join_blocks(blocks()), texts
-
-
-def _threshold_rows(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """For each threshold, the first row of ``values`` holding its exact
-    bits (so 0.0 and -0.0 stay apart), or -1 where none does (the sentinel
-    above every score)."""
-    bits, wanted = values.view(np.uint64), thresholds.view(np.uint64)
-    order = np.argsort(bits, kind="stable")  # equal bits keep their file order
-    rows = np.searchsorted(bits[order], wanted)
-    rows.clip(max=bits.size - 1, out=rows)
-    np.take(order, rows, out=rows)
-    rows[bits[rows] != wanted] = -1
-    return rows
-
-
 def cmd_eval(args) -> int:
     check_far_target(args.far_target)  # before the table is read
-    name, higher_is_genuine = _EVAL_COLUMNS[args.column]
-    columns = ("label", name)
+    columns = ("label", _EVAL_COLUMNS[args.column][0])
     if args.sum_rule:
         columns += ("a_id", "b_id", "side")
-    # each threshold that is a score, not a sum or a negated score, is
-    # written as the text it was read as
-    as_read = higher_is_genuine and not args.sum_rule
-    table, texts = _read_scores(args.scores, columns, name if as_read else None)
-    scores, unusable_genuine, unusable_impostor = _collect_scores(table, args.column, args.sum_rule)
-    values = table[name] if texts is not None else None  # to find each threshold's text
-    del table
+    scores, unusable_genuine, unusable_impostor = _collect_scores(
+        fileio.read_score_csv(args.scores, columns), args.column, args.sum_rule)
     settings = fileio.read_sidecar(args.scores)  # after the table: a missing one is named
     if unusable_genuine + unusable_impostor:
         print(f"skipped {unusable_genuine + unusable_impostor} comparisons without a "
@@ -481,9 +448,7 @@ def cmd_eval(args) -> int:
         "step": settings["step"],
         "method": args.method or args.column,
     }
-    threshold_texts = None if texts is None else (texts, _threshold_rows(values, curve.thresholds))
-    del values
-    fileio.write_roc_csv(f"{args.out_prefix}-roc.csv", curve, threshold_texts)
+    fileio.write_roc_csv(f"{args.out_prefix}-roc.csv", curve)
     summary_text = fileio.write_json(f"{args.out_prefix}-summary.json", summary)
     print(summary_text, end="")
     return 0

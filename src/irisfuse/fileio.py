@@ -27,7 +27,7 @@ or a line longer than ``csv.field_size_limit()``; from there a
 ``csv.reader`` parses every line, so the rows and the errors are the
 ``csv`` module's (see :func:`_row_blocks`).  A reader can be asked for
 some of a table's columns (``columns=``) and can hand them over one
-block at a time (:func:`read_match_blocks`, :func:`read_score_blocks`); it still checks the whole
+block at a time (:func:`read_match_blocks`); it still checks the whole
 header and every row's field count, but parses only the columns asked
 for.  A writer can append a table block by block
 (:func:`score_csv_writer`); it writes to a temporary file beside its
@@ -57,10 +57,7 @@ writer would write for checked values.  Only these two make field
 texts (a stage may gather their rows, or blank an optional field):
 a writer takes a column's texts when their kind is the column's kind
 and writes them without checking them again, so a number keeps the
-text it was read with (``1e-3`` stays ``1e-3``).  A stage that keeps
-a column's texts for long holds them as :class:`JoinedTexts`;
-:func:`write_roc_csv` writes each threshold read from a score column
-as the text it was read as.
+text it was read with (``1e-3`` stays ``1e-3``).
 
 A text field, or a field text of any kind (``float()`` accepts a line
 break around the digits), holding ``,``, ``"``, ``\\r`` or ``\\n`` is
@@ -88,7 +85,6 @@ Template container layout (little-endian):
 
 from __future__ import annotations
 
-import array
 import contextlib
 import csv
 import dataclasses
@@ -448,11 +444,11 @@ def _table_blocks(path, schema, what: str, columns=None):
     return blocks()
 
 
-def join_blocks(blocks) -> dict[str, np.ndarray]:
-    """The arrays of each column of ``blocks`` (dicts of block arrays by
-    column name, as a block reader gives them) joined into one."""
+def _read_table(path, schema, what: str, columns=None) -> dict[str, np.ndarray]:
+    """The requested columns of a table (see :func:`_table_blocks`), each
+    joined from its block arrays."""
     parts: dict[str, list[np.ndarray]] = {}  # each column's block arrays
-    for block in blocks:
+    for block, _ in _table_blocks(path, schema, what, columns):
         for name, values in block.items():
             parts.setdefault(name, []).append(values)
     table = {}
@@ -460,10 +456,6 @@ def join_blocks(blocks) -> dict[str, np.ndarray]:
         table[name] = np.concatenate(column)
         column.clear()  # drop its blocks before the next column is joined
     return table
-
-
-def _read_table(path, schema, what: str, columns=None) -> dict[str, np.ndarray]:
-    return join_blocks(block for block, _ in _table_blocks(path, schema, what, columns))
 
 
 def _nul_error(name: str) -> ValueError:
@@ -881,81 +873,24 @@ def read_score_csv(path, columns=None) -> dict[str, np.ndarray]:
     return _read_table(path, SCORE_SCHEMA, "score-table", columns)
 
 
-def read_score_blocks(path, columns=None):
-    """The named columns (all for None) of each block of a score CSV's
-    rows, as a pair of dicts by column name: the parsed arrays, and the
-    tuples of field texts they were parsed from; see :func:`_table_blocks`."""
-    return _table_blocks(path, SCORE_SCHEMA, "score-table", columns)
-
-
-class JoinedTexts:
-    """The field texts of a table column, unquoted, held compactly for a
-    stage that writes some of them back: one buffer of their UTF-8 bytes,
-    each appended block's joined at once, and one int64 per row, where its
-    text ends.  That is the text's length plus 8 bytes a row, where a
-    ``str`` per text would take about 80.  The texts of any rows come out
-    of one gather and one split."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray(b"\0")  # a NUL, which no field text holds, then the texts
-        self._ends = array.array("q", [1])  # where the first text starts, then each one's end
-
-    def append(self, texts) -> None:
-        """Add a block's texts (a sequence of ``str``)."""
-        data = "".join(texts).encode()
-        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-        if len(data) != lengths.sum():  # not all ASCII
-            lengths = np.fromiter((len(t.encode()) for t in texts), np.int64, len(texts))
-        self._ends.frombytes((np.cumsum(lengths) + len(self._buffer)).tobytes())
-        self._buffer += data
-
-    def take(self, rows: np.ndarray) -> list[str]:
-        """The texts of ``rows``, numbered from 0 over every block appended."""
-        if not len(rows):
-            return []
-        ends = np.frombuffer(self._ends, np.int64)
-        starts = ends[rows]
-        size = ends[rows + 1] - starts + 1  # each text and a NUL after it
-        stops = np.cumsum(size)
-        where = np.arange(stops[-1]) + np.repeat(starts - (stops - size), size)
-        where[stops - 1] = 0
-        return np.frombuffer(self._buffer, np.uint8)[where].tobytes().decode().split("\0")[:-1]
-
-
-def write_roc_csv(path, curve: RocCurve, threshold_texts=None) -> None:
-    """Write ``curve``, every value as its ``repr``, except that with
-    ``threshold_texts = (texts, rows)`` each threshold whose row is not
-    negative is written as the text of that row of ``texts``
-    (:class:`JoinedTexts`), the text it was read as.  The curve is
-    appended, and its field texts built, :data:`FORMAT_FIELDS` rows at a
-    time."""
+def write_roc_csv(path, curve: RocCurve) -> None:
+    """Write ``curve``, every value as its ``repr``, :data:`FORMAT_FIELDS`
+    rows an append."""
     thresholds, far, tar = (np.asarray(values, dtype=np.float64)
                             for values in (curve.thresholds, curve.far, curve.tar))
-    # the rows named as the writer would name them, before any row is written
+    # tar goes to the writer as field texts, which it writes unchecked: its
+    # first bad row is named here as the writer names those of the others
     _check_readable("tar", FLOAT, tar, 0)
     if not len(thresholds) == len(far) == len(tar):
         raise ValueError("table columns differ in length")
-    _check_readable("threshold", FLOAT, thresholds, 0)
-
-    def threshold_fields(chunk: slice):
-        if threshold_texts is None:
-            return thresholds[chunk]
-        texts, rows = threshold_texts[0], threshold_texts[1][chunk]
-        read = rows >= 0
-        fields = np.empty(rows.size, dtype=object)
-        fields[read] = texts.take(rows[read])
-        fields[~read] = _texts(FLOAT, thresholds[chunk][~read])
-        return FieldTexts(FLOAT, fields)
-
-    step = FORMAT_FIELDS  # a far field each: each append fills the floats the writer formats
     with _table_writer(path, ROC_SCHEMA) as append:
-        for start in range(0, len(tar), step):
-            chunk = slice(start, start + step)
+        for start in range(0, len(tar), FORMAT_FIELDS):
+            chunk = slice(start, start + FORMAT_FIELDS)
             # tar takes at most n_genuine + 1 values: each distinct one in a
             # chunk (by its bits, so 0.0 and -0.0 stay apart) is formatted once
             bits, inverse = np.unique(tar[chunk].view(np.uint64), return_inverse=True)
             tar_texts = np.array(_texts(FLOAT, bits.view(np.float64)), dtype=object)[inverse]
-            append({"threshold": threshold_fields(chunk), "far": far[chunk],
+            append({"threshold": thresholds[chunk], "far": far[chunk],
                     "tar": FieldTexts(FLOAT, tar_texts)})
 
 

@@ -1107,36 +1107,38 @@ class TestEvalRoc:
         assert roc == repr_roc_text(scores, column, sum_rule)
         assert roc.count("\n") > 100  # many distinct scores
 
-    def test_thresholds_are_the_texts_they_were_read_as(self, tmp_path, capsys):
-        # (label, dynamic): 0.5, 0.25 and 0 are each written three or two ways
+    @pytest.mark.parametrize("column", ["dynamic", "static", "ws"])
+    def test_thresholds_are_the_repr_of_their_values(self, tmp_path, capsys, column):
+        # (label, column): 0.5, 0.25 and 0 are each read as two or three texts
         fields = [("genuine", "0.50"), ("genuine", "9e-1"), ("genuine", "0.75"),
                   ("impostor", "5e-1"), ("impostor", "+0.5"), ("impostor", "0.1"),
                   ("impostor", "-0.0"), ("impostor", "0.0"), ("impostor", "0.25"),
                   ("impostor", "2.5e-1"), ("impostor", "")]
-        lines = [SCORE_HEADER] + [
-            f"a{k},b{k},L,{label},1.0,0.1,0.9,0.9,0.4,0.0,0.2,0.0,0.1,1.0,0.9,{dynamic}"
-            for k, (label, dynamic) in enumerate(fields)]
+        names = SCORE_HEADER.split(",")
+        lines = [SCORE_HEADER]
+        for k, (label, field) in enumerate(fields):
+            row = dict(zip(names, f"a{k} b{k} L {label} 1.0 0.1 0.9 0.9 0.4 0.0 0.2 0.0 "
+                                  "0.1 1.0 0.9 0.9".split()))
+            row[column] = field
+            lines.append(",".join(row.values()))
         scores = with_sidecar(tmp_path / "scores.csv")
         scores.write_text("\n".join(lines) + "\n")
-        assert run_cli("eval", "--scores", scores, "--out-prefix", tmp_path / "e",
-                       "--far-target", 0.5) == 0
+        assert run_cli("eval", "--scores", scores, "--column", column,
+                       "--out-prefix", tmp_path / "e", "--far-target", 0.5) == 0
         with open(tmp_path / "e-roc.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
-        # the doubles are the ones earlier versions wrote as their repr
-        table = fileio.read_score_csv(scores, ("label", "dynamic"))
-        used = ~np.isnan(table["dynamic"])
-        curve = roc_curve(ScoreSet(table["dynamic"][used & table["label"]],
-                                   table["dynamic"][used & ~table["label"]]))
-        thresholds = np.array([float(row[0]) for row in rows])
-        assert thresholds.view(np.uint64).tolist() == curve.thresholds.view(np.uint64).tolist()
-        assert [row[1:] for row in rows] == [[repr(f), repr(t)] for f, t in
-                                             zip(curve.far.tolist(), curve.tar.tolist())]
-        # each threshold is the first text read with its bits; the sentinel is a repr
+        table = fileio.read_score_csv(scores, ("label", column))
+        used = ~np.isnan(table[column])
+        curve = roc_curve(ScoreSet(table[column][used & table["label"]],
+                                   table[column][used & ~table["label"]]))
+        assert rows == [list(map(repr, row)) for row in zip(
+            curve.thresholds.tolist(), curve.far.tolist(), curve.tar.tolist())]
+        # each threshold is the repr of the double it was read as
         zero = "-0.0" if np.signbit(curve.thresholds[-1]) else "0.0"
         assert [row[0] for row in rows] == [
-            repr(float(np.nextafter(0.9, 1.0))), "9e-1", "0.75", "0.50", "0.25", "0.1", zero]
+            repr(float(np.nextafter(0.9, 1.0))), "0.9", "0.75", "0.5", "0.25", "0.1", zero]
 
-    def test_read_peak_memory_stays_near_the_arrays_and_texts(self, tmp_path):
+    def test_read_peak_memory_stays_near_the_arrays(self, tmp_path):
         n = 100_000
         rng = np.random.default_rng(11)
         row = dict(a_id="S0:L:0", b_id="S1:L:0", side="L", iris_score=1.0, perioc_norm=0.1,
@@ -1148,18 +1150,16 @@ class TestEvalRoc:
         path = tmp_path / "scores.csv"
         fileio.write_score_csv(path, table)
         tracemalloc.start()
-        try:
-            got, texts = cli._read_scores(path, ("label", "dynamic"), "dynamic")
+        try:  # the columns eval reads
+            got = fileio.read_score_csv(path, ("label", "dynamic"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(got["dynamic"], table["dynamic"])
         np.testing.assert_array_equal(got["label"], table["label"])
-        written = fileio.field_texts("dynamic", fileio.OPT_FLOAT, table["dynamic"]).texts.tolist()
-        assert texts.take(np.arange(n)) == written
-        # the store: each text's bytes and one int64 a row, not a str a row
-        store = sum(map(len, written)) + 8 * n
-        assert peak < 1.5 * (got["label"].nbytes + got["dynamic"].nbytes + store)
+        # no text store: the two arrays, and a column's blocks while it is joined
+        arrays = got["label"].nbytes + got["dynamic"].nbytes
+        assert peak < 1.25 * (arrays + got["dynamic"].nbytes)
 
     @pytest.mark.parametrize("far_target", ["1.5", "-0.1", "nan"])
     def test_bad_far_target_is_rejected_before_the_table_is_read(

@@ -1047,28 +1047,18 @@ class TestRocCsv:
         assert path.read_bytes() == csv_writer_text(rows).encode()
         assert "-0.0" in path.read_text()
 
-    def test_thresholds_with_a_row_are_written_as_its_text(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fileio, "FORMAT_FIELDS", 2)  # two rows an append
-        monkeypatch.setattr(fileio, "BLOCK_FIELDS", 6)  # and a block: rows and texts across both
-        curve = RocCurve(np.array([1.5, 1.0, 0.5, 0.25, 0.0]), np.linspace(0.0, 1.0, 5),
-                         np.array([0.0, 0.5, 0.5, 1.0, 1.0]))
-        texts = fileio.JoinedTexts()
-        texts.append(("5e-1", "", "1.0"))
-        texts.append(("-0",))
-        path = tmp_path / "roc.csv"
-        fileio.write_roc_csv(path, curve, (texts, np.array([-1, 2, 0, -1, 3])))
-        assert path.read_text().splitlines() == [
-            "threshold,far,tar", "1.5,0.0,0.0", "1.0,0.25,0.5", "5e-1,0.5,0.5",
-            "0.25,0.75,1.0", "-0,1.0,1.0",
-        ]
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_tar_names_its_row(self, tmp_path, bad):
-        tar = np.linspace(0.0, 1.0, 9)
-        tar[6] = bad
-        curve = RocCurve(np.linspace(1.0, 0.0, 9), np.linspace(0.0, 1.0, 9), tar)
-        with pytest.raises(ValueError, match=f"column 'tar': row 6: {bad!r} would not read back"):
+    @pytest.mark.parametrize("column", ["threshold", "far", "tar"])
+    def test_non_finite_value_names_its_row(self, tmp_path, monkeypatch, column, bad):
+        monkeypatch.setattr(fileio, "FORMAT_FIELDS", 2)  # two rows an append
+        columns = {"threshold": np.linspace(1.0, 0.0, 9), "far": np.linspace(0.0, 1.0, 9),
+                   "tar": np.linspace(0.0, 1.0, 9)}
+        columns[column][6] = bad  # in the fourth append, named by its row in the table
+        curve = RocCurve(columns["threshold"], columns["far"], columns["tar"])
+        with pytest.raises(ValueError,
+                           match=f"column '{column}': row 6: {bad!r} would not read back"):
             fileio.write_roc_csv(tmp_path / "roc.csv", curve)
+        assert list(tmp_path.iterdir()) == []
 
 
 def csv_only_row_blocks(path, schema_of):
@@ -1222,24 +1212,6 @@ class TestRowSource:
                 assert len(reads[1]()["id"]) == rows
         finally:
             csv.field_size_limit(default_limit)
-
-
-class TestJoinedTexts:
-    BLOCKS = [("0.5", "", "1e-3"), (), ("+0.50", "x" * 300), ("\u0665e-1", "-0.0", "")]
-
-    def joined(self):
-        texts = fileio.JoinedTexts()
-        for block in self.BLOCKS:
-            texts.append(block)
-        return texts
-
-    def test_take_gives_the_texts_of_any_rows(self):
-        flat = [t for block in self.BLOCKS for t in block]
-        rows = np.array([5, 0, 1, 2, 3, 4, 2, 5, 0])
-        got = self.joined().take(rows)
-        assert got == [flat[r] for r in rows]
-        assert all(type(t) is str for t in got)
-        assert self.joined().take(np.array([], dtype=np.intp)) == []
 
 
 class TestCheckpoint:
